@@ -7,10 +7,10 @@ sampling sweeps.  All reports are canonical JSON (sorted keys); sweep
 commands also write CSV.  Exit codes: 0 success, 2 invalid
 configuration or input, 3 construction failure, 4 failed check.
 
-The ``GOODPANTS_THREADS`` environment variable caps internal
-parallelism; every sampler derives per-sample seeds and reduces results
-in sample order, so the byte output never depends on the thread count
-(the reference implementation runs samples sequentially).
+The ``GOODPANTS_THREADS`` environment variable is validated (an
+integer >= 1) but nothing runs in parallel: every sampler runs its
+samples sequentially from per-sample seeds, so reports never depend on
+its value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .holonomy import (
     build_rho,
     certify_qi,
     check_p_separated,
-    measured_shear,
+    development_residual,
     nontriviality_scan,
 )
 from .homology import book_of_i_bundles_h1, free_product_h1, h1_of_complex, mv_torsion_embedding, sigma
@@ -142,15 +142,7 @@ def cmd_build(args) -> int:
         length, neg_count = complexity(graph_of(x))
         params = _params_for(x, args)
         rho = build_rho(x, params)
-        residual = 0.0
-        for i, pants in enumerate(x.pants):
-            for slot, c in enumerate(pants.slots):
-                residual = max(
-                    residual,
-                    abs(complex(rho.halflength_at(i, slot)) - params.halflength(c)),
-                )
-        for c in x.regular_circles():
-            residual = max(residual, abs(measured_shear(rho, c) - params.shear_of(c)))
+        residual = development_residual(rho)
     except (
         NoEssentialPathError,
         NotOnShortestPathError,
@@ -193,15 +185,7 @@ def cmd_verify(args) -> int:
         return EXIT_BUILD_FAILED
     checks = {}
 
-    residual = 0.0
-    for i, pants in enumerate(x.pants):
-        for slot, c in enumerate(pants.slots):
-            residual = max(
-                residual,
-                abs(complex(rho.halflength_at(i, slot)) - params.halflength(c)),
-            )
-    for c in x.regular_circles():
-        residual = max(residual, abs(measured_shear(rho, c) - params.shear_of(c)))
+    residual = development_residual(rho)
     checks["viability"] = {"max_residual": residual, "pass": residual < 1e-6}
 
     separated = check_p_separated(rho, args.p)

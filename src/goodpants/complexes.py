@@ -13,7 +13,9 @@ the number of such paths), measured between the singular-adjacent
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -55,17 +57,25 @@ class PantsComplex:
     pants: tuple[Pants, ...]
     circles: tuple[Circle, ...]
 
-    def attachments_of(self, circle: int) -> list[tuple[int, int]]:
-        out = []
+    @cached_property
+    def _incidence(self) -> dict[int, list[tuple[int, int]]]:
+        """The (pants, slot) attachments of every slot id, in one pass.
+
+        Keyed by the ids the slots name, so ids of missing circles are
+        kept too; the complex is immutable, so this is built once.
+        """
+        table: dict[int, list[tuple[int, int]]] = {}
         for pi, p in enumerate(self.pants):
             for si, c in enumerate(p.slots):
-                if c == circle:
-                    out.append((pi, si))
-        return out
+                table.setdefault(c, []).append((pi, si))
+        return table
+
+    def attachments_of(self, circle: int) -> list[tuple[int, int]]:
+        return list(self._incidence.get(circle, ()))
 
     def degree_sum(self, circle: int) -> int:
         """D_C = d_C times the number of attachments."""
-        return self.circles[circle].d * len(self.attachments_of(circle))
+        return self.circles[circle].d * len(self._incidence.get(circle, ()))
 
     def is_regular(self, circle: int) -> bool:
         return self.degree_sum(circle) == 2 and self.circles[circle].d == 1
@@ -75,9 +85,6 @@ class PantsComplex:
 
     def singular_circles(self) -> list[int]:
         return [c for c in range(len(self.circles)) if not self.is_regular(c)]
-
-    def max_degree_sum(self) -> int:
-        return max(self.degree_sum(c) for c in range(len(self.circles)))
 
     def to_json(self) -> str:
         doc = {
@@ -108,17 +115,6 @@ class PantsComplex:
         return cls(pants=pants, circles=circles)
 
 
-def _attachment_table(x: PantsComplex) -> list[list[tuple[int, int]]]:
-    """attachments_of for every circle, computed in one pass."""
-    table = [[] for _ in x.circles]
-    n_circles = len(x.circles)
-    for pi, p in enumerate(x.pants):
-        for si, c in enumerate(p.slots):
-            if 0 <= c < n_circles:
-                table[c].append((pi, si))
-    return table
-
-
 def validate(x: PantsComplex) -> list[str]:
     """All structural violations of the complex, empty iff valid."""
     issues = []
@@ -133,12 +129,11 @@ def validate(x: PantsComplex) -> list[str]:
         for si, o in enumerate(p.orientations):
             if o not in (1, -1):
                 issues.append(f"pants {pi} slot {si} has orientation {o}")
-    table = _attachment_table(x)
     for ci, c in enumerate(x.circles):
         if c.d < 1:
             issues.append(f"circle {ci} has degree {c.d} < 1")
             continue
-        atts = table[ci]
+        atts = x.attachments_of(ci)
         if not atts:
             issues.append(f"circle {ci} has no attachment")
         elif c.d * len(atts) < 2:
@@ -205,9 +200,8 @@ def graph_of(x: PantsComplex) -> PantsGraph:
         raise ValueError(f"invalid complex: {bad[0]}")
     edges = []
     marked = set()
-    table = _attachment_table(x)
     for ci, circle in enumerate(x.circles):
-        atts = table[ci]
+        atts = x.attachments_of(ci)
         if circle.d == 1 and len(atts) == 2:
             (pa, _), (pb, _) = atts
             edges.append((ci, pa, pb))
@@ -245,8 +239,36 @@ def _dart_arrays(g: PantsGraph):
     return tail, head, marked, dtype
 
 
-def _marked_walk_counts(g: PantsGraph, max_len: int):
-    """Count of essential marked-to-marked walks at the shortest level.
+def _walk_layers(tail, head, marked, dtype, n_vertices: int):
+    """Non-backtracking walk counts, one layer per walk length.
+
+    Seeds are the darts leaving marked vertices, in dart order.  Layer t
+    (t = 1, 2, ...) has one row per seed: layer[i][d] is the number of
+    walks of t darts that start with seeds[i], end with dart d, never
+    reverse a dart, and pass only unmarked vertices in between; keeping
+    the first dart apart is what lets callers subtract the closed walks
+    that are not cyclically reduced.  Called with tail and head swapped,
+    the same kernel walks backwards from the darts entering marked
+    vertices.
+    """
+    n_darts = len(tail)
+    seeds = np.flatnonzero(marked[tail])
+    rows = np.arange(len(seeds))
+    flip = np.arange(n_darts) ^ 1
+    blocked = marked[head]
+    cur = np.zeros((len(seeds), n_darts), dtype=dtype)
+    cur[rows, seeds] = 1
+    while True:
+        yield cur
+        # a walk may only continue past an unmarked vertex
+        ext = np.where(blocked[None, :], 0, cur)
+        by_vertex = np.zeros((len(seeds), n_vertices), dtype=dtype)
+        np.add.at(by_vertex, (rows[:, None], head[None, :]), ext)
+        cur = by_vertex[:, tail] - ext[:, flip]
+
+
+def _shortest_level(g: PantsGraph, darts):
+    """Walk forward to the shortest essential level.
 
     An essential walk is non-backtracking, its interior vertices are
     unmarked (a path *between* marked vertices visits them only at its
@@ -256,40 +278,31 @@ def _marked_walk_counts(g: PantsGraph, max_len: int):
     representative is a loop missing the marked vertex entirely, so it
     does not count as a path between marked vertices.
 
-    Returns {length: count of ordered walks} for the first length at
-    which any walk exists (empty if none up to max_len); a walk and its
-    reverse are both counted (no such walk is its own reverse).
+    Returns (l, n, layers): the shortest length l, the number n of
+    ordered essential walks of that length (a walk and its reverse are
+    both counted; no such walk is its own reverse), and the forward
+    layers t >= ceil((l + 1)/2), the positions a middle dart can take.
     """
-    tail, head, marked, dtype = _dart_arrays(g)
-    n_darts = len(tail)
+    if not g.marked:
+        raise NoEssentialPathError("no marked vertices")
+    tail, head, marked, dtype = darts
     starts = np.flatnonzero(marked[tail])
-    n_starts = len(starts)
-    if n_starts == 0:
-        return {}
-    # cur[i][d] = number of admissible walks whose first dart is
-    # starts[i] and whose last dart is d; tracking the first dart is
-    # what lets the closed non-reduced walks be subtracted off
-    cur = np.zeros((n_starts, n_darts), dtype=dtype)
-    cur[np.arange(n_starts), starts] = 1
-    flip = np.arange(n_darts) ^ 1
-    rows = np.arange(n_starts)[:, None]
-    at_marked = marked[head]
-    for length in range(1, max_len + 1):
-        # a walk ending with the reverse of its first dart is closed at
-        # the start vertex and not cyclically reduced
-        total = int(cur[:, at_marked].sum()) - int(
-            cur[np.arange(n_starts), starts ^ 1].sum()
-        )
-        if total:
-            # only the shortest level matters to the callers; walks can
-            # only get more numerous from here on
-            return {length: total}
-        # a walk may only continue past an unmarked vertex
-        ext = np.where(at_marked[None, :], 0, cur)
-        by_vertex = np.zeros((n_starts, g.n_vertices), dtype=dtype)
-        np.add.at(by_vertex, (rows, head[None, :]), ext)
-        cur = by_vertex[:, tail] - ext[:, flip]
-    return {}
+    if len(starts):
+        rows = np.arange(len(starts))
+        at_marked = marked[head]
+        bound = 2 * (g.n_vertices + len(g.edges)) + 1
+        layers = {}
+        walks = _walk_layers(tail, head, marked, dtype, g.n_vertices)
+        for length, cur in zip(range(1, bound + 1), walks):
+            layers[length] = cur
+            # l >= length, so layers below ceil((length + 1)/2) are done
+            layers.pop(length // 2, None)
+            # a walk ending with the reverse of its first dart is closed
+            # at the start vertex and not cyclically reduced
+            total = int(cur[:, at_marked].sum()) - int(cur[rows, starts ^ 1].sum())
+            if total:
+                return length, total, layers
+    raise NoEssentialPathError("no essential marked path")
 
 
 def complexity(g: PantsGraph) -> tuple[int, int]:
@@ -300,48 +313,8 @@ def complexity(g: PantsGraph) -> tuple[int, int]:
     walks between marked vertices with unmarked interior, cyclically
     reduced when closed (a walk and its reverse count once).
     """
-    if not g.marked:
-        raise NoEssentialPathError("no marked vertices")
-    bound = 2 * (g.n_vertices + len(g.edges)) + 1
-    counts = _marked_walk_counts(g, bound)
-    if not counts:
-        raise NoEssentialPathError("no essential marked path")
-    l = min(counts)
-    return l, -(counts[l] // 2)
-
-
-def _shortest_essential_walk(g: PantsGraph) -> list[int]:
-    """One shortest essential walk, as a list of darts."""
-    l, _ = complexity(g)
-    tail, head = _darts(g)
-    by_vertex = [[] for _ in range(g.n_vertices)]
-    for d in range(len(tail)):
-        by_vertex[tail[d]].append(d)
-
-    def extend(walk):
-        if len(walk) == l:
-            if head[walk[-1]] not in g.marked:
-                return None
-            if head[walk[-1]] == tail[walk[0]] and walk[-1] == walk[0] ^ 1:
-                return None  # closed but not cyclically reduced
-            return walk
-        if head[walk[-1]] in g.marked:
-            return None  # interior vertices must be unmarked
-        for d2 in by_vertex[head[walk[-1]]]:
-            if d2 != walk[-1] ^ 1:
-                got = extend(walk + [d2])
-                if got is not None:
-                    return got
-        return None
-
-    for d in sorted(
-        range(len(tail)), key=lambda d: (tail[d] not in g.marked, d)
-    ):
-        if tail[d] in g.marked:
-            got = extend([d])
-            if got is not None:
-                return got
-    raise NoEssentialPathError("no essential marked path")
+    l, total, _ = _shortest_level(g, _dart_arrays(g))
+    return l, -(total // 2)
 
 
 def _middle_dart_counts(g: PantsGraph) -> tuple[int, int, list[int]]:
@@ -350,37 +323,20 @@ def _middle_dart_counts(g: PantsGraph) -> tuple[int, int, list[int]]:
     Returns (l, k, counts) where k = ceil((l + 1)/2) and counts[d] is
     the number of shortest walks whose k-th dart is d.
     """
-    l, _ = complexity(g)
+    darts = _dart_arrays(g)
+    l, _, layers = _shortest_level(g, darts)
     k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
-    tail, head, marked, dtype = _dart_arrays(g)
-    n_darts = len(tail)
-    flip = np.arange(n_darts) ^ 1
+    tail, head, marked, dtype = darts
     starts = np.flatnonzero(marked[tail])
     ends = np.flatnonzero(marked[head])
-
-    def sweep(seeds, steps, forward):
-        n_seeds = len(seeds)
-        cur = np.zeros((n_seeds, n_darts), dtype=dtype)
-        cur[np.arange(n_seeds), seeds] = 1
-        block = marked[head] if forward else marked[tail]
-        bucket = head if forward else tail
-        target = tail if forward else head
-        rows = np.arange(n_seeds)[:, None]
-        for _ in range(steps):
-            # a walk may only continue past an unmarked vertex
-            ext = np.where(block[None, :], 0, cur)
-            by_vertex = np.zeros((n_seeds, g.n_vertices), dtype=dtype)
-            np.add.at(by_vertex, (rows, bucket[None, :]), ext)
-            cur = by_vertex[:, target] - ext[:, flip]
-        return cur
-
     # fwd[i][d]: length-k walks with first dart starts[i] and k-th dart
     # d; bwd[j][d]: length-(l - k + 1) walks with first dart d and last
     # dart ends[j].  Gluing at position k and excluding the pairs that
     # form a closed non-reduced walk (last dart = reverse of first)
     # gives the per-dart count of shortest essential walks.
-    fwd = sweep(starts, k - 1, True)
-    bwd = sweep(ends, l - k, False)
+    fwd = layers[k]
+    backwards = _walk_layers(head, tail, marked, dtype, g.n_vertices)
+    bwd = next(islice(backwards, l - k, None))
     counts = fwd.sum(axis=0) * bwd.sum(axis=0)
     # starts ^ 1 points back into its start vertex, so it is an end dart
     end_index = {int(e): j for j, e in enumerate(ends)}
@@ -428,12 +384,18 @@ def surger(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
     to one former attachment of the donor circle, so every path through
     the old edge now has to cross the donor.
     """
-    if not x.is_regular(edge):
-        raise NotOnShortestPathError(f"circle {edge} is not regular")
-    if edge not in _middle_edge_circles(x):
+    # a circle that is not regular is refused by _paste, with its own error
+    if x.is_regular(edge) and edge not in _middle_edge_circles(x):
         raise NotOnShortestPathError(
             f"circle {edge} is not the middle edge of any shortest essential path"
         )
+    return _paste(x, edge, donor)
+
+
+def _paste(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
+    """surger without the shortest-path check, for callers that made it."""
+    if not x.is_regular(edge):
+        raise NotOnShortestPathError(f"circle {edge} is not regular")
     donor_atts = donor.attachments_of(0)
     if len(donor_atts) != 2 or not donor.is_regular(0):
         raise ValueError("donor circle 0 must be regular")
@@ -441,10 +403,9 @@ def surger(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
         raise DisconnectedResultError("donor circle separates the donor")
 
     n_x_circles = len(x.circles)
-    # donor circle j > 0 becomes circle n_x_circles + j - 1; the cut
-    # circles (x's `edge` and donor's 0) are reused as the two pasted
-    # circles: x-side keeps id `edge`, donor-side keeps id n_x_circles
-    # mapped from... both new circles need fresh pairings.
+    # the two pasted circles: x's first side keeps circle `edge`, its
+    # second side gets the fresh circle n_x_circles; donor circle j > 0
+    # becomes circle n_x_circles + j
     (xa, xa_slot), (xb, xb_slot) = x.attachments_of(edge)
     new_circle_b = n_x_circles  # pairs xb with the donor's second side
 
@@ -458,7 +419,6 @@ def surger(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
     pants[xb] = Pants(slots=tuple(slots), orientations=pants[xb].orientations)
 
     (da, da_slot), (db, db_slot) = donor_atts
-    offset = len(pants)
     for qi, q in enumerate(donor.pants):
         slots = []
         for si, c in enumerate(q.slots):
@@ -485,11 +445,10 @@ def _separates(x: PantsComplex, circle: int) -> bool:
     if n <= 1:
         return False
     adj = [[] for _ in range(n)]
-    table = _attachment_table(x)
     for ci in range(len(x.circles)):
         if ci == circle:
             continue
-        atts = table[ci]
+        atts = x.attachments_of(ci)
         for i in range(len(atts)):
             for j in range(i + 1, len(atts)):
                 adj[atts[i][0]].append(atts[j][0])
@@ -509,7 +468,7 @@ def _connected(x: PantsComplex) -> bool:
     return not _separates(x, -1)
 
 
-def grow_until(x: PantsComplex, threshold: int, donor_factory=make_donor) -> PantsComplex:
+def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
     """Surger along shortest-path middle edges until l(G) > threshold.
 
     Terminates because each step strictly increases (l, -n)
@@ -517,6 +476,7 @@ def grow_until(x: PantsComplex, threshold: int, donor_factory=make_donor) -> Pan
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
+    donor = make_donor()
     while True:
         g = graph_of(x)
         l, _, counts = _middle_dart_counts(g)
@@ -525,5 +485,4 @@ def grow_until(x: PantsComplex, threshold: int, donor_factory=make_donor) -> Pan
         # of the admissible mid-path darts, cut the one carried by the
         # most shortest walks: one surgery then retires a whole family
         best = max(range(len(counts)), key=lambda d: (counts[d], -d))
-        edge = g.edges[best // 2][0]
-        x = surger(x, edge, donor_factory())
+        x = _paste(x, g.edges[best // 2][0], donor)

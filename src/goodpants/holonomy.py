@@ -36,6 +36,7 @@ __all__ = [
     "build_rho",
     "certify_qi",
     "check_p_separated",
+    "development_residual",
     "lift_skeleton",
     "measured_shear",
     "nontriviality_scan",
@@ -241,6 +242,25 @@ def measured_shear(rho: ViableRep, c: int) -> complex:
     foot_left = foot_of(rho.base_reps[pa], sa, frame=frame_left)
     foot_right = foot_of(rho.base_reps[pb], sb, frame=frame_right)
     return shear(foot_left, foot_right)
+
+
+def development_residual(rho: ViableRep) -> float:
+    """Largest gap between the requested and the developed parameters.
+
+    Compares the half-length of every pants slot and the shear of every
+    regular circle with rho.params; singular root lengths are not read.
+    """
+    x, params = rho.complex, rho.params
+    residual = 0.0
+    for i, pants in enumerate(x.pants):
+        for slot, c in enumerate(pants.slots):
+            residual = max(
+                residual,
+                abs(complex(rho.halflength_at(i, slot)) - params.halflength(c)),
+            )
+    for c in x.regular_circles():
+        residual = max(residual, abs(measured_shear(rho, c) - params.shear_of(c)))
+    return residual
 
 
 def check_p_separated(rho: ViableRep, p: int, tol: float = 1e-9) -> bool:

@@ -77,9 +77,6 @@ class HalfNormalCoordinate:
             im = 0.0
         object.__setattr__(self, "value", complex(re, im))
 
-    def shifted(self, offset: complex) -> "HalfNormalCoordinate":
-        return HalfNormalCoordinate(self.value + offset, self.hl)
-
 
 @dataclass(frozen=True)
 class PantsRep:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from goodpants.complexes import (
     Pants,
     PantsComplex,
     PantsGraph,
+    _middle_dart_counts,
     build_xp,
     complexity,
     graph_of,
@@ -21,12 +24,14 @@ from goodpants.complexes import (
 )
 
 
-def brute_force_complexity(g: PantsGraph):
-    """Enumerate essential marked-to-marked walks directly.
+def brute_force_walks(g: PantsGraph):
+    """Enumerate the shortest essential marked-to-marked walks directly.
 
     Walks are non-backtracking with unmarked interior vertices; closed
     walks must also be cyclically reduced (last dart is not the reverse
-    of the first).
+    of the first).  Yields each walk as a list of darts, dart 2e and
+    2e+1 being the two directions of edge e; yields nothing if there is
+    no essential walk.
     """
     from collections import deque
 
@@ -81,15 +86,12 @@ def brute_force_complexity(g: PantsGraph):
                     dist[d2] = dist[d] + 1
                     queue.append(d2)
     if best is None:
-        return None
-
-    count = 0
+        return
 
     def dfs(walk, start, limit):
-        nonlocal count
         if len(walk) == limit:
             if admissible(walk, start):
-                count += 1
+                yield walk
             return
         at = darts[walk[-1]][1]
         if at in g.marked:
@@ -98,15 +100,59 @@ def brute_force_complexity(g: PantsGraph):
             if darts[d][0] != at or d == walk[-1] ^ 1:
                 continue
             if suffix[d] is not None and len(walk) + suffix[d] <= limit:
-                dfs(walk + [d], start, limit)
+                yield from dfs(walk + [d], start, limit)
 
     for v in g.marked:
         for d in range(n_darts):
             if darts[d][0] != v:
                 continue
             if suffix[d] is not None and suffix[d] <= best:
-                dfs([d], v, best)
-    return best, -(count // 2)
+                yield from dfs([d], v, best)
+
+
+def brute_force_complexity(g: PantsGraph):
+    """(l, -n) from brute_force_walks, or None without essential walks."""
+    l, count = None, 0
+    for walk in brute_force_walks(g):
+        l, count = len(walk), count + 1
+    return None if l is None else (l, -(count // 2))
+
+
+def shortest_essential_walk(g: PantsGraph) -> list[int]:
+    """One shortest essential walk, as a list of darts."""
+    l, _ = complexity(g)
+    tail, head = [], []
+    for _, a, b in g.edges:
+        tail.extend((a, b))
+        head.extend((b, a))
+    by_vertex = [[] for _ in range(g.n_vertices)]
+    for d in range(len(tail)):
+        by_vertex[tail[d]].append(d)
+
+    def extend(walk):
+        if len(walk) == l:
+            if head[walk[-1]] not in g.marked:
+                return None
+            if head[walk[-1]] == tail[walk[0]] and walk[-1] == walk[0] ^ 1:
+                return None  # closed but not cyclically reduced
+            return walk
+        if head[walk[-1]] in g.marked:
+            return None  # interior vertices must be unmarked
+        for d2 in by_vertex[head[walk[-1]]]:
+            if d2 != walk[-1] ^ 1:
+                got = extend(walk + [d2])
+                if got is not None:
+                    return got
+        return None
+
+    for d in sorted(
+        range(len(tail)), key=lambda d: (tail[d] not in g.marked, d)
+    ):
+        if tail[d] in g.marked:
+            got = extend([d])
+            if got is not None:
+                return got
+    raise NoEssentialPathError("no essential marked path")
 
 
 def random_graph(rng):
@@ -119,6 +165,17 @@ def random_graph(rng):
         v for v in range(n) if rng.random() < 0.3
     )
     return PantsGraph(n_vertices=n, edges=edges, marked=marked)
+
+
+def random_complex(rng):
+    """Pants whose slots name any circle id, some of them missing."""
+    n_circles = rng.randrange(1, 9)
+    pants = tuple(
+        Pants(slots=tuple(rng.randrange(-2, n_circles + 2) for _ in range(3)))
+        for _ in range(rng.randrange(1, 13))
+    )
+    circles = tuple(Circle(d=rng.randrange(1, 4)) for _ in range(n_circles))
+    return PantsComplex(pants=pants, circles=circles)
 
 
 class TestBuildXp:
@@ -205,6 +262,24 @@ class TestValidate:
         assert any("orientation" in s for s in validate(x))
 
 
+class TestIncidence:
+    def test_attachments_match_direct_scan(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            x = random_complex(rng)
+            for c in range(-3, len(x.circles) + 3):
+                want = [
+                    (pi, si)
+                    for pi, p in enumerate(x.pants)
+                    for si, slot in enumerate(p.slots)
+                    if slot == c
+                ]
+                assert x.attachments_of(c) == want
+                if 0 <= c < len(x.circles):
+                    assert x.degree_sum(c) == x.circles[c].d * len(want)
+                    assert x.is_regular(c) == (x.circles[c].d == 1 and len(want) == 2)
+
+
 class TestSerialization:
     def test_round_trip(self):
         x = build_xp(2, 5)
@@ -264,6 +339,26 @@ class TestComplexity:
                 checked += 1
         assert checked > 100
 
+    def test_middle_dart_counts_match_brute_force(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(300):
+            g = random_graph(rng)
+            if not g.marked:
+                continue
+            l, tally = None, Counter()
+            for walk in brute_force_walks(g):
+                l = len(walk)
+                tally[walk[(l + 2) // 2 - 1]] += 1
+            if l is None:
+                with pytest.raises(NoEssentialPathError):
+                    _middle_dart_counts(g)
+                continue
+            got = _middle_dart_counts(g)
+            assert got == (l, (l + 2) // 2, [tally[d] for d in range(2 * len(g.edges))])
+            checked += 1
+        assert checked > 100
+
 
 class TestSurger:
     def test_middle_edge_increases_complexity(self):
@@ -313,9 +408,7 @@ class TestGrowUntil:
         seen = [complexity(graph_of(x))]
         while seen[-1][0] <= 5:
             g = graph_of(x)
-            from goodpants.complexes import _shortest_essential_walk
-
-            walk = _shortest_essential_walk(g)
+            walk = shortest_essential_walk(g)
             l = seen[-1][0]
             k = (l + 2) // 2
             edge = g.edges[walk[k - 1] // 2][0]
@@ -324,6 +417,14 @@ class TestGrowUntil:
             assert c > seen[-1]
             seen.append(c)
         assert len(seen) > 2
+
+    def test_growth_is_byte_identical(self):
+        # the complex the benchmark grows at L=16 (96 pants); a change in
+        # which edge is cut first changes this digest
+        x = grow_until(build_xp(1, 3), 16)
+        assert len(x.pants) == 96
+        digest = hashlib.sha256((x.to_json() + "\n").encode()).hexdigest()
+        assert digest == "312a578a28c91f6b6adca7512ee16817bb1b36f30e790d3dd949d0f82fd81802"
 
     def test_deterministic(self):
         a = grow_until(build_xp(1, 3), 5)
