@@ -102,17 +102,37 @@ class PantsComplex:
     @classmethod
     def from_json(cls, text: str) -> "PantsComplex":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a complex document must be a JSON object")
         if doc.get("version") != 1:
             raise ValueError(f"unsupported document version {doc.get('version')}")
+        records = sorted(doc["circles"], key=lambda c: _integer(c["id"], "circle id"))
+        if [c["id"] for c in records] != list(range(len(records))):
+            raise ValueError(f"circle ids must be exactly 0..{len(records) - 1}")
         circles = tuple(
-            Circle(d=c["d"], k=c.get("k", 1))
-            for c in sorted(doc["circles"], key=lambda c: c["id"])
+            Circle(d=_integer(c["d"], "d"), k=_integer(c.get("k", 1), "k"))
+            for c in records
         )
+        if len(doc["orientations"]) != len(doc["pants"]):
+            raise ValueError(
+                f"{len(doc['orientations'])} orientation records"
+                f" for {len(doc['pants'])} pants"
+            )
         pants = tuple(
-            Pants(slots=tuple(p["slots"]), orientations=tuple(o))
+            Pants(
+                slots=tuple(_integer(v, "slot") for v in p["slots"]),
+                orientations=tuple(_integer(v, "orientation") for v in o),
+            )
             for p, o in zip(doc["pants"], doc["orientations"])
         )
         return cls(pants=pants, circles=circles)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; bools and floats are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def validate(x: PantsComplex) -> list[str]:
@@ -126,6 +146,8 @@ def validate(x: PantsComplex) -> list[str]:
         for si, c in enumerate(p.slots):
             if not (0 <= c < n_circles):
                 issues.append(f"pants {pi} slot {si} attached to missing circle {c}")
+        if len(p.orientations) != 3:
+            issues.append(f"pants {pi} has {len(p.orientations)} orientations")
         for si, o in enumerate(p.orientations):
             if o not in (1, -1):
                 issues.append(f"pants {pi} slot {si} has orientation {o}")

@@ -504,15 +504,24 @@ def hexagon_solve(a: complex, b: complex, c: complex) -> HexagonData:
     return HexagonData(sides=sides, duals=tuple(duals))
 
 
+def _screw(d: complex) -> MoebiusMap:
+    """The screw motion along (0, infinity) by complex distance d."""
+    half = cmath.exp(complex(d) / 2.0)
+    return MoebiusMap(half, 0, 0, 1.0 / half)
+
+
+# axis reversal z -> 1/z: the half-turn about (-1, 1) that swaps the
+# ends of (0, infinity)
+_FLIP = MoebiusMap(0, 1j, 1j, 0)
+
+
 def translate_along(g: OrientedGeodesic, d: ComplexDistance | complex) -> MoebiusMap:
     """The loxodromic with axis g and complex translation length d."""
     d = complex(d)
     if not d.real > 0:
         raise ValueError("translation length must have positive real part")
-    half = cmath.exp(d / 2.0)
-    diag = MoebiusMap(half, 0, 0, 1.0 / half)
     m = normalize_to_axis(g)
-    return m.inverse() * diag * m
+    return m.inverse() * _screw(d) * m
 
 
 def axis_of(m: MoebiusMap) -> OrientedGeodesic:

@@ -10,9 +10,8 @@ at tau = 1 the per-circle offsets (xi, eta) are fully switched on.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,8 @@ from .geom import (
     complex_translation_length,
     hyperbolic_point_distance,
     point_to_geodesic_distance,
+    _FLIP,
+    _screw,
 )
 from .pants import PantsRep, build_pants_rep, cuff_frame, foot_of, measured_halflength, shear
 
@@ -41,16 +42,6 @@ __all__ = [
     "measured_shear",
     "nontriviality_scan",
 ]
-
-# axis reversal z -> 1/z, used as the frame flip between the two sides
-# of a glued circle
-_FLIP = MoebiusMap(0, 1j, 1j, 0)
-
-
-def _screw(d: complex) -> MoebiusMap:
-    half = cmath.exp(complex(d) / 2.0)
-    return MoebiusMap(half, 0, 0, 1.0 / half)
-
 
 @dataclass(frozen=True)
 class RepParams:
@@ -95,10 +86,11 @@ class ViableRep:
     """A pants complex developed in hyperbolic 3-space.
 
     reps[i] is the placed holonomy of pants i.  Each regular circle
-    stores its two sides and a frame taking the circle's axis to
-    (0, infinity) as oriented by the left side; non-tree circles also
-    store the re-developed conjugator of their right-side pants (the
-    placed copy differs from it by the circle's stable letter).
+    stores its two sides and, per side, a measuring frame taking that
+    side's unplaced pants (base_reps) to the circle's axis on
+    (0, infinity); non-tree circles also store the re-developed
+    conjugator of their right-side pants (the placed copy differs from
+    it by the circle's stable letter).
     """
 
     complex: PantsComplex
@@ -107,18 +99,10 @@ class ViableRep:
     base_reps: tuple[PantsRep, ...]
     reps: tuple[PantsRep, ...]
     circle_sides: dict
-    circle_frames: dict
     measure_frames: dict
     redeveloped: dict
     singular_holonomy: dict
     singular_base: dict
-
-    def side_conjugator(self, c: int, which: int) -> MoebiusMap:
-        """Conjugator placing one side's pants against the circle."""
-        pi, _ = self.circle_sides[c][which]
-        if which == 1 and c in self.redeveloped:
-            return self.redeveloped[c]
-        return self.conjugators[pi]
 
     def stable_letter(self, c: int) -> MoebiusMap:
         """Holonomy of the stable letter of a non-tree circle."""
@@ -159,7 +143,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     conj: list[MoebiusMap | None] = [None] * n
     conj[0] = MoebiusMap.identity()
     circle_sides = {}
-    circle_frames = {}
     measure_frames = {}
     redeveloped = {}
 
@@ -189,7 +172,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             G = G0 * conj[u].inverse()
             frame_left = G if u_is_left else _FLIP * G
             circle_sides[c] = ((pa, sa), (pb, sb))
-            circle_frames[c] = frame_left
             delta = -s if u_is_left else s
             other_frame = _FLIP * frame_left if u_is_left else frame_left
             g_other = glue_conjugator(other_frame, delta, v, sv)
@@ -227,7 +209,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         base_reps=tuple(base),
         reps=reps,
         circle_sides=circle_sides,
-        circle_frames=circle_frames,
         measure_frames=measure_frames,
         redeveloped=redeveloped,
         singular_holonomy=singular,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import PantsComplex, validate
+from .complexes import PantsComplex, _connected, validate
 
 __all__ = [
     "AbelianGroup",
@@ -229,45 +229,30 @@ def cokernel(m: IntegerMatrix, n_generators: int) -> AbelianGroup:
     )
 
 
-def _cuff_vector(slot: int) -> tuple[int, int]:
-    """Coefficients of a cuff class on the pants generators (a, b)."""
-    if slot == 0:
-        return (1, 0)
-    if slot == 1:
-        return (0, 1)
-    if slot == 2:
-        return (-1, -1)
-    raise IndexError(f"slot {slot} out of range")
-
-
 def h1_of_complex(x: PantsComplex) -> AbelianGroup:
-    """First homology from the graph-of-groups presentation.
+    """First homology from the graph-of-groups presentation on the circles.
 
-    Generators: a, b per pants (the third cuff is -a-b), one class per
-    circle, and one free stable letter per independent cycle of the
-    attachment graph.  Each attachment says the cuff class equals the
-    signed d-th multiple of its circle's class.
+    Each pants contributes a, b (its third cuff is -a-b) and each
+    attachment says the cuff class equals the signed d-th multiple of its
+    circle's class.  The attachments of slots 0 and 1 solve for a and b,
+    which leaves one relation per pants on the circle classes:
+    sum over its slots s of o_s * d_(c_s) * [c_s] = 0.  One free stable
+    letter per independent cycle of the attachment graph adds to the rank.
     """
     bad = validate(x)
     if bad:
         raise ValueError(f"invalid complex: {bad[0]}")
+    if not _connected(x):
+        raise ValueError("complex is not connected")
     n_p = len(x.pants)
     n_c = len(x.circles)
-    n_gens = 2 * n_p + n_c
-    columns = []
-    n_attachments = 0
+    rows = [[0] * n_p for _ in range(n_c)]
     for pi, p in enumerate(x.pants):
-        for slot, c in enumerate(p.slots):
-            n_attachments += 1
-            col = [0] * n_gens
-            ca, cb = _cuff_vector(slot)
-            col[2 * pi] = ca
-            col[2 * pi + 1] = cb
-            col[2 * n_p + c] -= p.orientations[slot] * x.circles[c].d
-            columns.append(col)
-    m = IntegerMatrix.from_rows(zip(*columns))
-    group = cokernel(m, n_gens)
-    stable = n_attachments - (n_p + n_c) + 1
+        for c, o in zip(p.slots, p.orientations):
+            rows[c][pi] += o * x.circles[c].d
+    group = cokernel(IntegerMatrix.from_rows(rows), n_c)
+    # the attachment graph has pants + circles vertices, 3 * pants edges
+    stable = 3 * n_p - (n_p + n_c) + 1
     return AbelianGroup(rank=group.rank + stable, torsion=group.torsion)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .geom import (
     INFINITY,
-    MoebiusMap,
     OrientedGeodesic,
     Point,
     Vector,
@@ -32,6 +31,7 @@ from .geom import (
     normalize_to_axis,
     point_to_geodesic_distance,
     translate_along,
+    _FLIP,
 )
 
 __all__ = [
@@ -423,7 +423,6 @@ def angle_change_check(
     gamma = OrientedGeodesic(0j, INFINITY)
     alpha = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
     base_point = Point(0j, 1.0)
-    flip = MoebiusMap(0, 1j, 1j, 0)
     word_mats = []
     for rho in (rho0, rho1):
         # generators of the pants on both sides of the circle, written in
@@ -436,7 +435,7 @@ def angle_change_check(
             for g in (rep.gen1, rep.gen2):
                 m = frame * g * frame.inverse()
                 if idx == 1:
-                    m = flip * m * flip
+                    m = _FLIP * m * _FLIP
                 placed.append(m)
         word_mats.append(placed + [g.inverse() for g in placed])
     n_letters = len(word_mats[0])

@@ -26,6 +26,7 @@ from .geom import (
     hexagon_solve,
     normalize_to_axis,
     reduce_angle,
+    _screw,
 )
 
 __all__ = [
@@ -128,21 +129,17 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     # screw motions, so the generators are plain matrix products; no
     # boundary endpoints are ever extracted (those collapse when the
     # seams are exponentially short).
-    def screw(d):
-        half = cmath.exp(complex(d) / 2.0)
-        return MoebiusMap(half, 0, 0, 1.0 / half)
-
     eta3 = OrientedGeodesic(-1 + 0j, 1 + 0j)
     to_eta3 = normalize_to_axis(eta3).inverse()
     rho3 = half_turn(eta3)
     # gen1 = rho2 * rho3 with eta2 at complex distance hl1 up the cuff;
     # the product collapses to the pure screw by 2 hl1 along (0, inf).
-    gen1 = screw(2.0 * hl[0])
+    gen1 = _screw(2.0 * hl[0])
     # Cuff 2 is the image of (0, inf) under the screw by sigma[2] along
     # eta3; the seam eta1 sits at complex distance hl2 along it from the
     # foot of eta3, so rho1 is a conjugated half-turn of eta3.
-    along_eta3 = to_eta3 * screw(sigma[2]) * to_eta3.inverse()
-    along_cuff2 = along_eta3 * screw(hl[1]) * along_eta3.inverse()
+    along_eta3 = to_eta3 * _screw(sigma[2]) * to_eta3.inverse()
+    along_cuff2 = along_eta3 * _screw(hl[1]) * along_eta3.inverse()
     rho1 = along_cuff2 * rho3 * along_cuff2.inverse()
     gen2 = rho3 * rho1
     return PantsRep(

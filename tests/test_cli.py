@@ -172,6 +172,63 @@ class TestHomology:
         code, out, err = run(capsys, ["homology"])
         assert code == 2
 
+    def test_disconnected_complex(self, tmp_path, capsys):
+        from goodpants.complexes import Pants, PantsComplex, build_xp
+
+        one = build_xp(1, 3)
+        shift = len(one.circles)
+        other = tuple(
+            Pants(slots=tuple(c + shift for c in p.slots), orientations=p.orientations)
+            for p in one.pants
+        )
+        path = tmp_path / "two.json"
+        path.write_text(
+            PantsComplex(pants=one.pants + other, circles=one.circles * 2).to_json()
+        )
+        code, out, err = run(capsys, ["homology", "--complex", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert "not connected" in error["message"]
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            pytest.param(("circles", 0, "d"), "3", id="string-d"),
+            pytest.param(("circles", 2, "d"), True, id="bool-d"),
+            pytest.param(("circles", 0, "k"), 1.0, id="float-k"),
+            pytest.param(("pants", 0, "slots", 1), 2.0, id="float-slot"),
+            pytest.param(("orientations", 0, 1), "1", id="string-orientation"),
+            pytest.param(("orientations", -1), None, id="short-orientations"),
+            pytest.param(("orientations", 0, -1), None, id="short-orientation-record"),
+            pytest.param(("circles", -1, "id"), 99, id="circle-id-gap"),
+            pytest.param(("circles", -1, "id"), 0, id="duplicate-circle-id"),
+            pytest.param((), [1, 2], id="not-an-object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["homology", "verify"])
+    def test_badly_typed_complex_file(self, small_complex, capsys, command, keys, value):
+        # set the item at keys to value, or delete it when value is None
+        doc = json.loads(small_complex.read_text())
+        if keys:
+            *parents, last = keys
+            target = doc
+            for k in parents:
+                target = target[k]
+            if value is None:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            doc = value
+        small_complex.write_text(json.dumps(doc))
+        argv = [command, "--complex", str(small_complex)]
+        code, out, err = run(capsys, argv + (["--seed", "1"] if command == "verify" else []))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-config"
+
     def test_bad_group_file(self, tmp_path, capsys):
         grp = tmp_path / "g.json"
         grp.write_text(json.dumps({"torsion": "x"}))

@@ -54,7 +54,7 @@ class TestBuildRho:
     def test_singular_root_power_is_cuff(self):
         import cmath
 
-        from goodpants.holonomy import _screw
+        from goodpants.geom import _screw
         from goodpants.pants import cuff_frame
 
         x = build_xp(1, 3)

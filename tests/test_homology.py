@@ -1,18 +1,91 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from goodpants.complexes import build_xp, grow_until
+from goodpants.complexes import (
+    Circle,
+    Pants,
+    PantsComplex,
+    _connected,
+    build_xp,
+    grow_until,
+    validate,
+)
 from goodpants.homology import (
     AbelianGroup,
     IntegerMatrix,
     book_of_i_bundles_h1,
+    cokernel,
     free_product_h1,
     h1_of_complex,
     mv_torsion_embedding,
     sigma,
     smith_normal_form,
 )
+
+
+def dense_h1(x: PantsComplex) -> AbelianGroup:
+    """Reference H1 on the full graph-of-groups presentation.
+
+    Generators: a, b per pants (the third cuff is -a-b) and one class
+    per circle; one relation per attachment saying the cuff class equals
+    the signed d-th multiple of its circle's class; one free stable
+    letter per independent cycle of the attachment graph.
+    """
+    cuff = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
+    n_p = len(x.pants)
+    n_c = len(x.circles)
+    n_gens = 2 * n_p + n_c
+    columns = []
+    for pi, p in enumerate(x.pants):
+        for slot, c in enumerate(p.slots):
+            col = [0] * n_gens
+            col[2 * pi], col[2 * pi + 1] = cuff[slot]
+            col[2 * n_p + c] -= p.orientations[slot] * x.circles[c].d
+            columns.append(col)
+    group = cokernel(IntegerMatrix.from_rows(zip(*columns)), n_gens)
+    stable = len(columns) - (n_p + n_c) + 1
+    return AbelianGroup(rank=group.rank + stable, torsion=group.torsion)
+
+
+@st.composite
+def connected_complexes(draw):
+    """Random valid connected complexes of 1-12 pants.
+
+    Slots are dealt out to circles in a random order: each circle takes
+    1-4 slots, a regular circle exactly two.  Singular circles have
+    d in {2, 3, 4, 6}; a circle may take two slots of one pants
+    (self-glued), and every orientation is random.
+    """
+    n_p = draw(st.integers(1, 12))
+    slots = draw(st.permutations([(pi, s) for pi in range(n_p) for s in range(3)]))
+    circles = []
+    owner = {}
+    i = 0
+    while i < len(slots):
+        left = len(slots) - i
+        if draw(st.booleans()) and left >= 2:
+            take, d = 2, 1
+        else:
+            take = draw(st.integers(1, min(4, left)))
+            d = draw(st.sampled_from([2, 3, 4, 6]))
+        for slot in slots[i : i + take]:
+            owner[slot] = len(circles)
+        circles.append(Circle(d=d, k=1))
+        i += take
+    pants = tuple(
+        Pants(
+            slots=tuple(owner[(pi, s)] for s in range(3)),
+            orientations=tuple(draw(st.sampled_from([1, -1])) for _ in range(3)),
+        )
+        for pi in range(n_p)
+    )
+    x = PantsComplex(pants=pants, circles=tuple(circles))
+    assert not validate(x)
+    assume(_connected(x))
+    return x
 
 
 def assert_snf_contract(m):
@@ -104,8 +177,10 @@ class TestH1OfComplex:
     @pytest.mark.parametrize("genus", [1, 2, 3])
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     def test_torsion_is_p(self, genus, p):
-        h = h1_of_complex(build_xp(genus, p))
+        x = build_xp(genus, p)
+        h = h1_of_complex(x)
         assert h.torsion == (p,)
+        assert h == dense_h1(x)
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_rank(self, genus):
@@ -113,12 +188,41 @@ class TestH1OfComplex:
         assert h.rank == 4 * genus + 1
 
     def test_grown_complex_keeps_torsion(self):
-        x = grow_until(build_xp(1, 3), 6)
-        assert h1_of_complex(x).torsion == (3,)
+        x = grow_until(build_xp(1, 3), 16)
+        assert len(x.pants) == 96
+        assert h1_of_complex(x) == AbelianGroup(rank=97, torsion=(3,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_complexes())
+    def test_matches_dense_presentation(self, x):
+        assert h1_of_complex(x) == dense_h1(x)
+
+    def test_self_glued_circles(self):
+        # one pants with slots 0 and 1 on one circle: with equal signs the
+        # circle's entry is 2, with opposite signs it is 0
+        for o, want in (((1, 1, 1), AbelianGroup(2)), ((1, -1, 1), AbelianGroup(2, (3,)))):
+            x = PantsComplex(
+                pants=(Pants(slots=(0, 0, 1), orientations=o),),
+                circles=(Circle(), Circle(d=3)),
+            )
+            assert h1_of_complex(x) == dense_h1(x) == want
+
+    def test_disconnected_complex_rejected(self):
+        one = build_xp(1, 3)
+        shift = len(one.circles)
+        other = tuple(
+            Pants(slots=tuple(c + shift for c in p.slots), orientations=p.orientations)
+            for p in one.pants
+        )
+        x = PantsComplex(pants=one.pants + other, circles=one.circles * 2)
+        assert not validate(x)
+        # one stable letter per independent cycle holds for one component
+        # only: here it would give Z^9 + Z/3 + Z/3, not the direct sum
+        # Z^10 + Z/3 + Z/3
+        with pytest.raises(ValueError, match="complex is not connected"):
+            h1_of_complex(x)
 
     def test_invalid_complex_rejected(self):
-        from goodpants.complexes import Circle, Pants, PantsComplex
-
         x = PantsComplex(
             pants=(Pants(slots=(0, 1, 7)),),
             circles=(Circle(d=2), Circle(d=2)),
