@@ -13,6 +13,7 @@ the number of such paths), measured between the singular-adjacent
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -36,8 +37,9 @@ class DisconnectedResultError(ValueError):
 class Circle:
     """A circle of the complex with its rotation degree.
 
-    k is the rotation numerator for singular circles (coprime to d); it
-    is carried through to the holonomy builder and ignored when d = 1.
+    k is the rotation numerator for singular circles; validate refuses
+    a circle with d > 1 and k not coprime to d.  It is carried through
+    to the holonomy builder and ignored when d = 1.
     """
 
     d: int = 1
@@ -137,7 +139,7 @@ def _integer(value, what: str) -> int:
 
 def validate(x: PantsComplex) -> list[str]:
     """All structural violations of the complex, empty iff valid."""
-    issues = []
+    issues = [] if x.pants else ["complex has no pants"]
     n_circles = len(x.circles)
     for pi, p in enumerate(x.pants):
         if len(p.slots) != 3:
@@ -155,6 +157,8 @@ def validate(x: PantsComplex) -> list[str]:
         if c.d < 1:
             issues.append(f"circle {ci} has degree {c.d} < 1")
             continue
+        if c.d > 1 and math.gcd(c.k, c.d) != 1:
+            issues.append(f"circle {ci} has k = {c.k} not coprime to d = {c.d}")
         atts = x.attachments_of(ci)
         if not atts:
             issues.append(f"circle {ci} has no attachment")

@@ -446,6 +446,99 @@ def _scan_alphabet(rho: ViableRep, cap: int = 4) -> list[MoebiusMap]:
     return gens
 
 
+# Words per slice of the depth-first scan.  Each level on the stack
+# holds the children of one slice, at most letters * _SCAN_CHUNK words,
+# whatever the word length; per-letter temporaries stay at 64 KiB.
+_SCAN_CHUNK = 4096
+
+
+def _near_identity(a, b, c, d, threshold: float) -> np.ndarray:
+    """Indices of the matrices [[a, b], [c, d]] within threshold of +/- I.
+
+    The distance to +/- I is the largest entry of |m -/+ I|.  Both
+    distances share the off-diagonal entries, so |b| and |c| below the
+    threshold is the first, cheap part of the rule, and the diagonal is
+    read only on the few matrices that pass it.  nan is never below the
+    threshold and np.maximum and np.minimum propagate it, so inf and nan
+    entries are never flagged.
+    """
+    idx = np.flatnonzero((np.abs(b) < threshold) & (np.abs(c) < threshold))
+    a, d = a[idx], d[idx]
+    err_plus = np.maximum(np.abs(a - 1), np.abs(d - 1))
+    err_minus = np.maximum(np.abs(a + 1), np.abs(d + 1))
+    return idx[np.minimum(err_plus, err_minus) < threshold]
+
+
+def _scan_words(
+    letters, max_length: int, threshold: float
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Count the reduced words up to max_length; flag those near +/- I.
+
+    letters is a sequence of 2x2 complex matrices in which letter l^1 is
+    the inverse of letter l.  A word's matrix is the product of its
+    letters from left to right.  Returns the number of words and the
+    flagged words, by length and then by the word read backwards.
+    """
+    mats = np.asarray(letters, dtype=complex).reshape(-1, 2, 2)
+    n_letters = len(mats)
+    if max_length < 1:
+        return 0, ()
+    la, lb, lc, ld = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    inverse = np.arange(n_letters) ^ 1
+    violations = [(int(i),) for i in _near_identity(la, lb, lc, ld, threshold)]
+    total = n_letters
+
+    def extend(words, a, b, c, d):
+        # words (m, k) of one length k < max_length with their matrices:
+        # classify every reduced one-letter extension and return them,
+        # or None when they are as long as the scan goes
+        nonlocal total
+        last = words[:, -1]
+        leaf = words.shape[1] + 1 == max_length
+        children = []
+        for l in range(n_letters):
+            keep = last != inverse[l]
+            total += int(np.count_nonzero(keep))
+            # long words overflow float range at large R; inf and nan
+            # stay in their row and are never flagged
+            with np.errstate(over="ignore", invalid="ignore"):
+                if leaf:
+                    # a word that is not extended further needs its other
+                    # entries only if the new b already passes the filter
+                    keep &= np.abs(a * lb[l] + b * ld[l]) < threshold
+                rows = np.flatnonzero(keep)
+                if leaf and not rows.size:
+                    continue
+                ar, br, cr, dr = a[rows], b[rows], c[rows], d[rows]
+                a2 = ar * la[l] + br * lc[l]
+                b2 = ar * lb[l] + br * ld[l]
+                c2 = cr * la[l] + dr * lc[l]
+                d2 = cr * lb[l] + dr * ld[l]
+            for i in _near_identity(a2, b2, c2, d2, threshold):
+                violations.append((*words[rows[i]].tolist(), l))
+            if not leaf:
+                child = np.empty((len(rows), words.shape[1] + 1), dtype=words.dtype)
+                child[:, :-1] = words[rows]
+                child[:, -1] = l
+                children.append((child, a2, b2, c2, d2))
+        if leaf:
+            return None
+        return [np.concatenate(parts) for parts in zip(*children)]
+
+    def visit(words, a, b, c, d):
+        for s in range(0, len(words), _SCAN_CHUNK):
+            part = slice(s, s + _SCAN_CHUNK)
+            children = extend(words[part], a[part], b[part], c[part], d[part])
+            if children is not None:
+                visit(*children)
+
+    if max_length > 1:
+        words = np.arange(n_letters, dtype=np.int16).reshape(-1, 1)
+        visit(words, la, lb, lc, ld)
+    violations.sort(key=lambda w: (len(w), w[::-1]))
+    return total, tuple(violations)
+
+
 def nontriviality_scan(
     rho: ViableRep, max_length: int = 6, threshold: float = 1e-6
 ) -> ScanReport:
@@ -454,51 +547,27 @@ def nontriviality_scan(
     Enumerates all freely reduced words up to the given length over the
     bounded alphabet and flags any whose matrix is within threshold of
     +/- identity.  Words are reported as tuples of letter indices
-    (letter 2i is generator i, letter 2i+1 its inverse).
+    (letter 2i is generator i, letter 2i+1 its inverse), ordered by
+    length and then by the word read backwards.
+
+    The words are enumerated depth-first: a slice of at most _SCAN_CHUNK
+    words is extended by every letter, and the scan recurses on slices
+    of the children.  Live memory is bounded by about max_length x
+    letters x _SCAN_CHUNK words, not by the number of words.  Each
+    product is kept as four complex arrays and multiplied by a letter
+    on the right with elementwise arithmetic; no BLAS call is made on
+    this path, so the products may differ from a matmul in the last
+    bits.
     """
     gens = _scan_alphabet(rho)
     letters = []
     for g in gens:
         letters.append(np.array(g.entries(), dtype=complex).reshape(2, 2))
         letters.append(np.array(g.inverse().entries(), dtype=complex).reshape(2, 2))
-    n_letters = len(letters)
-    eye = np.eye(2)
-    violations = []
-    total = 0
-
-    # frontier: matrices, their words, and each word's final letter
-    mats = np.stack(letters)
-    words = np.arange(n_letters, dtype=np.int8).reshape(-1, 1)
-    for depth in range(1, max_length + 1):
-        total += len(mats)
-        err_plus = np.abs(mats - eye).max(axis=(1, 2))
-        err_minus = np.abs(mats + eye).max(axis=(1, 2))
-        bad = np.minimum(err_plus, err_minus) < threshold
-        for w in words[bad]:
-            violations.append(tuple(int(a) for a in w))
-        if depth == max_length:
-            break
-        last = words[:, -1]
-        next_mats = []
-        next_words = []
-        for l in range(n_letters):
-            mask = last != (l ^ 1)
-            if not mask.any():
-                continue
-            # long words overflow float range at large R; an overflowed
-            # product is nowhere near +/- identity, so inf entries are
-            # still classified correctly
-            with np.errstate(over="ignore", invalid="ignore"):
-                next_mats.append(mats[mask] @ letters[l])
-            block = np.empty((int(mask.sum()), depth + 1), dtype=np.int8)
-            block[:, :depth] = words[mask]
-            block[:, depth] = l
-            next_words.append(block)
-        mats = np.concatenate(next_mats)
-        words = np.concatenate(next_words)
+    total, violations = _scan_words(letters, max_length, threshold)
     return ScanReport(
         max_length=max_length,
         n_generators=len(gens),
         total_words=total,
-        violations=tuple(violations),
+        violations=violations,
     )

@@ -205,6 +205,14 @@ class TestHomology:
             pytest.param(("circles", -1, "id"), 99, id="circle-id-gap"),
             pytest.param(("circles", -1, "id"), 0, id="duplicate-circle-id"),
             pytest.param((), [1, 2], id="not-an-object"),
+            pytest.param(
+                (),
+                {"version": 1, "pants": [], "circles": [], "orientations": []},
+                id="no-pants",
+            ),
+            pytest.param(("circles", 0, "k"), 0, id="k-zero"),
+            pytest.param(("circles", 0, "k"), 3, id="k-not-coprime"),
+            pytest.param(("circles", 0, "k"), -6, id="negative-k-not-coprime"),
         ],
     )
     @pytest.mark.parametrize("command", ["homology", "verify"])

@@ -261,6 +261,20 @@ class TestValidate:
         )
         assert any("orientation" in s for s in validate(x))
 
+    def test_no_pants(self):
+        assert validate(PantsComplex(pants=(), circles=())) == ["complex has no pants"]
+
+    def test_k_coprime_to_d(self):
+        def with_k(k, d=6):
+            return PantsComplex(pants=(Pants(slots=(0, 0, 0)),), circles=(Circle(d=d, k=k),))
+
+        for k in (1, 5, 7, -1, -5):
+            assert validate(with_k(k)) == []
+        for k in (0, 2, 3, 4, 6, -2):
+            assert validate(with_k(k)) == [f"circle 0 has k = {k} not coprime to d = 6"]
+        # k is ignored when d = 1
+        assert validate(with_k(0, d=1)) == []
+
 
 class TestIncidence:
     def test_attachments_match_direct_scan(self):
