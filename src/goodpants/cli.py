@@ -162,7 +162,9 @@ def cmd_build(args) -> int:
             "singular_circles": x.singular_circles(),
             "complexity": [length, neg_count],
             "max_residual": residual,
-            "stable_letters": len(rho.redeveloped),
+            # one stable letter per circle outside the spanning tree:
+            # the cycle rank of the connected pants graph
+            "stable_letters": len(x.regular_circles()) - len(x.pants) + 1,
         }
     )
     sys.stdout.write(canonical_json(summary) + "\n")
@@ -176,6 +178,8 @@ def cmd_verify(args) -> int:
         raise ConfigError("--R must be positive")
     if args.words < 1:
         raise ConfigError("--words must be at least 1")
+    if args.samples < 1:
+        raise ConfigError("need at least one sample")
     x = _load_complex(args.complex)
     try:
         params = _params_for(x, args)

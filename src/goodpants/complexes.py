@@ -260,7 +260,12 @@ def _dart_arrays(g: PantsGraph):
         marked[list(g.marked)] = True
     # exact Python integers for small graphs where parallel edges can
     # make counts explode; int64 for large graphs, which arise from
-    # surgery and have vertex degree <= 3, keeping counts below 2**63
+    # surgery and have vertex degree <= 3.  Deep layers overflow int64
+    # there too (entries reach about 2**119 at L = 128, and the two sums
+    # _shortest_level subtracts about 2**120 each), but int64 arithmetic
+    # wraps modulo 2**64, so the counts the callers return, sums and
+    # differences of products of layer entries that are far below 2**63,
+    # still come out exact
     dtype = np.int64 if n_darts > 256 else object
     return tail, head, marked, dtype
 

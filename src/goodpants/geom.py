@@ -18,7 +18,6 @@ __all__ = [
     "BoundaryPoint",
     "ComplexDistance",
     "DegenerateError",
-    "FramedArc",
     "HexagonData",
     "IntersectingError",
     "MoebiusMap",
@@ -34,7 +33,6 @@ __all__ = [
     "hexagon_solve",
     "hyperbolic_point_distance",
     "mobius_apply",
-    "parallel_transport_angle",
     "translate_along",
 ]
 
@@ -261,22 +259,6 @@ class Vector:
     def euclidean_norm(self) -> float:
         return math.hypot(abs(self.horizontal), self.vertical)
 
-    def normalized(self) -> "Vector":
-        n = self.euclidean_norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vector(self.horizontal / n, self.vertical / n)
-
-
-@dataclass(frozen=True)
-class FramedArc:
-    """A geodesic arc with a unit normal vector at each endpoint."""
-
-    start: Point
-    end: Point
-    normal_start: Vector
-    normal_end: Vector
-
 
 @dataclass(frozen=True)
 class HexagonData:
@@ -320,18 +302,6 @@ def apply_to_point(m: MoebiusMap, p: Point) -> Point:
     return Point(z_new, t / denom)
 
 
-def ray_endpoint(p: Point, v: Vector) -> BoundaryPoint:
-    """Boundary endpoint of the geodesic ray from p in direction v."""
-    h = abs(v.horizontal)
-    if h < 1e-300:
-        return INFINITY if v.vertical > 0 else p.horizontal
-    u = v.horizontal / h
-    norm = v.euclidean_norm()
-    r = p.height * norm / h
-    d = r * (1.0 + v.vertical / norm)
-    return p.horizontal + d * u
-
-
 def direction_toward(p: Point, zeta: BoundaryPoint) -> Vector:
     """Unit tangent vector at p of the geodesic ray ending at zeta."""
     if isinstance(zeta, _Infinity):
@@ -343,13 +313,6 @@ def direction_toward(p: Point, zeta: BoundaryPoint) -> Vector:
     u = u_full / d
     r = (d * d + p.height * p.height) / (2.0 * d)
     return Vector((p.height / r) * u, (d - r) / r)
-
-
-def apply_to_vector(m: MoebiusMap, p: Point, v: Vector) -> tuple[Point, Vector]:
-    """Push an interior point together with a unit tangent vector forward."""
-    zeta = ray_endpoint(p, v.normalized())
-    p_new = apply_to_point(m, p)
-    return p_new, direction_toward(p_new, mobius_apply(m, zeta))
 
 
 def geodesic_through(p: Point, q: Point) -> OrientedGeodesic:
@@ -552,37 +515,6 @@ def point_to_geodesic_distance(p: Point, g: OrientedGeodesic) -> float:
     m = normalize_to_axis(g)
     q = apply_to_point(m, p)
     return math.asinh(abs(q.horizontal) / q.height)
-
-
-def normal_coordinate(g: OrientedGeodesic, p: Point, v: Vector) -> complex:
-    """Coordinate ln(height) + i*angle of a unit normal vector on an axis.
-
-    The axis is normalized to (0, infinity); the vector must be based on
-    the axis and orthogonal to it.  Coordinates of normal vectors differ
-    by exactly the complex distance along the axis.
-    """
-    m = normalize_to_axis(g)
-    q, w = apply_to_vector(m, p, v)
-    if abs(q.horizontal) > 1e-9 * q.height:
-        raise ValueError("base point does not lie on the geodesic")
-    w = w.normalized()
-    if abs(w.vertical) > 1e-9:
-        raise NotNormalError("vector is not orthogonal to the geodesic")
-    return complex(math.log(q.height), cmath.phase(w.horizontal))
-
-
-def parallel_transport_angle(arc: FramedArc) -> ComplexDistance:
-    """Arc length plus i times the holonomy angle between endpoint normals.
-
-    Both normals must be orthogonal to the arc; the angle is measured
-    after parallel transport of the initial normal to the far endpoint,
-    oriented by the direction of the arc.
-    """
-    g = geodesic_through(arc.start, arc.end)
-    z1 = normal_coordinate(g, arc.start, arc.normal_start)
-    z2 = normal_coordinate(g, arc.end, arc.normal_end)
-    delta = z2 - z1
-    return ComplexDistance(complex(abs(delta.real), delta.imag))
 
 
 def half_turn(g: OrientedGeodesic) -> MoebiusMap:

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PantsComplex, graph_of
+from .complexes import PantsComplex, validate
 from .geom import (
     MoebiusMap,
-    OrientedGeodesic,
     Point,
     apply_to_point,
     complex_translation_length,
     hyperbolic_point_distance,
-    point_to_geodesic_distance,
     _FLIP,
     _screw,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "certify_qi",
     "check_p_separated",
     "development_residual",
-    "lift_skeleton",
     "measured_shear",
     "nontriviality_scan",
 ]
@@ -85,12 +82,14 @@ class RepParams:
 class ViableRep:
     """A pants complex developed in hyperbolic 3-space.
 
-    reps[i] is the placed holonomy of pants i.  Each regular circle
-    stores its two sides and, per side, a measuring frame taking that
-    side's unplaced pants (base_reps) to the circle's axis on
-    (0, infinity); non-tree circles also store the re-developed
-    conjugator of their right-side pants (the placed copy differs from
-    it by the circle's stable letter).
+    base_reps[i] is pants i built in its own normalized position and
+    reps[i] the same pants placed by conjugators[i].  measure_frames[c]
+    holds, for each regular circle, one frame per side, in the order of
+    complex.attachments_of(c); each takes that side's base_reps copy to
+    the circle's axis on (0, infinity), the right side's with the axis
+    reversed.  singular_holonomy[c] is the root holonomy of a singular
+    circle, and singular_base[c] the same root next to its unplaced
+    pants.
     """
 
     complex: PantsComplex
@@ -98,16 +97,9 @@ class ViableRep:
     conjugators: tuple[MoebiusMap, ...]
     base_reps: tuple[PantsRep, ...]
     reps: tuple[PantsRep, ...]
-    circle_sides: dict
     measure_frames: dict
-    redeveloped: dict
     singular_holonomy: dict
     singular_base: dict
-
-    def stable_letter(self, c: int) -> MoebiusMap:
-        """Holonomy of the stable letter of a non-tree circle."""
-        pi, _ = self.circle_sides[c][1]
-        return self.redeveloped[c] * self.conjugators[pi].inverse()
 
     def halflength_at(self, pants: int, slot: int):
         """Half-length of a cuff read back from the holonomy.
@@ -130,63 +122,54 @@ class ViableRep:
 def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     """Develop the complex: glue pants along circles by shear-and-paste.
 
-    A spanning tree of the graph is traversed from pants 0; tree circles
-    determine the placements, the remaining circles get stable letters.
-    Singular circles carry the d-th root loxodromic of the adjacent cuff
+    A breadth-first spanning tree of the graph is traversed from pants
+    0.  Each tree circle places the pants on its far side: that pants'
+    cuff goes onto the circle's axis, reversed, with its foot at the
+    circle's shear from the near side's foot.  Every regular circle,
+    in the tree or not, records its two measuring frames.  Singular
+    circles carry the d-th root loxodromic of the adjacent cuff
     (rotated by k extra turns), so its d-th power is the cuff holonomy.
     """
-    g = graph_of(x)
+    bad = validate(x)
+    if bad:
+        raise ValueError(f"invalid complex: {bad[0]}")
     base = [
         build_pants_rep(*(params.halflength(c) for c in p.slots)) for p in x.pants
     ]
     n = len(x.pants)
     conj: list[MoebiusMap | None] = [None] * n
     conj[0] = MoebiusMap.identity()
-    circle_sides = {}
     measure_frames = {}
-    redeveloped = {}
-
-    def glue_conjugator(frame, delta, i, slot):
-        # the conjugator putting pants i's cuff `slot` on (0, infinity)
-        # in the given frame with its foot at coordinate delta
-        B = cuff_frame(base[i], slot)
-        return frame.inverse() * _screw(delta) * B
 
     visited = {0}
     queue = [0]
     while queue:
         u = queue.pop(0)
         for su, c in enumerate(x.pants[u].slots):
-            if not x.is_regular(c):
+            if not x.is_regular(c) or c in measure_frames:
                 continue
             (pa, sa), (pb, sb) = x.attachments_of(c)
-            if c in circle_sides:
-                continue
-            v, sv = (pb, sb) if (pa, sa) == (u, su) else (pa, sa)
-            s = params.shear_of(c) + math.pi * 1j
             u_is_left = (pa, sa) == (u, su)
+            v, sv = (pb, sb) if u_is_left else (pa, sa)
+            s = params.shear_of(c) + math.pi * 1j
+            delta = -s if u_is_left else s
             # frames of the placed copy are the base frames transported
             # by the conjugator; computing them on the base copy avoids
-            # reading seam endpoints off of large matrices
+            # reading seam endpoints off of large matrices.  The
+            # per-side measuring frames collapse to cancellation-free
+            # products: the shared frame times the side's conjugator is
+            # cuff_frame(base) on the placed side and
+            # Screw(delta) * cuff_frame(base) on the new side.
             G0 = cuff_frame(base[u], su)
-            G = G0 * conj[u].inverse()
-            frame_left = G if u_is_left else _FLIP * G
-            circle_sides[c] = ((pa, sa), (pb, sb))
-            delta = -s if u_is_left else s
-            other_frame = _FLIP * frame_left if u_is_left else frame_left
-            g_other = glue_conjugator(other_frame, delta, v, sv)
-            # the transported per-side measuring frames collapse to
-            # cancellation-free products: the shared frame times the
-            # side's conjugator equals cuff_frame(base) on the placed
-            # side and Screw(delta) * cuff_frame(base) on the new side
-            frame_v = _screw(delta) * cuff_frame(base[v], sv)
+            B = cuff_frame(base[v], sv)
+            frame_v = _screw(delta) * B
             measure_frames[c] = (G0, frame_v) if u_is_left else (frame_v, G0)
             if v not in visited:
-                conj[v] = g_other
+                # v's cuff goes onto u's axis reversed, foot at delta
+                G = G0 * conj[u].inverse()
+                conj[v] = (_FLIP * G).inverse() * _screw(delta) * B
                 visited.add(v)
                 queue.append(v)
-            else:
-                redeveloped[c] = g_other
     if len(visited) < n:
         raise ValueError("complex is not connected")
 
@@ -208,9 +191,7 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         conjugators=tuple(conj),
         base_reps=tuple(base),
         reps=reps,
-        circle_sides=circle_sides,
         measure_frames=measure_frames,
-        redeveloped=redeveloped,
         singular_holonomy=singular,
         singular_base=singular_base,
     )
@@ -218,7 +199,7 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
 
 def measured_shear(rho: ViableRep, c: int) -> complex:
     """The shear of a regular circle read back off the developed pants."""
-    (pa, sa), (pb, sb) = rho.circle_sides[c]
+    (pa, sa), (pb, sb) = rho.complex.attachments_of(c)
     frame_left, frame_right = rho.measure_frames[c]
     foot_left = foot_of(rho.base_reps[pa], sa, frame=frame_left)
     foot_right = foot_of(rho.base_reps[pb], sb, frame=frame_right)
@@ -276,62 +257,6 @@ def check_p_separated(rho: ViableRep, p: int, tol: float = 1e-9) -> bool:
         if min(gaps) < 2.0 * math.pi / p - tol:
             return False
     return True
-
-
-def _generator_matrices(rho: ViableRep) -> list[MoebiusMap]:
-    gens = []
-    for rep in rho.reps:
-        gens.append(rep.gen1)
-        gens.append(rep.gen2)
-    gens.extend(rho.singular_holonomy.values())
-    gens.extend(rho.stable_letter(c) for c in rho.redeveloped)
-    return gens
-
-
-def lift_skeleton(rho: ViableRep, radius: float) -> list[OrientedGeodesic]:
-    """All lifts of the cuff axes meeting the ball of this radius.
-
-    Saturates under the holonomy generators: the returned set is closed
-    under every generator as long as the image still meets the ball.
-    """
-    base_point = Point(0j, 1.0)
-    gens = _generator_matrices(rho)
-    gens = gens + [g.inverse() for g in gens]
-
-    def key(axis):
-        def enc(e):
-            if isinstance(e, complex):
-                return (round(e.real, 6), round(e.imag, 6))
-            return ("inf",)
-
-        return frozenset((enc(axis.source), enc(axis.target)))
-
-    lifts = {}
-    frontier = []
-    for i, rep in enumerate(rho.reps):
-        for cuff in range(3):
-            axis = rep.cuff_axis(cuff)
-            if point_to_geodesic_distance(base_point, axis) <= radius:
-                k = key(axis)
-                if k not in lifts:
-                    lifts[k] = axis
-                    frontier.append(axis)
-    while frontier:
-        axis = frontier.pop()
-        for g in gens:
-            try:
-                image = axis.apply(g)
-                far = point_to_geodesic_distance(base_point, image) > radius
-            except ValueError:
-                # endpoints numerically collapsed: the lift is far away
-                far = True
-            if far:
-                continue
-            k = key(image)
-            if k not in lifts:
-                lifts[k] = image
-                frontier.append(image)
-    return list(lifts.values())
 
 
 @dataclass(frozen=True)

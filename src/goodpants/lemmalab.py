@@ -233,7 +233,7 @@ def quasigeodesic_stability_check(
             z = np.exp(s) * np.tanh(u) * np.exp(1j * psi)
             t = np.exp(s) / np.cosh(u)
             dist = _pairwise_distances(z, t)
-            seg = np.array([dist[i, i + 1] for i in range(n)])
+            seg = np.diagonal(dist, 1)
             walk = np.concatenate(([0.0], np.cumsum(seg)))
             gap = np.abs(walk[:, None] - walk[None, :])
             lower_ok = np.all(dist >= gap / (1.0 + delta) - delta - 1e-12)
@@ -429,7 +429,7 @@ def angle_change_check(
         # the circle's left-oriented axis coordinates; words mixing the
         # two sides feel the bending of the deformed gluing
         placed = []
-        for idx, (pi, si) in enumerate(rho.circle_sides[c]):
+        for idx, (pi, _) in enumerate(rho.complex.attachments_of(c)):
             frame = rho.measure_frames[c][idx]
             rep = rho.base_reps[pi]
             for g in (rep.gen1, rep.gen2):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geom import (
     INFINITY,
@@ -111,6 +112,37 @@ class PantsRep:
             self.halflengths,
         )
 
+    @cached_property
+    def _seams_from_cuff(self) -> tuple[tuple[OrientedGeodesic, OrientedGeodesic], ...]:
+        """Per cuff, its (previous, next) seams by index, both pointing away.
+
+        seam_axes orients seam j from the lower-indexed of its two cuffs
+        to the higher, so it is reversed on the cuff that is its target.
+        The pants are immutable, so the seams are found once.
+        """
+        seams = seam_axes(self)
+        pairs = []
+        for cuff in range(3):
+            # the previous seam joins this cuff to cuff + 1, the next seam
+            # to cuff + 2; the seam joining two cuffs has the third index
+            pair = []
+            for other in ((cuff + 1) % 3, (cuff + 2) % 3):
+                seam = seams[3 - cuff - other]
+                pair.append(seam.reversed() if cuff > other else seam)
+            pairs.append(tuple(pair))
+        return tuple(pairs)
+
+    @cached_property
+    def _cuff_frames(self) -> tuple[MoebiusMap, MoebiusMap, MoebiusMap]:
+        """The canonical frame of every cuff; see cuff_frame."""
+        frames = []
+        for cuff in range(3):
+            frame = normalize_to_axis(self.cuff_axis(cuff))
+            anchor = _foot_in_frame(frame, self._seams_from_cuff[cuff][0])
+            correction = MoebiusMap(cmath.exp(-anchor / 2), 0, 0, cmath.exp(anchor / 2))
+            frames.append(correction * frame)
+        return tuple(frames)
+
 
 def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     """Construct the skew pants with the given complex half-lengths.
@@ -197,25 +229,6 @@ def _foot_in_frame(frame: MoebiusMap, seam: OrientedGeodesic) -> complex:
     return cmath.log(v)
 
 
-def _seams_on_cuff(p: PantsRep, cuff: int):
-    """The two seams with a foot on this cuff, (previous, next) by index.
-
-    Both are oriented to point away from the cuff.
-    """
-    seams = seam_axes(p)
-    prev_seam = seams[(cuff + 2) % 3]
-    next_seam = seams[(cuff + 1) % 3]
-    # seam_axes orients low index -> high index; flip when this cuff is
-    # the seam's target so the foot vector points into the pants.
-    others_prev = [j for j in range(3) if j != (cuff + 2) % 3]
-    others_next = [j for j in range(3) if j != (cuff + 1) % 3]
-    if others_prev.index(cuff) == 1:
-        prev_seam = prev_seam.reversed()
-    if others_next.index(cuff) == 1:
-        next_seam = next_seam.reversed()
-    return prev_seam, next_seam
-
-
 def measured_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
     """Half-length of a cuff read off the holonomy.
 
@@ -241,7 +254,7 @@ def seam_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
     get large (seams exponentially short).
     """
     frame = normalize_to_axis(p.cuff_axis(cuff))
-    prev_seam, next_seam = _seams_on_cuff(p, cuff)
+    prev_seam, next_seam = p._seams_from_cuff[cuff]
     z_prev = _foot_in_frame(frame, prev_seam)
     z_next = _foot_in_frame(frame, next_seam)
     delta = z_prev - z_next
@@ -257,11 +270,7 @@ def cuff_frame(p: PantsRep, cuff: int) -> MoebiusMap:
     seam at height 1 pointing in the +1 direction, so that foot
     coordinates measured in this frame are conjugation invariant.
     """
-    frame = normalize_to_axis(p.cuff_axis(cuff))
-    prev_seam, _ = _seams_on_cuff(p, cuff)
-    anchor = _foot_in_frame(frame, prev_seam)
-    correction = MoebiusMap(cmath.exp(-anchor / 2), 0, 0, cmath.exp(anchor / 2))
-    return correction * frame
+    return p._cuff_frames[cuff]
 
 
 def foot_of(p: PantsRep, cuff: int, frame: MoebiusMap | None = None) -> HalfNormalCoordinate:
@@ -274,9 +283,8 @@ def foot_of(p: PantsRep, cuff: int, frame: MoebiusMap | None = None) -> HalfNorm
     of different pants glued along one circle.
     """
     if frame is None:
-        frame = cuff_frame(p, cuff)
-    prev_seam, _ = _seams_on_cuff(p, cuff)
-    z = _foot_in_frame(frame, prev_seam)
+        frame = p._cuff_frames[cuff]
+    z = _foot_in_frame(frame, p._seams_from_cuff[cuff][0])
     hl = complex(measured_halflength(p, cuff))
     return HalfNormalCoordinate(z, hl)
 

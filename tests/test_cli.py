@@ -1,7 +1,10 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import goodpants
 import goodpants.cli as cli
 from goodpants.cli import main
 
@@ -64,6 +67,24 @@ class TestBuild:
         code, out, err = run(capsys, ["build", "--nope"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, residual, stable_letters",
+        [
+            (["--L", "16", "--tau", "1", "--seed", "5"], 4.973799150320701e-14, 48),
+            (
+                ["--genus", "2", "--p", "5", "--L", "8", "--tau", "1", "--seed", "4"],
+                6.694644838489694e-14,
+                22,
+            ),
+        ],
+    )
+    def test_pinned_development(self, capsys, argv, residual, stable_letters):
+        code, out, err = run(capsys, ["build", *argv])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["max_residual"] == residual
+        assert doc["stable_letters"] == stable_letters
+
     def test_construction_failure(self, capsys, monkeypatch):
         def boom(x, params):
             raise ValueError("no viable development")
@@ -116,6 +137,19 @@ class TestVerify:
     def test_seed_required(self, small_complex, capsys):
         code, out, err = run(capsys, ["verify", "--complex", str(small_complex)])
         assert code == 2
+
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_needs_a_sample(self, small_complex, capsys, samples):
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--seed", "3",
+             "--samples", samples, "--words", "2"],
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {"code": "invalid-config", "message": "need at least one sample"}
+        }
 
     def test_failed_check_exit_code(self, small_complex, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_p_separated", lambda rho, p: False)
@@ -358,3 +392,17 @@ class TestVersion:
         assert main(["--version"]) == 0
         out, _ = capsys.readouterr()
         assert out.strip()
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        exporting = []
+        for info in pkgutil.iter_modules(goodpants.__path__):
+            module = importlib.import_module(f"goodpants.{info.name}")
+            names = getattr(module, "__all__", None)
+            if names is None:
+                continue
+            exporting.append(info.name)
+            missing = [name for name in names if not hasattr(module, name)]
+            assert not missing, (info.name, missing)
+        assert {"geom", "pants", "holonomy"} <= set(exporting)

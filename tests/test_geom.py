@@ -6,15 +6,12 @@ import pytest
 
 from goodpants.geom import (
     INFINITY,
-    FramedArc,
     IntersectingError,
     MoebiusMap,
     NotLoxodromicError,
     OrientedGeodesic,
     Point,
     SharedEndpointError,
-    Vector,
-    apply_to_vector,
     axis_of,
     common_perpendicular,
     complex_distance,
@@ -22,7 +19,6 @@ from goodpants.geom import (
     hexagon_solve,
     hyperbolic_point_distance,
     mobius_apply,
-    parallel_transport_angle,
     reduce_angle,
     translate_along,
 )
@@ -315,39 +311,3 @@ class TestPointDistance:
             dbc = hyperbolic_point_distance(pts[1], pts[2])
             dac = hyperbolic_point_distance(pts[0], pts[2])
             assert dac <= dab + dbc + 1e-12
-
-
-class TestParallelTransportAngle:
-    def _vertical_arc(self):
-        return Point(0j, 1.0), Point(0j, math.e)
-
-    def test_no_rotation(self):
-        p, q = self._vertical_arc()
-        arc = FramedArc(p, q, Vector(1 + 0j, 0.0), Vector(1 + 0j, 0.0))
-        assert abs(complex(parallel_transport_angle(arc)) - 1) < 1e-12
-
-    def test_quarter_turn(self):
-        p, q = self._vertical_arc()
-        arc = FramedArc(p, q, Vector(1 + 0j, 0.0), Vector(1j, 0.0))
-        val = complex(parallel_transport_angle(arc))
-        assert abs(val - (1 + (math.pi / 2) * 1j)) < 1e-12
-
-    def test_non_normal_rejected(self):
-        from goodpants.geom import NotNormalError
-
-        p, q = self._vertical_arc()
-        tilted = Vector(math.cos(0.3) + 0j, math.sin(0.3))
-        arc = FramedArc(p, q, tilted, Vector(1 + 0j, 0.0))
-        with pytest.raises(NotNormalError):
-            parallel_transport_angle(arc)
-
-    def test_conjugation_invariance(self):
-        rng = random.Random(23)
-        p, q = self._vertical_arc()
-        arc = FramedArc(p, q, Vector(1 + 0j, 0.0), Vector(1j, 0.0))
-        for _ in range(100):
-            g = random_moebius(rng)
-            ps, vs = apply_to_vector(g, arc.start, arc.normal_start)
-            pe, ve = apply_to_vector(g, arc.end, arc.normal_end)
-            val = complex(parallel_transport_angle(FramedArc(ps, pe, vs, ve)))
-            assert abs(val - (1 + (math.pi / 2) * 1j)) < 1e-9

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -7,20 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodpants import holonomy
-from goodpants.complexes import build_xp, graph_of, grow_until
-from goodpants.geom import Point, complex_translation_length, point_to_geodesic_distance
+from goodpants import cli, holonomy, pants
+from goodpants.complexes import PantsComplex, build_xp, graph_of, grow_until
+from goodpants.geom import complex_translation_length
 from goodpants.holonomy import (
     RepParams,
     build_rho,
     certify_qi,
     check_p_separated,
-    lift_skeleton,
+    development_residual,
     measured_shear,
     _scan_words,
     nontriviality_scan,
 )
-from goodpants.pants import measured_halflength
 
 
 def round_trip_errors(x, params):
@@ -101,12 +101,20 @@ class TestBuildRho:
         want = (20.0 + 2.0 * math.pi * 1j) / 3.0
         assert abs(length - want) < 1e-9
 
-    def test_stable_letters_exist(self):
-        x = build_xp(1, 3)
-        g = graph_of(x)
-        rho = build_rho(x, RepParams.zero(x, R=20.0))
+    def test_stable_letters_exist(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        assert cli.main(["build", "--L", "6", "--out", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        g = graph_of(PantsComplex.from_json(path.read_text()))
         # graph rank = E - V + 1 independent cycles, one stable letter each
-        assert len(rho.redeveloped) == len(g.edges) - g.n_vertices + 1
+        assert report["stable_letters"] == len(g.edges) - g.n_vertices + 1
+
+    def test_seams_found_once_per_pants(self):
+        x = grow_until(build_xp(1, 3), 16)
+        with mock.patch.object(pants, "seam_axes", wraps=pants.seam_axes) as seam_axes:
+            rho = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=5))
+            assert development_residual(rho) < 1e-9
+        assert seam_axes.call_count == len(x.pants)
 
     def test_disconnected_input_rejected(self):
         from goodpants.complexes import Circle, Pants, PantsComplex
@@ -138,44 +146,6 @@ class TestPSeparated:
             # d-fold symmetric feet have gaps 2*pi/d, too narrow for the
             # half-turn separation demanded at p = 2
             assert not check_p_separated(rho, 2)
-
-
-class TestLiftSkeleton:
-    def test_contains_own_axes(self):
-        x = build_xp(1, 3)
-        rho = build_rho(x, RepParams.zero(x, R=12.0))
-        radius = 8.0
-        lifts = lift_skeleton(rho, radius)
-        base = Point(0j, 1.0)
-        for rep in rho.reps:
-            for cuff in range(3):
-                axis = rep.cuff_axis(cuff)
-                if point_to_geodesic_distance(base, axis) <= radius:
-                    assert any(
-                        _same_geodesic(axis, l) for l in lifts
-                    )
-
-    def test_equivariance(self):
-        x = build_xp(1, 3)
-        rho = build_rho(x, RepParams.zero(x, R=12.0))
-        radius = 8.0
-        lifts = lift_skeleton(rho, radius)
-        base = Point(0j, 1.0)
-        gens = [rho.reps[0].gen1, rho.reps[1].gen2]
-        for g in gens:
-            for axis in lifts:
-                image = axis.apply(g)
-                if point_to_geodesic_distance(base, image) <= radius:
-                    assert any(_same_geodesic(image, l) for l in lifts)
-
-
-def _same_geodesic(a, b):
-    def enc(e):
-        if isinstance(e, complex):
-            return (round(e.real, 5), round(e.imag, 5))
-        return ("inf",)
-
-    return {enc(a.source), enc(a.target)} == {enc(b.source), enc(b.target)}
 
 
 class TestCertifyQi:
