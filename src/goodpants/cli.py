@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -68,6 +69,13 @@ def thread_cap() -> int:
     if n < 1:
         raise ConfigError("GOODPANTS_THREADS must be at least 1")
     return n
+
+
+def _finite_R(value: float) -> float:
+    """--R as given, refused when it is nan or infinite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"--R must be finite, got {value!r}")
+    return value
 
 
 def canonical_json(obj) -> str:
@@ -129,7 +137,7 @@ def cmd_build(args) -> int:
         raise ConfigError("--genus must be at least 1")
     if args.p < 2:
         raise ConfigError("--p must be at least 2")
-    if args.R <= 0:
+    if _finite_R(args.R) <= 0:
         raise ConfigError("--R must be positive")
     if not 0.0 <= args.tau <= 1.0:
         raise ConfigError("--tau must lie in [0, 1]")
@@ -174,7 +182,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.p < 2:
         raise ConfigError("--p must be at least 2")
-    if args.R <= 0:
+    if _finite_R(args.R) <= 0:
         raise ConfigError("--R must be positive")
     if args.words < 1:
         raise ConfigError("--words must be at least 1")
@@ -264,9 +272,10 @@ def cmd_homology(args) -> int:
 
 def _parse_R_list(raw: str) -> list[float]:
     try:
-        return [float(part) for part in raw.split(",") if part]
+        values = [float(part) for part in raw.split(",") if part]
     except ValueError as exc:
         raise ConfigError(f"bad R list {raw!r}") from exc
+    return [_finite_R(R) for R in values]
 
 
 def cmd_lemma(args) -> int:
@@ -282,13 +291,13 @@ def cmd_lemma(args) -> int:
         if args.seed is None:
             raise ConfigError("lemma two-planes requires --seed")
         report = two_planes_angle_check(
-            args.eps, float(args.R), samples=args.samples, seed=args.seed
+            args.eps, _finite_R(float(args.R)), samples=args.samples, seed=args.seed
         )
     elif args.name == "angle-change":
         if args.seed is None:
             raise ConfigError("lemma angle-change requires --seed")
         x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
-        R = float(args.R)
+        R = _finite_R(float(args.R))
         rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))
         rho1 = build_rho(x, RepParams.random(x, R=R, tau=1.0, seed=args.seed))
         report = angle_change_check(

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -71,6 +70,26 @@ class PantsComplex:
             for si, c in enumerate(p.slots):
                 table.setdefault(c, []).append((pi, si))
         return table
+
+    @cached_property
+    def _graph(self) -> "PantsGraph":
+        """The pants graph, built once per (immutable) complex."""
+        bad = validate(self)
+        if bad:
+            raise ValueError(f"invalid complex: {bad[0]}")
+        edges = []
+        marked = set()
+        for ci, circle in enumerate(self.circles):
+            atts = self._incidence.get(ci, ())
+            if circle.d == 1 and len(atts) == 2:
+                (pa, _), (pb, _) = atts
+                edges.append((ci, pa, pb))
+            else:
+                for pi, _ in atts:
+                    marked.add(pi)
+        return PantsGraph(
+            n_vertices=len(self.pants), edges=tuple(edges), marked=frozenset(marked)
+        )
 
     def attachments_of(self, circle: int) -> list[tuple[int, int]]:
         return list(self._incidence.get(circle, ()))
@@ -159,7 +178,7 @@ def validate(x: PantsComplex) -> list[str]:
             continue
         if c.d > 1 and math.gcd(c.k, c.d) != 1:
             issues.append(f"circle {ci} has k = {c.k} not coprime to d = {c.d}")
-        atts = x.attachments_of(ci)
+        atts = x._incidence.get(ci, ())
         if not atts:
             issues.append(f"circle {ci} has no attachment")
         elif c.d * len(atts) < 2:
@@ -219,24 +238,15 @@ class PantsGraph:
     edges: tuple[tuple[int, int, int], ...]  # (circle id, vertex, vertex)
     marked: frozenset[int]
 
+    @cached_property
+    def _walks(self) -> tuple[int, int, int, list[int]]:
+        """_shortest_walks of the graph; it is immutable, so walked once."""
+        return _shortest_walks(self, _dart_arrays(self))
+
 
 def graph_of(x: PantsComplex) -> PantsGraph:
-    bad = validate(x)
-    if bad:
-        raise ValueError(f"invalid complex: {bad[0]}")
-    edges = []
-    marked = set()
-    for ci, circle in enumerate(x.circles):
-        atts = x.attachments_of(ci)
-        if circle.d == 1 and len(atts) == 2:
-            (pa, _), (pb, _) = atts
-            edges.append((ci, pa, pb))
-        else:
-            for pi, _ in atts:
-                marked.add(pi)
-    return PantsGraph(
-        n_vertices=len(x.pants), edges=tuple(edges), marked=frozenset(marked)
-    )
+    """The pants graph of a valid complex; ValueError names a violation."""
+    return x._graph
 
 
 def _darts(g: PantsGraph):
@@ -270,7 +280,33 @@ def _dart_arrays(g: PantsGraph):
     return tail, head, marked, dtype
 
 
-def _walk_layers(tail, head, marked, dtype, n_vertices: int):
+def _predecessors(tail, head, marked):
+    """Padded table of the darts a walk may take just before each dart.
+
+    Column d lists the darts into tail[d] other than d ^ 1, or nothing
+    when tail[d] is marked (a walk may only continue past an unmarked
+    vertex).  Empty places hold the sentinel n_darts, which names an
+    extra row of the walk counts; the table has a sentinel column of its
+    own, so that row stays zero from layer to layer.
+    """
+    n_darts = len(tail)
+    order = np.argsort(head, kind="stable")
+    first = np.searchsorted(head[order], tail)
+    n_in = np.searchsorted(head[order], tail, side="right") - first
+    width = int(n_in.max(initial=0))
+    reverse = np.arange(n_darts) ^ 1
+    table = np.full((max(width, 1), n_darts + 1), n_darts, dtype=np.intp)
+    for j in range(width):
+        into = order[np.minimum(first + j, n_darts - 1)]
+        live = (j < n_in) & (into != reverse) & ~marked[tail]
+        table[j, :n_darts] = np.where(live, into, n_darts)
+    # sentinels sort last; every column lost d ^ 1, so at most width - 1
+    # live entries remain
+    table.sort(axis=0)
+    return table[: max(width - 1, 1)]
+
+
+def _walk_layers(tail, head, marked, dtype):
     """Non-backtracking walk counts, one layer per walk length.
 
     Seeds are the darts leaving marked vertices, in dart order.  Layer t
@@ -278,24 +314,25 @@ def _walk_layers(tail, head, marked, dtype, n_vertices: int):
     walks of t darts that start with seeds[i], end with dart d, never
     reverse a dart, and pass only unmarked vertices in between; keeping
     the first dart apart is what lets callers subtract the closed walks
-    that are not cyclically reduced.  Called with tail and head swapped,
-    the same kernel walks backwards from the darts entering marked
-    vertices.
+    that are not cyclically reduced.  Reversal maps the walks of t darts
+    that start with dart d and end with seeds[i] ^ 1 one to one onto
+    those counted in layer[i][d ^ 1], so one forward walk also gives
+    the backward counts.
+
+    The counts are stored dart-major and each layer is the sum of a few
+    row gathers of the previous one through the _predecessors table.
     """
     n_darts = len(tail)
     seeds = np.flatnonzero(marked[tail])
-    rows = np.arange(len(seeds))
-    flip = np.arange(n_darts) ^ 1
-    blocked = marked[head]
-    cur = np.zeros((len(seeds), n_darts), dtype=dtype)
-    cur[rows, seeds] = 1
+    pred = _predecessors(tail, head, marked)
+    cur = np.zeros((n_darts + 1, len(seeds)), dtype=dtype)
+    cur[seeds, np.arange(len(seeds))] = 1
     while True:
-        yield cur
-        # a walk may only continue past an unmarked vertex
-        ext = np.where(blocked[None, :], 0, cur)
-        by_vertex = np.zeros((len(seeds), n_vertices), dtype=dtype)
-        np.add.at(by_vertex, (rows[:, None], head[None, :]), ext)
-        cur = by_vertex[:, tail] - ext[:, flip]
+        yield cur[:n_darts].T
+        nxt = np.take(cur, pred[0], axis=0)
+        for slot in pred[1:]:
+            nxt += np.take(cur, slot, axis=0)
+        cur = nxt
 
 
 def _shortest_level(g: PantsGraph, darts):
@@ -312,7 +349,8 @@ def _shortest_level(g: PantsGraph, darts):
     Returns (l, n, layers): the shortest length l, the number n of
     ordered essential walks of that length (a walk and its reverse are
     both counted; no such walk is its own reverse), and the forward
-    layers t >= ceil((l + 1)/2), the positions a middle dart can take.
+    layers t >= ceil(l/2), which hold both halves of a walk cut at its
+    middle dart.
     """
     if not g.marked:
         raise NoEssentialPathError("no marked vertices")
@@ -320,20 +358,40 @@ def _shortest_level(g: PantsGraph, darts):
     starts = np.flatnonzero(marked[tail])
     if len(starts):
         rows = np.arange(len(starts))
-        at_marked = marked[head]
+        ends = np.flatnonzero(marked[head])
         bound = 2 * (g.n_vertices + len(g.edges)) + 1
         layers = {}
-        walks = _walk_layers(tail, head, marked, dtype, g.n_vertices)
+        walks = _walk_layers(tail, head, marked, dtype)
         for length, cur in zip(range(1, bound + 1), walks):
             layers[length] = cur
-            # l >= length, so layers below ceil((length + 1)/2) are done
-            layers.pop(length // 2, None)
+            # l >= length, so layers below ceil(length/2) are done
+            layers.pop((length - 1) // 2, None)
             # a walk ending with the reverse of its first dart is closed
             # at the start vertex and not cyclically reduced
-            total = int(cur[:, at_marked].sum()) - int(cur[rows, starts ^ 1].sum())
+            total = int(cur[:, ends].sum()) - int(cur[rows, starts ^ 1].sum())
             if total:
                 return length, total, layers
     raise NoEssentialPathError("no essential marked path")
+
+
+def _shortest_walks(g: PantsGraph, darts):
+    """(l, n, k, counts): the shortest level and its middle-dart counts.
+
+    l and n are as in _shortest_level; k = ceil((l + 1)/2) and counts[d]
+    is the number of shortest essential walks whose k-th dart is d.
+    """
+    l, total, layers = _shortest_level(g, darts)
+    k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
+    # fwd[i][d]: length-k walks with first dart starts[i] and k-th dart
+    # d; back[i][d] = layers[l - k + 1][i][d ^ 1]: length-(l - k + 1)
+    # walks with first dart d and last dart starts[i] ^ 1 (the reversed
+    # walks).  Gluing at position k and excluding the pairs that form a
+    # closed non-reduced walk (last dart = reverse of first, the same
+    # row) gives the per-dart count of shortest essential walks.
+    fwd = layers[k]
+    back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
+    counts = fwd.sum(axis=0) * back.sum(axis=0) - (fwd * back).sum(axis=0)
+    return l, total, k, counts.tolist()
 
 
 def complexity(g: PantsGraph) -> tuple[int, int]:
@@ -344,7 +402,7 @@ def complexity(g: PantsGraph) -> tuple[int, int]:
     walks between marked vertices with unmarked interior, cyclically
     reduced when closed (a walk and its reverse count once).
     """
-    l, total, _ = _shortest_level(g, _dart_arrays(g))
+    l, total, _, _ = g._walks
     return l, -(total // 2)
 
 
@@ -354,26 +412,8 @@ def _middle_dart_counts(g: PantsGraph) -> tuple[int, int, list[int]]:
     Returns (l, k, counts) where k = ceil((l + 1)/2) and counts[d] is
     the number of shortest walks whose k-th dart is d.
     """
-    darts = _dart_arrays(g)
-    l, _, layers = _shortest_level(g, darts)
-    k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
-    tail, head, marked, dtype = darts
-    starts = np.flatnonzero(marked[tail])
-    ends = np.flatnonzero(marked[head])
-    # fwd[i][d]: length-k walks with first dart starts[i] and k-th dart
-    # d; bwd[j][d]: length-(l - k + 1) walks with first dart d and last
-    # dart ends[j].  Gluing at position k and excluding the pairs that
-    # form a closed non-reduced walk (last dart = reverse of first)
-    # gives the per-dart count of shortest essential walks.
-    fwd = layers[k]
-    backwards = _walk_layers(head, tail, marked, dtype, g.n_vertices)
-    bwd = next(islice(backwards, l - k, None))
-    counts = fwd.sum(axis=0) * bwd.sum(axis=0)
-    # starts ^ 1 points back into its start vertex, so it is an end dart
-    end_index = {int(e): j for j, e in enumerate(ends)}
-    for i, s in enumerate(starts):
-        counts -= fwd[i] * bwd[end_index[int(s) ^ 1]]
-    return l, k, counts.tolist()
+    l, _, k, counts = g._walks
+    return l, k, list(counts)
 
 
 def _middle_edge_circles(x: PantsComplex) -> set[int]:
@@ -475,24 +515,20 @@ def _separates(x: PantsComplex, circle: int) -> bool:
     n = len(x.pants)
     if n <= 1:
         return False
-    adj = [[] for _ in range(n)]
-    for ci in range(len(x.circles)):
-        if ci == circle:
-            continue
-        atts = x.attachments_of(ci)
-        for i in range(len(atts)):
-            for j in range(i + 1, len(atts)):
-                adj[atts[i][0]].append(atts[j][0])
-                adj[atts[j][0]].append(atts[i][0])
-    seen = {0}
+    n_circles = len(x.circles)
+    crossed = {circle}
+    reached = {0}
     stack = [0]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) < n
+        for c in x.pants[stack.pop()].slots:
+            if c in crossed or not 0 <= c < n_circles:
+                continue
+            crossed.add(c)
+            for pi, _ in x._incidence[c]:
+                if pi not in reached:
+                    reached.add(pi)
+                    stack.append(pi)
+    return len(reached) < n
 
 
 def _connected(x: PantsComplex) -> bool:

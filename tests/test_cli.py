@@ -338,6 +338,35 @@ class TestLemma:
         assert code == 4
 
 
+class TestNonFiniteR:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--L", "0"],
+            ["verify", "--complex", "{complex}", "--seed", "1", "--words", "2",
+             "--samples", "10"],
+            ["lemma", "hexagon"],
+            ["lemma", "two-planes", "--eps", "0.01", "--samples", "10", "--seed", "1"],
+            ["lemma", "angle-change", "--samples", "10", "--seed", "1"],
+        ],
+        ids=["build", "verify", "hexagon", "two-planes", "angle-change"],
+    )
+    def test_refused(self, small_complex, capsys, argv, value):
+        argv = [a.format(complex=small_complex) for a in argv] + [f"--R={value}"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {"code": "invalid-config", "message": f"--R must be finite, got {value}"}
+        }
+
+    def test_refused_in_hexagon_list(self, capsys):
+        code, out, err = run(capsys, ["lemma", "hexagon", "--R", "10,inf,20"])
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == "--R must be finite, got inf"
+
+
 class TestThreads:
     def test_env_validation(self, capsys, monkeypatch):
         monkeypatch.setenv("GOODPANTS_THREADS", "zero")

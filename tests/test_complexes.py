@@ -1,10 +1,15 @@
+import functools
 import hashlib
 import math
 import random
 from collections import Counter
+from itertools import islice
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from goodpants import complexes
 from goodpants.complexes import (
     Circle,
     DisconnectedResultError,
@@ -13,7 +18,10 @@ from goodpants.complexes import (
     Pants,
     PantsComplex,
     PantsGraph,
+    _dart_arrays,
     _middle_dart_counts,
+    _shortest_walks,
+    _walk_layers,
     build_xp,
     complexity,
     graph_of,
@@ -165,6 +173,33 @@ def random_graph(rng):
         v for v in range(n) if rng.random() < 0.3
     )
     return PantsGraph(n_vertices=n, edges=edges, marked=marked)
+
+
+def scatter_walk_layers(tail, head, marked, dtype, n_vertices):
+    """Oracle for _walk_layers: each layer scattered onto the vertices.
+
+    A walk continues past an unmarked head vertex into every dart
+    leaving it, minus the reverse of the dart it arrived by.
+    """
+    n_darts = len(tail)
+    seeds = np.flatnonzero(marked[tail])
+    rows = np.arange(len(seeds))
+    flip = np.arange(n_darts) ^ 1
+    blocked = marked[head]
+    cur = np.zeros((len(seeds), n_darts), dtype=dtype)
+    cur[rows, seeds] = 1
+    while True:
+        yield cur
+        ext = np.where(blocked[None, :], 0, cur)
+        by_vertex = np.zeros((len(seeds), n_vertices), dtype=dtype)
+        np.add.at(by_vertex, (rows[:, None], head[None, :]), ext)
+        cur = by_vertex[:, tail] - ext[:, flip]
+
+
+@functools.cache
+def grown(threshold):
+    """grow_until(build_xp(1, 3), threshold), grown once per module."""
+    return grow_until(build_xp(1, 3), threshold)
 
 
 def random_complex(rng):
@@ -374,6 +409,87 @@ class TestComplexity:
         assert checked > 100
 
 
+class TestWalkKernel:
+    @staticmethod
+    def assert_matches_scatter(g):
+        tail, head, marked, dtype = _dart_arrays(g)
+        starts = np.flatnonzero(marked[tail])
+        ends = np.flatnonzero(marked[head])
+        # backward row j (last dart ends[j]) is forward row i with
+        # starts[i] = ends[j] ^ 1, read through the reversed darts
+        rows = np.searchsorted(starts, ends ^ 1)
+        assert np.array_equal(starts[rows], ends ^ 1)
+        flip = np.arange(len(tail)) ^ 1
+        n_layers = 2 * (g.n_vertices + len(g.edges)) + 1
+        walks = zip(
+            _walk_layers(tail, head, marked, dtype),
+            scatter_walk_layers(tail, head, marked, dtype, g.n_vertices),
+            scatter_walk_layers(head, tail, marked, dtype, g.n_vertices),
+        )
+        for fwd, want, back in islice(walks, n_layers):
+            assert fwd.dtype == want.dtype == dtype
+            assert np.array_equal(fwd, want)
+            assert np.array_equal(back, fwd[rows][:, flip])
+
+    def test_matches_scatter_on_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            g = random_graph(rng)
+            assert _dart_arrays(g)[3] is object
+            self.assert_matches_scatter(g)
+
+    def test_matches_scatter_on_grown_graph(self):
+        g = graph_of(grown(64))
+        assert _dart_arrays(g)[3] is np.int64
+        self.assert_matches_scatter(g)
+
+    @pytest.mark.parametrize("threshold", [64, 128])
+    def test_int64_counts_match_exact_integers(self, threshold):
+        # int64 layers wrap modulo 2**64 on large graphs; the returned
+        # counts must still equal the exact Python-integer ones
+        g = graph_of(grown(threshold))
+        tail, head, marked, dtype = _dart_arrays(g)
+        assert len(tail) > 256 and dtype is np.int64
+        exact = _shortest_walks(g, (tail, head, marked, object))
+        assert _shortest_walks(g, (tail, head, marked, dtype)) == exact
+        assert exact == g._walks
+
+    def test_int64_wraps_at_l128(self):
+        # at L = 64 every entry stays below 2**56, so only the [128] case
+        # above reaches the wrap: there the middle products pass 2**63
+        g = graph_of(grown(128))
+        tail, head, marked, _ = _dart_arrays(g)
+        l, k, _ = _middle_dart_counts(g)
+        walks = _walk_layers(tail, head, marked, object)
+        layers = list(islice(walks, l))
+        fwd, back = layers[k - 1], layers[l - k]
+        assert max(fwd.sum(axis=0) * back.sum(axis=0)[np.arange(len(tail)) ^ 1]) > 2**63
+
+
+class TestOneWalk:
+    def test_graph_is_cached(self):
+        x = build_xp(1, 3)
+        assert graph_of(x) is graph_of(x)
+
+    def test_grow_walks_each_graph_once(self):
+        with mock.patch.object(
+            complexes, "_walk_layers", wraps=complexes._walk_layers
+        ) as walk:
+            x = grow_until(build_xp(1, 3), 64)
+        # 95 surgeries of 4 pants each: 96 graphs, one walk each
+        assert len(x.pants) == 384
+        assert walk.call_count == 96
+
+    def test_surger_reuses_the_counts(self):
+        x = build_xp(1, 3)
+        _middle_dart_counts(graph_of(x))
+        with mock.patch.object(
+            complexes, "_walk_layers", wraps=complexes._walk_layers
+        ) as walk:
+            surger(x, 2, make_donor())
+        assert walk.call_count == 0
+
+
 class TestSurger:
     def test_middle_edge_increases_complexity(self):
         x = build_xp(1, 3)
@@ -439,6 +555,13 @@ class TestGrowUntil:
         assert len(x.pants) == 96
         digest = hashlib.sha256((x.to_json() + "\n").encode()).hexdigest()
         assert digest == "312a578a28c91f6b6adca7512ee16817bb1b36f30e790d3dd949d0f82fd81802"
+
+    def test_growth_to_128_is_byte_identical(self):
+        x = grown(128)
+        assert len(x.pants) == 768
+        assert complexity(graph_of(x)) == (129, -1)
+        digest = hashlib.sha256((x.to_json() + "\n").encode()).hexdigest()
+        assert digest == "3818abe837636f194553d8677d45539f4f9d376bc0508ea28a7050b5600668a2"
 
     def test_deterministic(self):
         a = grow_until(build_xp(1, 3), 5)
