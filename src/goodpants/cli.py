@@ -33,6 +33,7 @@ from .complexes import (
     grow_until,
     validate,
 )
+from .geom import DegenerateError
 from .holonomy import (
     RepParams,
     build_rho,
@@ -279,36 +280,34 @@ def _parse_R_list(raw: str) -> list[float]:
 
 
 def cmd_lemma(args) -> int:
-    if args.name == "delta":
-        if args.seed is None:
-            raise ConfigError("lemma delta requires --seed")
-        report = quasigeodesic_stability_check(
-            args.delta, samples=args.samples, seed=args.seed
-        )
-    elif args.name == "hexagon":
-        report = hexagon_asymptotics_check(_parse_R_list(args.R))
-    elif args.name == "two-planes":
-        if args.seed is None:
-            raise ConfigError("lemma two-planes requires --seed")
-        report = two_planes_angle_check(
-            args.eps, _finite_R(float(args.R)), samples=args.samples, seed=args.seed
-        )
-    elif args.name == "angle-change":
-        if args.seed is None:
-            raise ConfigError("lemma angle-change requires --seed")
-        x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
-        R = _finite_R(float(args.R))
-        rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))
-        rho1 = build_rho(x, RepParams.random(x, R=R, tau=1.0, seed=args.seed))
-        report = angle_change_check(
-            (rho0, rho1), p=args.p, samples=args.samples, seed=args.seed
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown lemma {args.name!r}")
+    try:
+        report = _run_lemma(args)
+    except (ArithmeticError, DegenerateError) as exc:
+        # R out of double range, or a complex that cannot be developed
+        _emit_error("construction-failed", str(exc))
+        return EXIT_BUILD_FAILED
     _write(args.out and args.out + ".json", report.to_json())
     if args.out:
         _write(args.out + ".csv", report.to_csv())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _run_lemma(args):
+    if args.name == "hexagon":
+        return hexagon_asymptotics_check(_parse_R_list(args.R))
+    if args.seed is None:
+        raise ConfigError(f"lemma {args.name} requires --seed")
+    if args.name == "delta":
+        return quasigeodesic_stability_check(args.delta, samples=args.samples, seed=args.seed)
+    if args.name == "two-planes":
+        return two_planes_angle_check(
+            args.eps, _finite_R(float(args.R)), samples=args.samples, seed=args.seed
+        )
+    x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
+    R = _finite_R(float(args.R))
+    rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))
+    rho1 = build_rho(x, RepParams.random(x, R=R, tau=1.0, seed=args.seed))
+    return angle_change_check((rho0, rho1), p=args.p, samples=args.samples, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

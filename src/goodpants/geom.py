@@ -442,7 +442,8 @@ def hexagon_solve(a: complex, b: complex, c: complex) -> HexagonData:
 
     Returns the dual sides via the hexagonal cosine law
     cosh sigma_c = (cosh c + cosh a cosh b) / (sinh a sinh b)
-    and its cyclic permutations.
+    and its cyclic permutations.  Raises OverflowError when a product
+    sinh a sinh b leaves double range.
     """
     a, b, c = complex(a), complex(b), complex(c)
     sides = (a, b, c)
@@ -459,7 +460,12 @@ def hexagon_solve(a: complex, b: complex, c: complex) -> HexagonData:
         # huge leading terms never meet in floating point.  Recover
         # sigma through sinh^2(sigma/2) = (cosh sigma - 1)/2, which
         # stays accurate when sigma is exponentially small.
-        x = (coshs[i] + cmath.cosh(sides[j] - sides[k])) / (sinhs[j] * sinhs[k])
+        denominator = sinhs[j] * sinhs[k]
+        if not cmath.isfinite(denominator):
+            # past about 355 per side the product is inf and sigma
+            # would silently read 0
+            raise OverflowError("hexagon sides too long for double precision")
+        x = (coshs[i] + cmath.cosh(sides[j] - sides[k])) / denominator
         sigma = 2.0 * cmath.asinh(cmath.sqrt(x / 2.0))
         if sigma.real < 0:
             sigma = -sigma
@@ -476,6 +482,9 @@ def _screw(d: complex) -> MoebiusMap:
 # axis reversal z -> 1/z: the half-turn about (-1, 1) that swaps the
 # ends of (0, infinity)
 _FLIP = MoebiusMap(0, 1j, 1j, 0)
+
+# the half-turn about (0, infinity), z -> -z, written exactly
+_HALF_TURN = MoebiusMap(1j, 0, 0, -1j)
 
 
 def translate_along(g: OrientedGeodesic, d: ComplexDistance | complex) -> MoebiusMap:
@@ -520,5 +529,4 @@ def point_to_geodesic_distance(p: Point, g: OrientedGeodesic) -> float:
 def half_turn(g: OrientedGeodesic) -> MoebiusMap:
     """Rotation by pi about a geodesic."""
     m = normalize_to_axis(g)
-    rot = MoebiusMap(1j, 0, 0, -1j)
-    return m.inverse() * rot * m
+    return m.inverse() * _HALF_TURN * m

@@ -82,21 +82,21 @@ class RepParams:
 class ViableRep:
     """A pants complex developed in hyperbolic 3-space.
 
-    base_reps[i] is pants i built in its own normalized position and
-    reps[i] the same pants placed by conjugators[i].  measure_frames[c]
-    holds, for each regular circle, one frame per side, in the order of
-    complex.attachments_of(c); each takes that side's base_reps copy to
-    the circle's axis on (0, infinity), the right side's with the axis
-    reversed.  singular_holonomy[c] is the root holonomy of a singular
-    circle, and singular_base[c] the same root next to its unplaced
-    pants.
+    base_reps[i] is pants i built in its own normalized position, and
+    conjugators[i] places it: the placed pants is
+    base_reps[i].conjugated(conjugators[i]), which nothing stores.
+    measure_frames[c] holds, for each regular circle, one frame per side,
+    in the order of complex.attachments_of(c); each takes that side's
+    base_reps copy to the circle's axis on (0, infinity), the right
+    side's with the axis reversed.  singular_holonomy[c] is the root
+    holonomy of a singular circle, and singular_base[c] the same root
+    next to its unplaced pants.
     """
 
     complex: PantsComplex
     params: RepParams
     conjugators: tuple[MoebiusMap, ...]
     base_reps: tuple[PantsRep, ...]
-    reps: tuple[PantsRep, ...]
     measure_frames: dict
     singular_holonomy: dict
     singular_base: dict
@@ -154,8 +154,9 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             s = params.shear_of(c) + math.pi * 1j
             delta = -s if u_is_left else s
             # frames of the placed copy are the base frames transported
-            # by the conjugator; computing them on the base copy avoids
-            # reading seam endpoints off of large matrices.  The
+            # by the conjugator, so only the base copies' frames are read:
+            # build_pants_rep made them as screw products, and the placed
+            # matrices are too large to read anything back from.  The
             # per-side measuring frames collapse to cancellation-free
             # products: the shared frame times the side's conjugator is
             # cuff_frame(base) on the placed side and
@@ -173,7 +174,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     if len(visited) < n:
         raise ValueError("complex is not connected")
 
-    reps = tuple(base[i].conjugated(conj[i]) for i in range(n))
     singular = {}
     singular_base = {}
     for c in x.singular_circles():
@@ -190,7 +190,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         params=params,
         conjugators=tuple(conj),
         base_reps=tuple(base),
-        reps=reps,
         measure_frames=measure_frames,
         singular_holonomy=singular,
         singular_base=singular_base,
@@ -366,8 +365,9 @@ def _scan_alphabet(rho: ViableRep, cap: int = 4) -> list[MoebiusMap]:
             break
     gens = []
     for i in chosen:
-        gens.append(rho.reps[i].gen1)
-        gens.append(rho.reps[i].gen2)
+        placed = rho.base_reps[i].conjugated(rho.conjugators[i])
+        gens.append(placed.gen1)
+        gens.append(placed.gen2)
     return gens
 
 

@@ -5,6 +5,13 @@ inverse is the third cuff.  We build it from a right-angled skew hexagon:
 the three seams (common perpendiculars of the cuff axes) carry half-turns
 whose pairwise products are the cuff elements, and the complex distance
 between the two seam feet on a cuff is its half-length.
+
+The construction reaches every seam from one base seam through known
+screw motions, and it keeps those products: each cuff's canonical frame
+is stored with the pants, and a seam foot is the parameter of a screw
+between two frames.  Nothing here reads a seam or an axis back from
+matrix fixed points, whose boundary endpoints collapse once the seams
+are exponentially short (large R).
 """
 
 from __future__ import annotations
@@ -12,21 +19,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .geom import (
-    INFINITY,
     ComplexDistance,
     DegenerateError,
     MoebiusMap,
     OrientedGeodesic,
-    axis_of,
-    common_perpendicular,
     complex_translation_length,
     half_turn,
     hexagon_solve,
     normalize_to_axis,
-    reduce_angle,
+    _FLIP,
+    _HALF_TURN,
     _screw,
 )
 
@@ -40,8 +44,6 @@ __all__ = [
     "halflength_tolerance",
     "is_good_pants",
     "measured_halflength",
-    "seam_axes",
-    "seam_halflength",
     "shear",
 ]
 
@@ -86,12 +88,15 @@ class PantsRep:
 
     gen1 and gen2 are the first two cuff elements; the third cuff is
     (gen1 * gen2)^-1.  halflengths stores the requested complex
-    half-lengths of the three cuffs.
+    half-lengths of the three cuffs, and frames[i] the canonical frame
+    of cuff i (see cuff_frame), both as the hexagon construction made
+    them.
     """
 
     gen1: MoebiusMap
     gen2: MoebiusMap
     halflengths: tuple[ComplexDistance, ComplexDistance, ComplexDistance]
+    frames: tuple[MoebiusMap, MoebiusMap, MoebiusMap]
 
     def cuff(self, i: int) -> MoebiusMap:
         if i == 0:
@@ -102,46 +107,14 @@ class PantsRep:
             return (self.gen1 * self.gen2).inverse()
         raise IndexError(f"cuff index {i} out of range")
 
-    def cuff_axis(self, i: int) -> OrientedGeodesic:
-        return axis_of(self.cuff(i))
-
     def conjugated(self, g: MoebiusMap) -> "PantsRep":
+        g_inv = g.inverse()
         return PantsRep(
-            g * self.gen1 * g.inverse(),
-            g * self.gen2 * g.inverse(),
+            g * self.gen1 * g_inv,
+            g * self.gen2 * g_inv,
             self.halflengths,
+            tuple(frame * g_inv for frame in self.frames),
         )
-
-    @cached_property
-    def _seams_from_cuff(self) -> tuple[tuple[OrientedGeodesic, OrientedGeodesic], ...]:
-        """Per cuff, its (previous, next) seams by index, both pointing away.
-
-        seam_axes orients seam j from the lower-indexed of its two cuffs
-        to the higher, so it is reversed on the cuff that is its target.
-        The pants are immutable, so the seams are found once.
-        """
-        seams = seam_axes(self)
-        pairs = []
-        for cuff in range(3):
-            # the previous seam joins this cuff to cuff + 1, the next seam
-            # to cuff + 2; the seam joining two cuffs has the third index
-            pair = []
-            for other in ((cuff + 1) % 3, (cuff + 2) % 3):
-                seam = seams[3 - cuff - other]
-                pair.append(seam.reversed() if cuff > other else seam)
-            pairs.append(tuple(pair))
-        return tuple(pairs)
-
-    @cached_property
-    def _cuff_frames(self) -> tuple[MoebiusMap, MoebiusMap, MoebiusMap]:
-        """The canonical frame of every cuff; see cuff_frame."""
-        frames = []
-        for cuff in range(3):
-            frame = normalize_to_axis(self.cuff_axis(cuff))
-            anchor = _foot_in_frame(frame, self._seams_from_cuff[cuff][0])
-            correction = MoebiusMap(cmath.exp(-anchor / 2), 0, 0, cmath.exp(anchor / 2))
-            frames.append(correction * frame)
-        return tuple(frames)
 
 
 def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
@@ -156,11 +129,15 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
             raise DegenerateError("half-lengths must have positive real part")
     hx = hexagon_solve(hl[0], hl[1], hl[2])
     sigma = hx.duals  # sigma[i] is the seam length opposite halflength i
+    if any(cmath.exp(s / 2.0) == 1.0 for s in sigma):
+        # the screw along a seam rounds to the identity: all three cuffs
+        # would land on one axis
+        raise DegenerateError("seam length is below double precision; the pants collapse")
 
     # All half-turn axes are reached from the base seam eta3 = (-1, 1) by
-    # screw motions, so the generators are plain matrix products; no
-    # boundary endpoints are ever extracted (those collapse when the
-    # seams are exponentially short).
+    # screw motions, so the generators and the cuff frames are plain
+    # matrix products; no boundary endpoints are ever extracted (those
+    # collapse when the seams are exponentially short).
     eta3 = OrientedGeodesic(-1 + 0j, 1 + 0j)
     to_eta3 = normalize_to_axis(eta3).inverse()
     rho3 = half_turn(eta3)
@@ -174,10 +151,24 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     along_cuff2 = along_eta3 * _screw(hl[1]) * along_eta3.inverse()
     rho1 = along_cuff2 * rho3 * along_cuff2.inverse()
     gen2 = rho3 * rho1
+    # Each cuff's frame puts its preceding seam on (-1, 1), pointing at
+    # +1; for cuff 1 that seam is eta3 itself.  Cuff 2 is brought back
+    # along eta3 onto (0, inf), reversed and turned so that eta3 points
+    # at -1; eta1 then lies hl2 below eta3, and the screw by hl2 lifts it
+    # to height 1.  Cuff 3 is reached up cuff 1 by hl1 to eta2 and then
+    # along eta2 by sigma[1]; undoing that, reversing and turning puts
+    # eta2 on (-1, 1).
+    along_eta2 = _screw(hl[0]) * to_eta3 * _screw(sigma[1]) * to_eta3.inverse()
+    frames = (
+        MoebiusMap.identity(),
+        _screw(hl[1]) * _HALF_TURN * _FLIP * along_eta3.inverse(),
+        _HALF_TURN * _FLIP * along_eta2.inverse(),
+    )
     return PantsRep(
         gen1,
         gen2,
         (ComplexDistance(hl[0]), ComplexDistance(hl[1]), ComplexDistance(hl[2])),
+        frames,
     )
 
 
@@ -197,38 +188,6 @@ def halflength_tolerance(hl1, hl2, hl3) -> float:
     return 1e-9 + 1e-15 * amp * amp * max(1.0, g1) / max(1.0, math.sinh(least))
 
 
-def seam_axes(p: PantsRep) -> tuple[OrientedGeodesic, OrientedGeodesic, OrientedGeodesic]:
-    """The three seams; seam i joins the cuff axes other than i.
-
-    Each seam is oriented from the lower-indexed cuff toward the higher.
-    """
-    axes = [p.cuff_axis(i) for i in range(3)]
-    try:
-        return (
-            common_perpendicular(axes[1], axes[2]),
-            common_perpendicular(axes[0], axes[2]),
-            common_perpendicular(axes[0], axes[1]),
-        )
-    except ValueError as exc:
-        raise DegenerateError(f"degenerate seam configuration: {exc}") from exc
-
-
-def _foot_in_frame(frame: MoebiusMap, seam: OrientedGeodesic) -> complex:
-    """log-height + i*angle of a seam foot on the normalized axis.
-
-    The seam must meet the axis orthogonally; in frame coordinates its
-    endpoints are +/- h e^{i theta} and the foot coordinate is
-    log h + i theta, theta toward the endpoint the seam points at.
-    """
-    u = frame(seam.source)
-    v = frame(seam.target)
-    if u is INFINITY or v is INFINITY:
-        raise DegenerateError("seam passes through the frame's infinity")
-    if abs(u + v) > 1e-6 * max(abs(u), abs(v)):
-        raise DegenerateError("seam is not orthogonal to the cuff axis")
-    return cmath.log(v)
-
-
 def measured_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
     """Half-length of a cuff read off the holonomy.
 
@@ -246,47 +205,39 @@ def measured_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
     return ComplexDistance(half)
 
 
-def seam_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
-    """Half-length measured geometrically between the two seam feet.
-
-    Agrees with measured_halflength without the modulo-pi*i ambiguity,
-    but needs the seam endpoints and so loses accuracy when half-lengths
-    get large (seams exponentially short).
-    """
-    frame = normalize_to_axis(p.cuff_axis(cuff))
-    prev_seam, next_seam = p._seams_from_cuff[cuff]
-    z_prev = _foot_in_frame(frame, prev_seam)
-    z_next = _foot_in_frame(frame, next_seam)
-    delta = z_prev - z_next
-    if delta.real < 0:
-        delta = -delta
-    return ComplexDistance(complex(delta.real, reduce_angle(delta.imag)))
-
-
 def cuff_frame(p: PantsRep, cuff: int) -> MoebiusMap:
     """The pants' canonical frame on a cuff axis.
 
     Maps the axis to (0, infinity) with the foot of the cuff's preceding
     seam at height 1 pointing in the +1 direction, so that foot
-    coordinates measured in this frame are conjugation invariant.
+    coordinates measured in this frame are conjugation invariant.  The
+    frame is the product of screws that build_pants_rep followed to
+    reach the seam, carried along by conjugation; no axis or seam is
+    read back from the matrices.
     """
-    return p._cuff_frames[cuff]
+    return p.frames[cuff]
 
 
 def foot_of(p: PantsRep, cuff: int, frame: MoebiusMap | None = None) -> HalfNormalCoordinate:
     """The foot of the pants on a cuff, as a half normal bundle point.
 
     The two seam feet on the cuff differ by exactly the half-length, so
-    they define one point of C/(hl*Z + 2*pi*i*Z).  With the default
-    (pants-canonical) frame the coordinate is 0 by construction; pass an
-    explicit frame taking the cuff axis to (0, infinity) to compare feet
-    of different pants glued along one circle.
+    they define one point of C/(hl*Z + 2*pi*i*Z), with hl the half-length
+    the pants were built with.  A frame taking the cuff axis to
+    (0, infinity) differs from the canonical one by a screw,
+    frame * cuff_frame^-1 = diag(a, 1/a); the foot is its parameter
+    2 log a.  With the default (canonical) frame it is 0; pass another
+    frame to compare feet of different pants glued along one circle.
+    Raises DegenerateError when the frame does not keep the axis on
+    (0, infinity): |b| or |c| above 1e-6 * max(|a|, |d|).
     """
+    hl = complex(p.halflengths[cuff])
     if frame is None:
-        frame = p._cuff_frames[cuff]
-    z = _foot_in_frame(frame, p._seams_from_cuff[cuff][0])
-    hl = complex(measured_halflength(p, cuff))
-    return HalfNormalCoordinate(z, hl)
+        return HalfNormalCoordinate(0j, hl)
+    a, b, c, d = (frame * p.frames[cuff].inverse()).entries()
+    if max(abs(b), abs(c)) > 1e-6 * max(abs(a), abs(d)):
+        raise DegenerateError("frame does not map the cuff axis to (0, infinity)")
+    return HalfNormalCoordinate(2.0 * cmath.log(a), hl)
 
 
 def shear(foot_left: HalfNormalCoordinate, foot_right: HalfNormalCoordinate) -> complex:

@@ -73,7 +73,7 @@ class TestBuild:
             (["--L", "16", "--tau", "1", "--seed", "5"], 4.973799150320701e-14, 48),
             (
                 ["--genus", "2", "--p", "5", "--L", "8", "--tau", "1", "--seed", "4"],
-                6.694644838489694e-14,
+                5.684341886080802e-14,
                 22,
             ),
         ],
@@ -84,6 +84,24 @@ class TestBuild:
         doc = json.loads(out)
         assert doc["max_residual"] == residual
         assert doc["stable_letters"] == stable_letters
+
+    @pytest.mark.parametrize("L", ["0", "32"])
+    @pytest.mark.parametrize("R", ["38", "40", "60"])
+    def test_develops_at_large_R(self, capsys, R, L):
+        code, out, err = run(capsys, ["build", "--L", L, "--R", R, "--tau", "1", "--seed", "2"])
+        assert code == 0, err
+        assert json.loads(out)["max_residual"] < 1e-6
+
+    @pytest.mark.parametrize("R", ["100", "200"])
+    def test_past_double_precision(self, capsys, R):
+        # the seams are 3e-11 (R=100) and 4e-22 (R=200) long; the build
+        # either develops or says why it cannot
+        code, out, err = run(capsys, ["build", "--L", "0", "--R", R, "--tau", "1", "--seed", "2"])
+        if code == 0:
+            assert json.loads(out)["max_residual"] < 1e-6
+        else:
+            assert code == 3
+            assert json.loads(err)["error"]["code"] == "construction-failed"
 
     def test_construction_failure(self, capsys, monkeypatch):
         def boom(x, params):
@@ -150,6 +168,15 @@ class TestVerify:
         assert json.loads(err) == {
             "error": {"code": "invalid-config", "message": "need at least one sample"}
         }
+
+    def test_passes_at_R40_perturbed(self, small_complex, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--R", "40", "--tau", "1",
+             "--seed", "3", "--samples", "300", "--words", "3"],
+        )
+        assert code == 0, err
+        assert all(check["pass"] for check in json.loads(out)["checks"].values())
 
     def test_failed_check_exit_code(self, small_complex, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_p_separated", lambda rho, p: False)
@@ -321,6 +348,22 @@ class TestLemma:
     def test_bad_name(self, capsys):
         code, out, err = run(capsys, ["lemma", "nope"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hexagon", "--R", "1e6"],
+            ["hexagon", "--R", "800"],
+            ["two-planes", "--eps", "0.01", "--R", "1e6", "--seed", "1", "--samples", "10"],
+            ["angle-change", "--R", "1e6", "--seed", "1", "--samples", "10"],
+            ["angle-change", "--R", "200", "--seed", "1", "--samples", "10"],
+        ],
+    )
+    def test_out_of_range_R_fails_construction(self, capsys, argv):
+        code, out, err = run(capsys, ["lemma", *argv])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "construction-failed"
 
     def test_failed_sweep_exit_code(self, capsys, monkeypatch):
         from goodpants.lemmalab import SweepReport, SweepRow

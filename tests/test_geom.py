@@ -233,6 +233,13 @@ class TestHexagonSolve:
     def test_sides_to_infinity(self):
         assert hexagon_solve(40, 40, 40).duals[0].real < 1e-4
 
+    def test_sides_past_double_range(self):
+        # sinh(350)^2 is still finite; sinh(400)^2 is not, and the dual
+        # side would silently read 0
+        assert hexagon_solve(350, 350, 350).duals[0].real > 0
+        with pytest.raises(OverflowError):
+            hexagon_solve(400, 400, 400)
+
     def test_residuals_on_random_skew_data(self):
         rng = random.Random(2)
         for _ in range(200):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodpants import cli, holonomy, pants
+from goodpants import cli, geom, holonomy, pants
 from goodpants.complexes import PantsComplex, build_xp, graph_of, grow_until
 from goodpants.geom import complex_translation_length
 from goodpants.holonomy import (
@@ -110,11 +110,29 @@ class TestBuildRho:
         assert report["stable_letters"] == len(g.edges) - g.n_vertices + 1
 
     def test_seams_found_once_per_pants(self):
+        # build_pants_rep finds each pants' seams, once, as screw
+        # products; developing the complex reads its frames and never
+        # maps, extracts or joins a boundary endpoint
         x = grow_until(build_xp(1, 3), 16)
-        with mock.patch.object(pants, "seam_axes", wraps=pants.seam_axes) as seam_axes:
+        built = []
+
+        def record(*hls):
+            built.append(pants.build_pants_rep(*hls))
+            return built[-1]
+
+        refuse = mock.Mock(side_effect=AssertionError("boundary endpoint read"))
+        with mock.patch.object(holonomy, "build_pants_rep", record), mock.patch.multiple(
+            geom, axis_of=refuse, common_perpendicular=refuse, mobius_apply=refuse
+        ):
             rho = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=5))
             assert development_residual(rho) < 1e-9
-        assert seam_axes.call_count == len(x.pants)
+            check_p_separated(rho, 3)
+            nontriviality_scan(rho, max_length=2)
+        assert refuse.call_count == 0
+        assert len(built) == len(x.pants)
+        for rep, base in zip(built, rho.base_reps):
+            assert rep is base
+            assert all(pants.cuff_frame(base, i) is base.frames[i] for i in range(3))
 
     def test_disconnected_input_rejected(self):
         from goodpants.complexes import Circle, Pants, PantsComplex
