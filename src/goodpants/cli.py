@@ -55,6 +55,9 @@ EXIT_BAD_CONFIG = 2
 EXIT_BUILD_FAILED = 3
 EXIT_CHECK_FAILED = 4
 
+# a development is viable when its residual stays below this
+VIABLE_RESIDUAL = 1e-6
+
 
 class ConfigError(ValueError):
     """The command line or an input file is invalid."""
@@ -177,6 +180,12 @@ def cmd_build(args) -> int:
         }
     )
     sys.stdout.write(canonical_json(summary) + "\n")
+    if not residual < VIABLE_RESIDUAL:
+        _emit_error(
+            "not-viable",
+            f"development residual {residual!r} is not below {VIABLE_RESIDUAL!r}",
+        )
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -199,7 +208,7 @@ def cmd_verify(args) -> int:
     checks = {}
 
     residual = development_residual(rho)
-    checks["viability"] = {"max_residual": residual, "pass": residual < 1e-6}
+    checks["viability"] = {"max_residual": residual, "pass": residual < VIABLE_RESIDUAL}
 
     separated = check_p_separated(rho, args.p)
     checks["p_separated"] = {"p": args.p, "pass": separated}

@@ -26,7 +26,6 @@ __all__ = [
     "OrientedGeodesic",
     "Point",
     "SharedEndpointError",
-    "Vector",
     "common_perpendicular",
     "complex_distance",
     "complex_translation_length",
@@ -246,21 +245,6 @@ class Point:
 
 
 @dataclass(frozen=True)
-class Vector:
-    """A tangent vector at an interior point, in Euclidean coordinates.
-
-    The model metric is conformal to the Euclidean one, so angles between
-    Vectors at a common point are plain Euclidean angles.
-    """
-
-    horizontal: complex
-    vertical: float
-
-    def euclidean_norm(self) -> float:
-        return math.hypot(abs(self.horizontal), self.vertical)
-
-
-@dataclass(frozen=True)
 class HexagonData:
     """Alternating side lengths of a right-angled skew hexagon.
 
@@ -300,37 +284,6 @@ def apply_to_point(m: MoebiusMap, p: Point) -> Point:
     denom = abs(w) ** 2 + abs(m.c) ** 2 * t * t
     z_new = ((m.a * z + m.b) * w.conjugate() + m.a * m.c.conjugate() * t * t) / denom
     return Point(z_new, t / denom)
-
-
-def direction_toward(p: Point, zeta: BoundaryPoint) -> Vector:
-    """Unit tangent vector at p of the geodesic ray ending at zeta."""
-    if isinstance(zeta, _Infinity):
-        return Vector(0j, 1.0)
-    u_full = complex(zeta) - p.horizontal
-    d = abs(u_full)
-    if d < 1e-300:
-        return Vector(0j, -1.0)
-    u = u_full / d
-    r = (d * d + p.height * p.height) / (2.0 * d)
-    return Vector((p.height / r) * u, (d - r) / r)
-
-
-def geodesic_through(p: Point, q: Point) -> OrientedGeodesic:
-    """The geodesic through two interior points, oriented from p to q."""
-    dz = q.horizontal - p.horizontal
-    d = abs(dz)
-    if d < 1e-14:
-        if abs(q.height - p.height) < 1e-300:
-            raise ValueError("coincident points span no geodesic")
-        if q.height > p.height:
-            return OrientedGeodesic(p.horizontal, INFINITY)
-        return OrientedGeodesic(INFINITY, p.horizontal)
-    u = dz / d
-    x = (d * d + q.height ** 2 - p.height ** 2) / (2.0 * d)
-    r = math.hypot(x, p.height)
-    fwd = p.horizontal + (x + r) * u
-    back = p.horizontal + (x - r) * u
-    return OrientedGeodesic(back, fwd)
 
 
 def normalize_to_axis(g: OrientedGeodesic, anchor: Point | None = None) -> MoebiusMap:

@@ -5,6 +5,12 @@ measures the quantity of interest with the geometry primitives, and
 compares against the claimed bound.  Results are collected into
 SweepReport records that serialize to canonical JSON and CSV; a report
 row passes exactly when its measured value does not exceed its bound.
+
+The sampled sweeps evaluate their samples in slices of at most
+``_SLICE`` as numpy arrays, so their memory does not grow with the
+sample count.  Their kernels are built from ``elementwise``, which
+repeats the scalar geometry of ``geom`` bit for bit, so a sweep's
+report is the same as when it measured one sample at a time.
 """
 
 from __future__ import annotations
@@ -17,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elementwise as ew
 from .geom import (
     INFINITY,
     OrientedGeodesic,
     Point,
-    Vector,
     NotNormalError,
     apply_to_point,
-    direction_toward,
-    geodesic_through,
     hexagon_solve,
     hyperbolic_point_distance,
     normalize_to_axis,
@@ -131,10 +135,48 @@ class SweepReport:
         return out.getvalue()
 
 
-def _angle_between(v: Vector, w: Vector) -> float:
-    dot = (v.horizontal * w.horizontal.conjugate()).real + v.vertical * w.vertical
-    dot /= v.euclidean_norm() * w.euclidean_norm()
-    return math.acos(max(-1.0, min(1.0, dot)))
+# samples evaluated together as arrays in each sampled sweep
+_SLICE = 4096
+
+
+# the axis (0, infinity), the geodesic (-1, 1) crossing it orthogonally
+# at height 1, and the upward unit vector
+_AXIS = OrientedGeodesic(0j, INFINITY)
+_NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
+_UP = ((0.0, 0.0), 1.0)
+
+
+def _frame(gamma: OrientedGeodesic, alpha: OrientedGeodesic):
+    """The map sending gamma to (0, infinity), and the binormal there.
+
+    Raises when alpha does not cross gamma orthogonally.
+    """
+    m = normalize_to_axis(gamma)
+    a_img = alpha.apply(m)
+    a, b = a_img.source, a_img.target
+    if isinstance(a, type(INFINITY)) or isinstance(b, type(INFINITY)):
+        raise DegenerateFrameError("alpha shares an endpoint with gamma")
+    a, b = complex(a), complex(b)
+    scale = abs(a) + abs(b)
+    if min(abs(a), abs(b)) <= 1e-9 * scale:
+        raise DegenerateFrameError("alpha shares an endpoint with gamma")
+    if abs(a + b) > 1e-6 * scale:
+        raise NotNormalError("alpha does not cross gamma orthogonally")
+    chi = math.atan2(b.imag, b.real)
+    binormal = 1j * complex(math.cos(chi), math.sin(chi))
+    return m, ((binormal.real, binormal.imag), 0.0)
+
+
+@ew.python_floats
+def _segment_angles(xt, y, yt, binormal):
+    """theta and phi of segments from (0, xt) on the axis to the points (y, yt)."""
+    e = ew.direction((0.0, 0.0), xt, y, yt)
+    return ew.angle_between(e, _UP), ew.angle_between(e, binormal)
+
+
+def _check_on_axis(z, t):
+    if np.any(np.hypot(*z) > 1e-6 * t):
+        raise ValueError("segment must start on gamma")
 
 
 def angle_coordinates(
@@ -151,36 +193,20 @@ def angle_coordinates(
     gamma's direction and phi its angle to the binormal.
     """
     x, y = segment
-    m = normalize_to_axis(gamma)
-    a_img = alpha.apply(m)
-    a, b = a_img.source, a_img.target
-    if isinstance(a, type(INFINITY)) or isinstance(b, type(INFINITY)):
-        raise DegenerateFrameError("alpha shares an endpoint with gamma")
-    a, b = complex(a), complex(b)
-    scale = abs(a) + abs(b)
-    if min(abs(a), abs(b)) <= 1e-9 * scale:
-        raise DegenerateFrameError("alpha shares an endpoint with gamma")
-    if abs(a + b) > 1e-6 * scale:
-        raise NotNormalError("alpha does not cross gamma orthogonally")
-    chi = math.atan2(b.imag, b.real)
-
+    m, binormal = _frame(gamma, alpha)
     x_img = apply_to_point(m, x)
-    if abs(x_img.horizontal) > 1e-6 * x_img.height:
-        raise ValueError("segment must start on gamma")
-    x0 = Point(0j, x_img.height)
+    _check_on_axis((x_img.horizontal.real, x_img.horizontal.imag), x_img.height)
     y_img = apply_to_point(m, y)
-    g = geodesic_through(x0, y_img)
-    e = direction_toward(x0, g.target)
-    theta = _angle_between(e, Vector(0j, 1.0))
-    binormal = Vector(1j * complex(math.cos(chi), math.sin(chi)), 0.0)
-    phi = _angle_between(e, binormal)
-    return AngleCoordinates(theta=theta, phi=phi)
+    theta, phi = _segment_angles(
+        x_img.height, (y_img.horizontal.real, y_img.horizontal.imag), y_img.height, binormal
+    )
+    return AngleCoordinates(theta=float(theta), phi=float(phi))
 
 
-def _pairwise_distances(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Hyperbolic distance matrix for points (z_i, t_i)."""
-    sq = np.abs(z[:, None] - z[None, :]) ** 2 + (t[:, None] - t[None, :]) ** 2
-    coshd = 1.0 + sq / (2.0 * np.outer(t, t))
+def _pair_distances(z: np.ndarray, t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Hyperbolic distances between the points (z, t) at index pairs (i, j)."""
+    sq = np.abs(z[i] - z[j]) ** 2 + (t[i] - t[j]) ** 2
+    coshd = 1.0 + sq / (2.0 * (t[i] * t[j]))
     return np.arccosh(np.maximum(coshd, 1.0))
 
 
@@ -193,10 +219,19 @@ def quasigeodesic_stability_check(
     0.1 of arclength, displaced transversally with alternating direction
     and near-maximal amplitude.  Every path is verified to satisfy the
     multiplicative-additive quasigeodesic inequality on the full net of
-    vertex pairs before use; paths failing the pre-check are counted as
-    rejected and regenerated at reduced amplitude.  The measured
-    quantity is the largest distance of any net point to the axis, the
-    bound is 5 * delta**(1/5).
+    vertex pairs before use (each unordered pair once: the distances are
+    symmetric and a vertex always passes against itself); paths failing
+    the pre-check are counted as rejected and regenerated at reduced
+    amplitude.  The measured quantity is the largest distance of any net
+    point to the axis, the bound is 5 * delta**(1/5).
+
+    This sweep cannot fail.  A vertex displaced by amplitude u sits at
+    (e^s tanh u, e^s / cosh u), whose distance to the axis is
+    arcsinh(tanh u cosh u) = u; so the measured value is the largest
+    amplitude drawn, at most min(eta/4, 0.5 h sqrt(delta)) < eta.  It
+    reports the path generator's own amplitude (0.5 h sqrt(delta), up to
+    rounding, whenever an unscaled path passes the pre-check), not a
+    consequence of the quasigeodesic inequality.
     """
     if not 0.0 < delta <= 1e-2:
         raise ValueError("delta must lie in (0, 1e-2]")
@@ -206,6 +241,10 @@ def quasigeodesic_stability_check(
     h = 0.1
     base_amp = min(eta / 4.0, 0.5 * h * math.sqrt(delta))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6C5)))
+    # vertex pairs i < j ordered by j: spans lie below 20, so a path has
+    # at most int(20 / h) + 1 vertices, and the pairs of a path with N
+    # vertices are the first N (N - 1) / 2 of these
+    j_all, i_all = np.tril_indices(int(20.0 / h) + 1, -1)
     n_points = 0
     rejected = 0
     measured = 0.0
@@ -222,6 +261,10 @@ def quasigeodesic_stability_check(
         else:
             scale = 1.0
         amp = base_amp * scale
+        pairs = (n + 1) * n // 2
+        i, j = i_all[:pairs], j_all[:pairs]
+        # the pair (k, k + 1) sits at (k + 1) (k + 2) / 2 - 1
+        neighbours = np.arange(2, n + 2) * np.arange(1, n + 1) // 2 - 1
         psi = (
             float(rng.uniform(0.0, 2.0 * math.pi))
             + np.arange(n + 1) * math.pi
@@ -232,10 +275,9 @@ def quasigeodesic_stability_check(
             u[0] = u[-1] = 0.0
             z = np.exp(s) * np.tanh(u) * np.exp(1j * psi)
             t = np.exp(s) / np.cosh(u)
-            dist = _pairwise_distances(z, t)
-            seg = np.diagonal(dist, 1)
-            walk = np.concatenate(([0.0], np.cumsum(seg)))
-            gap = np.abs(walk[:, None] - walk[None, :])
+            dist = _pair_distances(z, t, i, j)
+            walk = np.concatenate(([0.0], np.cumsum(dist[neighbours])))
+            gap = np.abs(walk[i] - walk[j])
             lower_ok = np.all(dist >= gap / (1.0 + delta) - delta - 1e-12)
             upper_ok = np.all(dist <= (1.0 + delta) * gap + delta + 1e-12)
             if lower_ok and upper_ok:
@@ -322,6 +364,57 @@ def hexagon_asymptotics_check(R_values) -> SweepReport:
     )
 
 
+@ew.python_floats
+def _two_planes_angles(b, d, xi):
+    """beta and the two psi routes of the two-planes samples (b, d, xi).
+
+    The right triangle has its corner at (0, 1), the leg b along
+    _NORMAL to B and the leg d up the axis to C = (0, e^d).
+    """
+    # B = apply_to_point(translate_along(_NORMAL, b), corner), where
+    # translate_along is m^-1 * _screw(b) * m; for real b the screw is
+    # diag(h, 1 / h) with h = exp(b / 2), divided by the square root of
+    # its rounded determinant
+    m = normalize_to_axis(_NORMAL)
+    h = ew.floats(math.exp, b / 2.0)
+    inv = 1.0 / h
+    det_root = np.sqrt(h * inv)
+    screw = ((h / det_root, 0.0), (0.0, 0.0), (0.0, 0.0), (inv / det_root, 0.0))
+    push = ew.matmul(ew.matmul(ew.pairs(m.inverse()), screw), ew.pairs(m))
+    corner = (0.0, 0.0)
+    B, Bt = ew.apply_to_point(push, corner, 1.0)
+    Ct = ew.floats(math.exp, d)
+    hyp = ew.point_distance(B, Bt, corner, Ct)
+    toward_corner = ew.direction(B, Bt, corner, 1.0)
+    toward_far = ew.direction(B, Bt, corner, Ct)
+    beta = ew.angle_between(toward_corner, toward_far)
+
+    sin_beta = ew.floats(math.sinh, d) / ew.floats(math.sinh, hyp)
+    sin_xi = ew.floats(math.sin, xi)
+    cos_xi = ew.floats(math.cos, xi)
+    denominator = 1.0 - sin_beta * sin_beta * ew.square(cos_xi)
+    if np.any(denominator == 0.0):
+        # sin beta and cos xi both round to 1, as on legs b < 1e-8
+        raise ZeroDivisionError("float division by zero")
+    s2 = sin_xi * sin_xi / denominator
+    root = ew.floats(math.sqrt, s2)
+    psi_formula = ew.floats(math.asin, np.where(root < 1.0, root, 1.0))
+
+    # direct route on the unit tangent sphere, with the measured beta:
+    # rotate the vertical normal by xi about the leg direction, then
+    # follow the tilted plane's great circle for the turn at B
+    turn = ew.floats(math.atan2, sin_xi * ew.floats(math.sin, beta), ew.floats(math.cos, beta))
+    cos_turn = ew.floats(math.cos, turn)
+    # the angle whose cosine is cos(xi) cos(turn), read off through
+    # its sine to stay accurate when both factors are close to 1
+    psi_direct = ew.floats(
+        math.atan2,
+        ew.floats(math.hypot, sin_xi * cos_turn, ew.floats(math.sin, turn)),
+        cos_xi * cos_turn,
+    )
+    return beta, psi_formula, psi_direct
+
+
 def two_planes_angle_check(
     eps: float, R: float, samples: int = 1000, seed: int = 0
 ) -> SweepReport:
@@ -343,42 +436,20 @@ def two_planes_angle_check(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x2B1)))
-    leg_axis = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
-    corner = Point(0j, 1.0)
     xi_max = 4.0 * eps / R * math.exp(-R / 4.0)
+    # each sample draws uniform b, d, xi in turn, as rows of rng.random
+    low = np.array([math.exp(-R / 4.0), 1.0, -xi_max])
+    width = np.array([2.0, R, xi_max]) - low
     max_psi = 0.0
     max_disagreement = 0.0
-    for _ in range(samples):
-        b = float(rng.uniform(math.exp(-R / 4.0), 2.0))
-        d = float(rng.uniform(1.0, R))
-        xi = float(rng.uniform(-xi_max, xi_max))
-        B = apply_to_point(translate_along(leg_axis, b), corner)
-        C = Point(0j, math.exp(d))
-        hyp = hyperbolic_point_distance(B, C)
-        toward_corner = direction_toward(
-            B, geodesic_through(B, corner).target
+    for done in range(0, samples, _SLICE):
+        u = rng.random((min(_SLICE, samples - done), 3))
+        b, d, xi = (low + width * u).T
+        _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
+        max_psi = max(max_psi, float(psi_formula.max()))
+        max_disagreement = max(
+            max_disagreement, float(np.abs(psi_direct - psi_formula).max())
         )
-        toward_far = direction_toward(B, geodesic_through(B, C).target)
-        beta = _angle_between(toward_corner, toward_far)
-
-        sin_beta = math.sinh(d) / math.sinh(hyp)
-        sin_xi = math.sin(xi)
-        s2 = sin_xi * sin_xi / (1.0 - sin_beta * sin_beta * math.cos(xi) ** 2)
-        psi_formula = math.asin(min(1.0, math.sqrt(s2)))
-
-        # direct route on the unit tangent sphere, with the measured beta:
-        # rotate the vertical normal by xi about the leg direction, then
-        # follow the tilted plane's great circle for the turn at B
-        turn = math.atan2(sin_xi * math.sin(beta), math.cos(beta))
-        # the angle whose cosine is cos(xi) cos(turn), read off through
-        # its sine to stay accurate when both factors are close to 1
-        psi_direct = math.atan2(
-            math.hypot(sin_xi * math.cos(turn), math.sin(turn)),
-            math.cos(xi) * math.cos(turn),
-        )
-
-        max_psi = max(max_psi, psi_formula)
-        max_disagreement = max(max_disagreement, abs(psi_direct - psi_formula))
     rows = (
         SweepRow(
             params=(("eps", eps), ("R", R), ("check", "dihedral-bound")),
@@ -393,6 +464,40 @@ def two_planes_angle_check(
     )
     return SweepReport(
         name="two-planes-angle", rows=rows, samples=samples
+    )
+
+
+_BASE_POINT = Point(0j, 1.0)
+
+
+def _word_images(word_mats, word):
+    """The base point's image under the word, for each representation."""
+    images = []
+    for mats in word_mats:
+        m = mats[word[0]]
+        for letter in word[1:]:
+            m = m * mats[letter]
+        images.append(apply_to_point(m, _BASE_POINT))
+    return images
+
+
+@ew.python_floats
+def _angle_shifts(to_axis, binormal, xt, ends):
+    """Largest theta shift, phi defect and combined shift over a slice.
+
+    Segment k runs from (0, xt[k]) to each representation's base-point
+    image; ends[k] holds the two images in the frame, each as (real,
+    imag, height).
+    """
+    x, x_t = ew.apply_to_point(ew.pairs(to_axis), (0.0, 0.0), xt)
+    _check_on_axis(x, x_t)
+    theta0, phi0 = _segment_angles(x_t, (ends[:, 0], ends[:, 1]), ends[:, 2], binormal)
+    theta1, phi1 = _segment_angles(x_t, (ends[:, 3], ends[:, 4]), ends[:, 5], binormal)
+    d_theta = np.abs(theta0 - theta1)
+    return (
+        float(d_theta.max()),
+        float(np.abs(phi1 - math.pi / 2.0).max()),
+        float(np.maximum(d_theta, np.abs(phi0 - phi1)).max()),
     )
 
 
@@ -420,9 +525,7 @@ def angle_change_check(
         raise ValueError("need at least one sample")
     cutoff = 1.0 / (10000.0 * p * p)
     c = min(rho0.complex.regular_circles())
-    gamma = OrientedGeodesic(0j, INFINITY)
-    alpha = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
-    base_point = Point(0j, 1.0)
+    to_axis, binormal = _frame(_AXIS, _NORMAL)
     word_mats = []
     for rho in (rho0, rho1):
         # generators of the pants on both sides of the circle, written in
@@ -440,10 +543,16 @@ def angle_change_check(
         word_mats.append(placed + [g.inverse() for g in placed])
     n_letters = len(word_mats[0])
 
+    # per reduced word seen (at most 8 + 8 * 7 + 8 * 7^2 with eight
+    # letters): its row, the base point's images under both
+    # representations, and their images in the frame, as a row
+    # (real, imag, height) * 2 of `ends`
+    words = {}
+    images = []
+    ends = []
+    pending = []
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x3A7)))
-    max_theta = 0.0
-    max_phi = 0.0
-    max_combined = 0.0
+    maxima = (0.0, 0.0, 0.0)
     accepted = 0
     rejected = 0
     attempts = 0
@@ -462,28 +571,27 @@ def angle_change_check(
                 if not word or letter != (word[-1] + n_letters // 2) % n_letters:
                     break
             word.append(letter)
-        coords = []
-        ok = True
-        for mats in word_mats:
-            m = mats[word[0]]
-            for letter in word[1:]:
-                m = m * mats[letter]
-            y = apply_to_point(m, base_point)
-            if hyperbolic_point_distance(x, y) < R / 2.0:
-                ok = False
-                break
-            coords.append(angle_coordinates(gamma, alpha, (x, y)))
-        if not ok:
+        row = words.setdefault(tuple(word), len(images))
+        if row == len(images):
+            images.append(_word_images(word_mats, word))
+            end = []
+            for y in images[row]:
+                y = apply_to_point(to_axis, y)
+                end += [y.horizontal.real, y.horizontal.imag, y.height]
+            ends.append(end)
+        if any(hyperbolic_point_distance(x, y) < R / 2.0 for y in images[row]):
             rejected += 1
             continue
         accepted += 1
-        d_theta = abs(coords[0].theta - coords[1].theta)
-        d_phi = abs(coords[1].phi - math.pi / 2.0)
-        max_theta = max(max_theta, d_theta)
-        max_phi = max(max_phi, d_phi)
-        max_combined = max(
-            max_combined, max(d_theta, abs(coords[0].phi - coords[1].phi))
-        )
+        pending.append((x.height, row))
+        if len(pending) == _SLICE or accepted == samples:
+            heights, word_rows = zip(*pending)
+            pending.clear()
+            shifts = _angle_shifts(
+                to_axis, binormal, np.array(heights), np.array(ends)[list(word_rows)]
+            )
+            maxima = tuple(map(max, maxima, shifts))
+    max_theta, max_phi, max_combined = maxima
     rows = (
         SweepRow(
             params=(("p", p), ("R", R), ("check", "theta-shift")),

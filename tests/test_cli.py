@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -102,6 +103,18 @@ class TestBuild:
         else:
             assert code == 3
             assert json.loads(err)["error"]["code"] == "construction-failed"
+
+    @pytest.mark.parametrize("R, code", [("84", 0), ("90", 4)])
+    def test_not_viable_development_fails(self, capsys, R, code):
+        # residuals 2.3e-7 at R = 84 and 1.5e-6 at R = 90, against 1e-6
+        code_, out, err = run(capsys, ["build", "--L", "0", "--R", R, "--tau", "1", "--seed", "2"])
+        assert code_ == code
+        residual = json.loads(out)["max_residual"]
+        assert (residual < cli.VIABLE_RESIDUAL) == (code == 0)
+        if code == 0:
+            assert err == ""
+        else:
+            assert json.loads(err)["error"]["code"] == "not-viable"
 
     def test_construction_failure(self, capsys, monkeypatch):
         def boom(x, params):
@@ -338,6 +351,42 @@ class TestLemma:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv, seed, digest",
+        [
+            pytest.param(
+                ["delta", "--delta", "1e-4", "--samples", "100000"], "0",
+                "6ee312d32ed7031889b5976d59c03fe2e51a3bbb497de38addc10f408dfdd9ec", id="delta-0",
+            ),
+            pytest.param(
+                ["delta", "--delta", "1e-4", "--samples", "100000"], "1",
+                "ef1a159324f225b94ab0f0731997428997b7f4709d004a7160baeab2f9206169", id="delta-1",
+            ),
+            pytest.param(
+                ["two-planes", "--eps", "0.01", "--R", "20", "--samples", "10000"], "0",
+                "bcdd87c356f75b409fe08d8d046298484976b7be0d204cfaf43aae03c4715085", id="two-planes-0",
+            ),
+            pytest.param(
+                ["two-planes", "--eps", "0.01", "--R", "20", "--samples", "10000"], "1",
+                "1c56b6883dd618252d224c20c3b3b8bef8f7246e4f43c3b5d18f287c49b1b409", id="two-planes-1",
+            ),
+            pytest.param(
+                ["angle-change", "--p", "3", "--R", "20", "--samples", "10000"], "0",
+                "4aab28f04a38b4560af9e050dbff3fdba4aaa036a784bde982d682dabb2ebe92", id="angle-change-0",
+            ),
+            pytest.param(
+                ["angle-change", "--p", "3", "--R", "20", "--samples", "10000"], "1",
+                "2dbe8cf548644e1098fd586350ddc4efc044466198d520549bba21f03b70b080", id="angle-change-1",
+            ),
+        ],
+    )
+    def test_pinned_sweep_bytes(self, capsys, argv, seed, digest):
+        # digests of the reports of the per-sample implementation: the
+        # sliced sweeps must print the same bytes
+        code, out, err = run(capsys, ["lemma", *argv, "--seed", seed])
+        assert code in (0, 4) and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["delta", "two-planes", "angle-change"])
     def test_seed_required(self, capsys, name):

@@ -1,8 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import goodpants
+from goodpants import lemmalab
 from goodpants.complexes import build_xp
 from goodpants.geom import (
     INFINITY,
@@ -11,7 +19,10 @@ from goodpants.geom import (
     OrientedGeodesic,
     Point,
     apply_to_point,
+    hyperbolic_point_distance,
     mobius_apply,
+    normalize_to_axis,
+    translate_along,
 )
 from goodpants.holonomy import RepParams, build_rho
 from goodpants.lemmalab import (
@@ -28,6 +39,89 @@ from goodpants.lemmalab import (
 
 AXIS = OrientedGeodesic(0j, INFINITY)
 NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
+
+
+# The scalar route, one sample at a time: the oracle that the array
+# kernels must match bit for bit.
+
+
+@dataclass(frozen=True)
+class Vector:
+    horizontal: complex
+    vertical: float
+
+    def euclidean_norm(self) -> float:
+        return math.hypot(abs(self.horizontal), self.vertical)
+
+
+def direction_toward(p, zeta):
+    """Unit tangent vector at p of the geodesic ray ending at zeta."""
+    if zeta is INFINITY:
+        return Vector(0j, 1.0)
+    u_full = complex(zeta) - p.horizontal
+    d = abs(u_full)
+    if d < 1e-300:
+        return Vector(0j, -1.0)
+    u = u_full / d
+    r = (d * d + p.height * p.height) / (2.0 * d)
+    return Vector((p.height / r) * u, (d - r) / r)
+
+
+def geodesic_through(p, q):
+    """The geodesic through two interior points, oriented from p to q."""
+    dz = q.horizontal - p.horizontal
+    d = abs(dz)
+    if d < 1e-14:
+        if abs(q.height - p.height) < 1e-300:
+            raise ValueError("coincident points span no geodesic")
+        if q.height > p.height:
+            return OrientedGeodesic(p.horizontal, INFINITY)
+        return OrientedGeodesic(INFINITY, p.horizontal)
+    u = dz / d
+    x = (d * d + q.height ** 2 - p.height ** 2) / (2.0 * d)
+    r = math.hypot(x, p.height)
+    fwd = p.horizontal + (x + r) * u
+    back = p.horizontal + (x - r) * u
+    return OrientedGeodesic(back, fwd)
+
+
+def angle_between(v, w):
+    dot = (v.horizontal * w.horizontal.conjugate()).real + v.vertical * w.vertical
+    dot /= v.euclidean_norm() * w.euclidean_norm()
+    return math.acos(max(-1.0, min(1.0, dot)))
+
+
+def scalar_angle_coordinates(gamma, alpha, segment):
+    x, y = segment
+    m = normalize_to_axis(gamma)
+    b = complex(alpha.apply(m).target)
+    chi = math.atan2(b.imag, b.real)
+    x0 = Point(0j, apply_to_point(m, x).height)
+    y_img = apply_to_point(m, y)
+    e = direction_toward(x0, geodesic_through(x0, y_img).target)
+    theta = angle_between(e, Vector(0j, 1.0))
+    binormal = Vector(1j * complex(math.cos(chi), math.sin(chi)), 0.0)
+    return theta, angle_between(e, binormal)
+
+
+def scalar_two_planes(b, d, xi):
+    corner = Point(0j, 1.0)
+    B = apply_to_point(translate_along(NORMAL, b), corner)
+    C = Point(0j, math.exp(d))
+    hyp = hyperbolic_point_distance(B, C)
+    toward_corner = direction_toward(B, geodesic_through(B, corner).target)
+    toward_far = direction_toward(B, geodesic_through(B, C).target)
+    beta = angle_between(toward_corner, toward_far)
+    sin_beta = math.sinh(d) / math.sinh(hyp)
+    sin_xi = math.sin(xi)
+    s2 = sin_xi * sin_xi / (1.0 - sin_beta * sin_beta * math.cos(xi) ** 2)
+    psi_formula = math.asin(min(1.0, math.sqrt(s2)))
+    turn = math.atan2(sin_xi * math.sin(beta), math.cos(beta))
+    psi_direct = math.atan2(
+        math.hypot(sin_xi * math.cos(turn), math.sin(turn)),
+        math.cos(xi) * math.cos(turn),
+    )
+    return beta, psi_formula, psi_direct
 
 
 class TestSweepReport:
@@ -249,3 +343,138 @@ class TestAngleChange:
         other = build_rho(y, RepParams.zero(y, R=20.0, tau=1.0))
         with pytest.raises(ValueError):
             angle_change_check((self.rho0, other), p=3, samples=10, seed=0)
+
+
+class TestArrayKernels:
+    """The sliced kernels against the scalar route, sample by sample."""
+
+    def test_two_planes_matches_scalar_route(self):
+        rng = np.random.default_rng(11)
+        b, d, xi = [], [], []
+        # at R = 300 some forward endpoints lie past 1e154: their squares
+        # overflow to inf, silently, on both routes
+        for R in (10.0, 20.0, 40.0, 150.0, 300.0):
+            xi_max = 4.0 * 0.01 / R * math.exp(-R / 4.0)
+            b += list(rng.uniform(math.exp(-R / 4.0), 2.0, 150))
+            d += list(rng.uniform(1.0, R, 150))
+            xi += list(rng.uniform(-xi_max, xi_max, 150))
+        # legs under 1e-14 put B straight under the corner, so both
+        # geodesics from B are vertical; with xi this small the closed
+        # form would divide by zero, so tilt by more
+        b += list(np.exp(rng.uniform(-46.0, -33.0, 50)))
+        d += list(rng.uniform(1.0, 20.0, 50))
+        xi += list(rng.uniform(0.01, 0.1, 50))
+        got = lemmalab._two_planes_angles(np.array(b), np.array(d), np.array(xi))
+        want = np.array([scalar_two_planes(*s) for s in zip(b, d, xi)]).T
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+        assert set(got[0][-50:].tolist()) == {math.pi}
+
+    def test_two_planes_divides_by_zero_where_the_scalar_route_does(self):
+        with pytest.raises(ZeroDivisionError):
+            scalar_two_planes(1e-20, 5.0, 1e-20)
+        with pytest.raises(ZeroDivisionError):
+            lemmalab._two_planes_angles(
+                np.array([0.5, 1e-20]), np.array([5.0, 5.0]), np.array([1e-20, 1e-20])
+            )
+
+    def test_segment_angles_match_scalar_route(self):
+        rng = np.random.default_rng(12)
+        n = 600
+        xt = np.exp(rng.uniform(-15.0, 15.0, n))
+        y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(
+            rng.uniform(-15.0, 15.0, n)
+        )
+        yt = np.exp(rng.uniform(-15.0, 15.0, n))
+        # straight up, straight down (|dz| < 1e-14), and an end whose
+        # forward endpoint rounds onto the foot of x: directly below it
+        specials = [(2.0, 3e-15 + 0j, 9.0), (2.0, 0j, 0.5), (1.0, 1e-9 + 0j, 0.5)]
+        for k, (a, z, h) in enumerate(specials):
+            xt[k], y[k], yt[k] = a, z, h
+        x0, below = Point(0j, 1.0), Point(1e-9 + 0j, 0.5)
+        assert direction_toward(x0, geodesic_through(x0, below).target) == Vector(0j, -1.0)
+        _, binormal = lemmalab._frame(AXIS, NORMAL)
+        theta, phi = lemmalab._segment_angles(xt, (y.real, y.imag), yt, binormal)
+        want = [
+            scalar_angle_coordinates(AXIS, NORMAL, (Point(0j, a), Point(z, h)))
+            for a, z, h in zip(xt.tolist(), y.tolist(), yt.tolist())
+        ]
+        assert theta.tolist() == [w[0] for w in want]
+        assert phi.tolist() == [w[1] for w in want]
+        assert theta[0] == 0.0 and theta[1] == math.pi and theta[2] == math.pi
+
+    def test_angle_coordinates_matches_scalar_route_in_any_frame(self):
+        import random
+
+        rng = random.Random(13)
+        for _ in range(50):
+            m = MoebiusMap(
+                *(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+            )
+            gamma, alpha = AXIS.apply(m), NORMAL.apply(m)
+            x = apply_to_point(m, Point(0j, math.exp(rng.uniform(-3, 3))))
+            y = apply_to_point(
+                m, Point(complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.uniform(0.1, 3))
+            )
+            got = angle_coordinates(gamma, alpha, (x, y))
+            assert (got.theta, got.phi) == scalar_angle_coordinates(gamma, alpha, (x, y))
+
+    @pytest.mark.parametrize("sweep", ["two-planes", "angle-change"])
+    def test_state_carries_across_slices(self, sweep, monkeypatch):
+        if sweep == "two-planes":
+            def run():
+                return two_planes_angle_check(0.01, 20.0, samples=100, seed=4).to_json()
+        else:
+            x = build_xp(1, 3)
+            rho0 = build_rho(x, RepParams.zero(x, R=20.0, tau=0.0))
+            rho1 = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=0))
+
+            def run():
+                return angle_change_check((rho0, rho1), p=3, samples=100, seed=0).to_json()
+
+        whole = run()
+        monkeypatch.setattr(lemmalab, "_SLICE", 7)
+        assert run() == whole
+
+    def test_word_cache_holds_one_entry_per_reduced_word(self, monkeypatch):
+        x = build_xp(1, 3)
+        rho0 = build_rho(x, RepParams.zero(x, R=20.0, tau=0.0))
+        rho1 = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=0))
+        seen = []
+        word_images = lemmalab._word_images
+
+        def counting(word_mats, word):
+            seen.append(tuple(word))
+            return word_images(word_mats, word)
+
+        monkeypatch.setattr(lemmalab, "_word_images", counting)
+        angle_change_check((rho0, rho1), p=3, samples=3000, seed=0)
+        assert len(seen) == len(set(seen))
+        # eight letters, inverses four apart: 8 + 8 * 7 + 8 * 7 * 7 words
+        assert all((a - b) % 8 != 4 for w in seen for a, b in zip(w, w[1:]))
+        assert 400 < len(seen) <= 456
+
+
+def _peak_rss_kb(argv):
+    """ru_maxrss of a fresh interpreter that runs the CLI on argv."""
+    code = (
+        "import resource, sys\n"
+        "from goodpants.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, code)\n"
+    )
+    src = str(Path(goodpants.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    rss, code = out.splitlines()[-1].split()
+    assert code == "0"
+    return int(rss)
+
+
+def test_two_planes_memory_does_not_grow_with_samples():
+    argv = ["lemma", "two-planes", "--eps", "0.01", "--R", "20", "--seed", "1", "--samples"]
+    small = _peak_rss_kb(argv + ["10000"])
+    large = _peak_rss_kb(argv + ["2000000"])
+    assert large - small <= 2048
