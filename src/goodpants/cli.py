@@ -4,8 +4,10 @@ Commands: ``build`` constructs and grows a pants complex and develops
 it; ``verify`` runs the certification checks on a stored complex;
 ``homology`` computes first-homology groups; ``lemma`` runs the
 sampling sweeps.  All reports are canonical JSON (sorted keys); sweep
-commands also write CSV.  Exit codes: 0 success, 2 invalid
-configuration or input, 3 construction failure, 4 failed check.
+commands also write CSV.  Exit codes: 0 success; 2 refused input, usage
+errors and disconnected complexes included; 3 construction failure, such
+as pants that meet only across singular circles; 4 a failed check.  Exits
+2 and 3 print one JSON error line on stderr.
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel: every sampler runs its
@@ -23,9 +25,6 @@ import sys
 
 from . import __version__
 from .complexes import (
-    DisconnectedResultError,
-    NoEssentialPathError,
-    NotOnShortestPathError,
     PantsComplex,
     build_xp,
     complexity,
@@ -42,7 +41,8 @@ from .holonomy import (
     development_residual,
     nontriviality_scan,
 )
-from .homology import book_of_i_bundles_h1, free_product_h1, h1_of_complex, mv_torsion_embedding, sigma
+from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
+from .homology import mv_torsion_embedding, sigma
 from .lemmalab import (
     angle_change_check,
     hexagon_asymptotics_check,
@@ -51,9 +51,9 @@ from .lemmalab import (
 )
 
 EXIT_OK = 0
-EXIT_BAD_CONFIG = 2
-EXIT_BUILD_FAILED = 3
 EXIT_CHECK_FAILED = 4
+# the exit code of each error: 2 for refused input, 3 for a failed construction
+_EXIT_FOR = {"invalid-config": 2, "construction-failed": 3, "not-viable": EXIT_CHECK_FAILED}
 
 # a development is viable when its residual stays below this
 VIABLE_RESIDUAL = 1e-6
@@ -75,19 +75,44 @@ def thread_cap() -> int:
     return n
 
 
-def _finite_R(value: float) -> float:
-    """--R as given, refused when it is nan or infinite."""
-    if not math.isfinite(value):
-        raise ConfigError(f"--R must be finite, got {value!r}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _finite_R(value) -> float:
+    """--R as a float, refused when it is nan or infinite."""
+    R = float(value)
+    if not math.isfinite(R):
+        raise ConfigError(f"--R must be finite, got {R!r}")
+    return R
+
+
+def _development_options(args) -> float:
+    """Refuse --p, --R and --tau values that no development takes.
+
+    build, verify and lemma angle-change develop a complex.  Returns --R.
+    """
+    if args.p < 2:
+        raise ConfigError("--p must be at least 2")
+    R = _finite_R(args.R)
+    if R <= 0:
+        raise ConfigError("--R must be positive")
+    if not 0.0 <= getattr(args, "tau", 0.0) <= 1.0:
+        raise ConfigError("--tau must lie in [0, 1]")
+    return R
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_error(code: str, message: str) -> None:
+def _emit_error(code: str, message: str) -> int:
+    """Print one JSON error line on stderr; return the exit code it goes with."""
     sys.stderr.write(canonical_json({"error": {"code": code, "message": message}}) + "\n")
+    return _EXIT_FOR[code]
 
 
 def _write(path: str | None, text: str) -> None:
@@ -139,12 +164,7 @@ def _report_header(args, command: str) -> dict:
 def cmd_build(args) -> int:
     if args.genus < 1:
         raise ConfigError("--genus must be at least 1")
-    if args.p < 2:
-        raise ConfigError("--p must be at least 2")
-    if _finite_R(args.R) <= 0:
-        raise ConfigError("--R must be positive")
-    if not 0.0 <= args.tau <= 1.0:
-        raise ConfigError("--tau must lie in [0, 1]")
+    _development_options(args)
     if args.L < 0:
         raise ConfigError("--L must be non-negative")
     try:
@@ -152,18 +172,10 @@ def cmd_build(args) -> int:
         if args.L > 0:
             x = grow_until(x, args.L)
         length, neg_count = complexity(graph_of(x))
-        params = _params_for(x, args)
-        rho = build_rho(x, params)
+        rho = build_rho(x, _params_for(x, args))
         residual = development_residual(rho)
-    except (
-        NoEssentialPathError,
-        NotOnShortestPathError,
-        DisconnectedResultError,
-        ArithmeticError,
-        ValueError,
-    ) as exc:
-        _emit_error("construction-failed", str(exc))
-        return EXIT_BUILD_FAILED
+    except ValueError as exc:
+        return _emit_error("construction-failed", str(exc))
     if args.out:
         _write(args.out, x.to_json())
     summary = _report_header(args, "build")
@@ -181,57 +193,47 @@ def cmd_build(args) -> int:
     )
     sys.stdout.write(canonical_json(summary) + "\n")
     if not residual < VIABLE_RESIDUAL:
-        _emit_error(
+        return _emit_error(
             "not-viable",
             f"development residual {residual!r} is not below {VIABLE_RESIDUAL!r}",
         )
-        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.p < 2:
-        raise ConfigError("--p must be at least 2")
-    if _finite_R(args.R) <= 0:
-        raise ConfigError("--R must be positive")
+    _development_options(args)
     if args.words < 1:
         raise ConfigError("--words must be at least 1")
     if args.samples < 1:
         raise ConfigError("need at least one sample")
     x = _load_complex(args.complex)
     try:
-        params = _params_for(x, args)
-        rho = build_rho(x, params)
-    except (ValueError, ArithmeticError) as exc:
-        _emit_error("construction-failed", str(exc))
-        return EXIT_BUILD_FAILED
-    checks = {}
-
-    residual = development_residual(rho)
-    checks["viability"] = {"max_residual": residual, "pass": residual < VIABLE_RESIDUAL}
-
-    separated = check_p_separated(rho, args.p)
-    checks["p_separated"] = {"p": args.p, "pass": separated}
-
+        rho = build_rho(x, _params_for(x, args))
+        residual = development_residual(rho)
+        separated = check_p_separated(rho, args.p)
+    except ValueError as exc:
+        return _emit_error("construction-failed", str(exc))
     qi = certify_qi(R=args.R, p=args.p, samples=args.samples, seed=args.seed)
-    checks["quasi_isometry"] = {
-        "samples": qi.samples,
-        "violations": qi.violations,
-        "min_margin": qi.min_margin,
-        "min_ratio": qi.min_ratio,
-        "max_ratio": qi.max_ratio,
-        "pass": qi.passed,
-    }
-
     scan = nontriviality_scan(rho, max_length=args.words)
-    checks["nontriviality"] = {
-        "max_length": scan.max_length,
-        "alphabet": scan.n_generators,
-        "total_words": scan.total_words,
-        "violations": [list(w) for w in scan.violations],
-        "pass": scan.passed,
+    checks = {
+        "viability": {"max_residual": residual, "pass": residual < VIABLE_RESIDUAL},
+        "p_separated": {"p": args.p, "pass": separated},
+        "quasi_isometry": {
+            "samples": qi.samples,
+            "violations": qi.violations,
+            "min_margin": qi.min_margin,
+            "min_ratio": qi.min_ratio,
+            "max_ratio": qi.max_ratio,
+            "pass": qi.passed,
+        },
+        "nontriviality": {
+            "max_length": scan.max_length,
+            "alphabet": scan.n_generators,
+            "total_words": scan.total_words,
+            "violations": [list(w) for w in scan.violations],
+            "pass": scan.passed,
+        },
     }
-
     report = _report_header(args, "verify")
     report["checks"] = checks
     report["pass"] = all(c["pass"] for c in checks.values())
@@ -263,18 +265,13 @@ def cmd_homology(args) -> int:
                 raise ConfigError(f"cannot read group file {path}: {exc}") from exc
             if isinstance(obj, dict) and "pants" in obj:
                 groups.append(h1_of_complex(_load_complex(path)))
-            else:
-                try:
-                    from .homology import AbelianGroup
-
-                    groups.append(
-                        AbelianGroup(
-                            rank=int(obj["rank"]),
-                            torsion=tuple(int(t) for t in obj.get("torsion", ())),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path} is not a group or complex file") from exc
+                continue
+            try:
+                rank = int(obj["rank"])
+                torsion = tuple(int(t) for t in obj.get("torsion", ()))
+                groups.append(AbelianGroup(rank=rank, torsion=torsion))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path} is not a group or complex file") from exc
         report["h1"] = _group_json(free_product_h1(groups))
     _write(args.out, canonical_json(report))
     return EXIT_OK
@@ -291,10 +288,9 @@ def _parse_R_list(raw: str) -> list[float]:
 def cmd_lemma(args) -> int:
     try:
         report = _run_lemma(args)
-    except (ArithmeticError, DegenerateError) as exc:
-        # R out of double range, or a complex that cannot be developed
-        _emit_error("construction-failed", str(exc))
-        return EXIT_BUILD_FAILED
+    except DegenerateError as exc:
+        # a development or a sweep that degenerates numerically
+        return _emit_error("construction-failed", str(exc))
     _write(args.out and args.out + ".json", report.to_json())
     if args.out:
         _write(args.out + ".csv", report.to_csv())
@@ -310,17 +306,17 @@ def _run_lemma(args):
         return quasigeodesic_stability_check(args.delta, samples=args.samples, seed=args.seed)
     if args.name == "two-planes":
         return two_planes_angle_check(
-            args.eps, _finite_R(float(args.R)), samples=args.samples, seed=args.seed
+            args.eps, _finite_R(args.R), samples=args.samples, seed=args.seed
         )
+    R = _development_options(args)
     x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
-    R = _finite_R(float(args.R))
     rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))
     rho1 = build_rho(x, RepParams.random(x, R=R, tau=1.0, seed=args.seed))
     return angle_change_check((rho0, rho1), p=args.p, samples=args.samples, seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goodpants",
         description="Build, develop, and numerically certify pants complexes.",
     )
@@ -372,21 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return EXIT_BAD_CONFIG if code == 2 else code
-    try:
+        args = build_parser().parse_args(argv)
         thread_cap()
         return args.func(args)
-    except ConfigError as exc:
-        _emit_error("invalid-config", str(exc))
-        return EXIT_BAD_CONFIG
+    except SystemExit as exc:
+        # only --help and --version exit, with 0: usage errors raise
+        return exc.code
+    except ArithmeticError as exc:
+        # numbers out of double range, in whichever command
+        return _emit_error("construction-failed", str(exc))
     except ValueError as exc:
-        _emit_error("invalid-config", str(exc))
-        return EXIT_BAD_CONFIG
+        # ConfigError, or any other ValueError the input provokes
+        return _emit_error("invalid-config", str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

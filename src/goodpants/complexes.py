@@ -157,7 +157,10 @@ def _integer(value, what: str) -> int:
 
 
 def validate(x: PantsComplex) -> list[str]:
-    """All structural violations of the complex, empty iff valid."""
+    """All violations of the complex, empty iff valid.
+
+    A valid complex is connected, across singular or regular circles.
+    """
     issues = [] if x.pants else ["complex has no pants"]
     n_circles = len(x.circles)
     for pi, p in enumerate(x.pants):
@@ -183,6 +186,8 @@ def validate(x: PantsComplex) -> list[str]:
             issues.append(f"circle {ci} has no attachment")
         elif c.d * len(atts) < 2:
             issues.append(f"circle {ci} has D = {c.d * len(atts)} < 2")
+    if x.pants and not _connected(x):
+        issues.append("complex is not connected")
     return issues
 
 
@@ -504,10 +509,9 @@ def _paste(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
     circles = list(x.circles) + [Circle()] + [
         donor.circles[j] for j in range(1, len(donor.circles))
     ]
-    result = PantsComplex(pants=tuple(pants), circles=tuple(circles))
-    if not _connected(result):
-        raise DisconnectedResultError("surgery disconnected the complex")
-    return result
+    # x has passed validate, so it is connected, and cutting circle 0
+    # leaves the donor connected, so the result is connected too
+    return PantsComplex(pants=tuple(pants), circles=tuple(circles))
 
 
 def _separates(x: PantsComplex, circle: int) -> bool:

@@ -286,23 +286,17 @@ def apply_to_point(m: MoebiusMap, p: Point) -> Point:
     return Point(z_new, t / denom)
 
 
-def normalize_to_axis(g: OrientedGeodesic, anchor: Point | None = None) -> MoebiusMap:
+def normalize_to_axis(g: OrientedGeodesic) -> MoebiusMap:
     """A map sending g to the upward-oriented axis (0, infinity).
 
-    If ``anchor`` lies on g it is sent to height 1; otherwise the
-    normalization along the axis is arbitrary but deterministic.
+    The normalization along the axis is arbitrary but deterministic.
     """
     s, t = g.source, g.target
     if isinstance(s, _Infinity):
-        m = MoebiusMap(0, 1, 1, -t)
-    elif isinstance(t, _Infinity):
-        m = MoebiusMap(1, -s, 0, 1)
-    else:
-        m = MoebiusMap(1, -s, 1, -t)
-    if anchor is not None:
-        h = apply_to_point(m, anchor).height
-        m = MoebiusMap(1.0 / math.sqrt(h), 0, 0, math.sqrt(h)) * m
-    return m
+        return MoebiusMap(0, 1, 1, -t)
+    if isinstance(t, _Infinity):
+        return MoebiusMap(1, -s, 0, 1)
+    return MoebiusMap(1, -s, 1, -t)
 
 
 def complex_translation_length(m: MoebiusMap) -> ComplexDistance:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PantsComplex, validate
+from .complexes import PantsComplex, graph_of
 from .geom import (
+    DegenerateError,
     MoebiusMap,
     Point,
     apply_to_point,
@@ -129,10 +130,11 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     in the tree or not, records its two measuring frames.  Singular
     circles carry the d-th root loxodromic of the adjacent cuff
     (rotated by k extra turns), so its d-th power is the cuff holonomy.
+
+    graph_of refuses an invalid complex; DegenerateError refuses pants
+    that meet pants 0 only across singular circles, as none can be placed.
     """
-    bad = validate(x)
-    if bad:
-        raise ValueError(f"invalid complex: {bad[0]}")
+    graph_of(x)
     base = [
         build_pants_rep(*(params.halflength(c) for c in p.slots)) for p in x.pants
     ]
@@ -172,7 +174,10 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
                 visited.add(v)
                 queue.append(v)
     if len(visited) < n:
-        raise ValueError("complex is not connected")
+        raise DegenerateError(
+            f"{n - len(visited)} of {n} pants meet pants 0 only across singular"
+            " circles, so they cannot be placed"
+        )
 
     singular = {}
     singular_base = {}
@@ -224,23 +229,23 @@ def development_residual(rho: ViableRep) -> float:
     return residual
 
 
-def check_p_separated(rho: ViableRep, p: int, tol: float = 1e-9) -> bool:
+def check_p_separated(rho: ViableRep, p: int) -> bool:
     """Whether the feet on every singular circle are 2*pi/p separated.
 
     The d-fold rotational symmetry spreads each foot into d copies; the
     circle passes iff all circular gaps between copies are at least
-    2*pi/p and no two feet coincide.
+    2*pi/p and no two feet coincide, both up to a tolerance of 1e-9.
     """
+    tol = 1e-9
     x = rho.complex
     for c in x.singular_circles():
         d = x.circles[c].d
-        F = None
+        atts = x.attachments_of(c)
+        # frame from the first attachment; its own foot angle is 0
+        first, slot = atts[0]
+        F = cuff_frame(rho.base_reps[first], slot) * rho.conjugators[first].inverse()
         angles = []
-        for pi, slot in x.attachments_of(c):
-            if F is None:
-                # frame from the first attachment; its own foot angle is 0
-                first = pi
-                F = cuff_frame(rho.base_reps[pi], slot) * rho.conjugators[pi].inverse()
+        for pi, slot in atts:
             frame = (
                 cuff_frame(rho.base_reps[pi], slot)
                 if pi == first
@@ -293,14 +298,13 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     def tilt(alpha):
         return to_horizontal.inverse() * _screw(1j * alpha) * to_horizontal
 
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(samples)
     violations = 0
     min_margin = math.inf
     min_ratio = math.inf
     max_ratio = -math.inf
-    for child in children:
-        rng = np.random.default_rng(child)
+    for i in range(samples):
+        # child i of SeedSequence(seed).spawn(samples), made when drawn
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         n_seg = int(rng.integers(2, 6))
         frame = MoebiusMap.identity()
         total = 0.0
@@ -346,8 +350,8 @@ class ScanReport:
         return not self.violations
 
 
-def _scan_alphabet(rho: ViableRep, cap: int = 4) -> list[MoebiusMap]:
-    """Generators of up to `cap` pairwise non-adjacent pants.
+def _scan_alphabet(rho: ViableRep) -> list[MoebiusMap]:
+    """Generators of up to four pairwise non-adjacent pants.
 
     Non-adjacent pants share no circle, so no two alphabet letters
     satisfy a short gluing relation; reduced words over the alphabet are
@@ -361,7 +365,7 @@ def _scan_alphabet(rho: ViableRep, cap: int = 4) -> list[MoebiusMap]:
             continue
         chosen.append(i)
         used_circles.update(p.slots)
-        if len(chosen) == cap:
+        if len(chosen) == 4:
             break
     gens = []
     for i in chosen:
@@ -464,14 +468,12 @@ def _scan_words(
     return total, tuple(violations)
 
 
-def nontriviality_scan(
-    rho: ViableRep, max_length: int = 6, threshold: float = 1e-6
-) -> ScanReport:
+def nontriviality_scan(rho: ViableRep, max_length: int = 6) -> ScanReport:
     """Check that no short reduced word has holonomy near the identity.
 
     Enumerates all freely reduced words up to the given length over the
-    bounded alphabet and flags any whose matrix is within threshold of
-    +/- identity.  Words are reported as tuples of letter indices
+    bounded alphabet and flags any whose matrix is within 1e-6 of +/-
+    identity.  Words are reported as tuples of letter indices
     (letter 2i is generator i, letter 2i+1 its inverse), ordered by
     length and then by the word read backwards.
 
@@ -489,7 +491,7 @@ def nontriviality_scan(
     for g in gens:
         letters.append(np.array(g.entries(), dtype=complex).reshape(2, 2))
         letters.append(np.array(g.inverse().entries(), dtype=complex).reshape(2, 2))
-    total, violations = _scan_words(letters, max_length, threshold)
+    total, violations = _scan_words(letters, max_length, 1e-6)
     return ScanReport(
         max_length=max_length,
         n_generators=len(gens),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import PantsComplex, _connected, validate
+from .complexes import PantsComplex, graph_of
 
 __all__ = [
     "AbelianGroup",
@@ -237,13 +237,10 @@ def h1_of_complex(x: PantsComplex) -> AbelianGroup:
     circle's class.  The attachments of slots 0 and 1 solve for a and b,
     which leaves one relation per pants on the circle classes:
     sum over its slots s of o_s * d_(c_s) * [c_s] = 0.  One free stable
-    letter per independent cycle of the attachment graph adds to the rank.
+    letter per independent cycle of the attachment graph adds to the rank,
+    which holds for a connected complex only; graph_of refuses any other.
     """
-    bad = validate(x)
-    if bad:
-        raise ValueError(f"invalid complex: {bad[0]}")
-    if not _connected(x):
-        raise ValueError("complex is not connected")
+    graph_of(x)
     n_p = len(x.pants)
     n_c = len(x.circles)
     rows = [[0] * n_p for _ in range(n_c)]

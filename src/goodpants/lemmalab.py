@@ -26,6 +26,7 @@ import numpy as np
 from . import elementwise as ew
 from .geom import (
     INFINITY,
+    DegenerateError,
     OrientedGeodesic,
     Point,
     NotNormalError,
@@ -511,7 +512,8 @@ def angle_change_check(
     images of the base point under matched holonomy words.  The theta
     shift and the phi defect from pi/2 are each bounded by 1/(4p), their
     maximum by 1/p.  Samples whose endpoints are closer than R/2 are
-    rejected and redrawn.
+    rejected and redrawn.  DegenerateError names a word whose holonomy
+    rounds to a singular matrix, as happens past double precision.
     """
     rho0, rho1 = rep_pair
     if rho0.complex != rho1.complex:
@@ -573,7 +575,13 @@ def angle_change_check(
             word.append(letter)
         row = words.setdefault(tuple(word), len(images))
         if row == len(images):
-            images.append(_word_images(word_mats, word))
+            try:
+                images.append(_word_images(word_mats, word))
+            except ZeroDivisionError:
+                raise DegenerateError(
+                    f"R = {R!r} is too large for double precision: the holonomy"
+                    f" of word {word} rounds to a singular matrix"
+                ) from None
             end = []
             for y in images[row]:
                 y = apply_to_point(to_axis, y)

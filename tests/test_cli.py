@@ -1,13 +1,21 @@
+import contextlib
+import copy
 import hashlib
 import importlib
+import io
 import json
 import pkgutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import goodpants
 import goodpants.cli as cli
 from goodpants.cli import main
+from goodpants.complexes import Pants, PantsComplex, build_xp
 
 
 def run(capsys, argv):
@@ -457,6 +465,333 @@ class TestNonFiniteR:
         code, out, err = run(capsys, ["lemma", "hexagon", "--R", "10,inf,20"])
         assert code == 2
         assert json.loads(err)["error"]["message"] == "--R must be finite, got inf"
+
+
+def two_chains(share_singular):
+    """Two copies of build_xp(1, 3), disjoint or sharing singular circle 0.
+
+    Shared, the complex is connected, but only across a singular circle.
+    """
+    one = build_xp(1, 3)
+    shared = 1 if share_singular else 0
+    shift = len(one.circles) - shared
+    other = tuple(
+        Pants(
+            slots=tuple(c if c < shared else c + shift for c in p.slots),
+            orientations=p.orientations,
+        )
+        for p in one.pants
+    )
+    circles = one.circles + one.circles[shared:]
+    return PantsComplex(pants=one.pants + other, circles=circles)
+
+
+def error_of(err):
+    """The one JSON error line on stderr, as (code, message)."""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    error = json.loads(err)["error"]
+    assert set(error) == {"code", "message"}
+    return error["code"], error["message"]
+
+
+class TestOneRuleForInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--complex", "{path}", "--seed", "1", "--words", "2", "--samples", "10"],
+            ["homology", "--complex", "{path}"],
+            ["lemma", "angle-change", "--complex", "{path}", "--seed", "1", "--samples", "10"],
+        ],
+        ids=["verify", "homology", "lemma"],
+    )
+    def test_disconnected_complex_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "two.json"
+        path.write_text(two_chains(share_singular=False).to_json())
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert error_of(err) == (
+            "invalid-config", f"{path} fails validation: complex is not connected"
+        )
+
+    def test_singular_join_has_homology(self, tmp_path, capsys):
+        path = tmp_path / "joined.json"
+        path.write_text(two_chains(share_singular=True).to_json())
+        code, out, err = run(capsys, ["homology", "--complex", str(path)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["h1"]["describe"] == "Z^9 + Z/3 + Z/3"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--complex", "{path}", "--seed", "1", "--words", "2", "--samples", "10"],
+            ["lemma", "angle-change", "--complex", "{path}", "--seed", "1", "--samples", "10"],
+        ],
+        ids=["verify", "lemma"],
+    )
+    def test_singular_join_cannot_be_developed(self, tmp_path, capsys, argv):
+        path = tmp_path / "joined.json"
+        path.write_text(two_chains(share_singular=True).to_json())
+        code, out, err = run(capsys, [a.format(path=path) for a in argv])
+        assert code == 3
+        assert out == ""
+        assert error_of(err) == (
+            "construction-failed",
+            "4 of 8 pants meet pants 0 only across singular circles,"
+            " so they cannot be placed",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--tau", "2"], "--tau must lie in [0, 1]"),
+            (["verify", "--tau", "-0.5"], "--tau must lie in [0, 1]"),
+            (["verify", "--R", "0"], "--R must be positive"),
+            (["verify", "--p", "1"], "--p must be at least 2"),
+            (["lemma", "angle-change", "--R", "-5"], "--R must be positive"),
+            (["lemma", "angle-change", "--R", "0"], "--R must be positive"),
+            (["lemma", "angle-change", "--p", "1"], "--p must be at least 2"),
+            (["build", "--p", "1"], "--p must be at least 2"),
+            (["build", "--R", "-3"], "--R must be positive"),
+            (["build", "--tau", "1.5"], "--tau must lie in [0, 1]"),
+        ],
+    )
+    def test_development_options_refused(self, small_complex, capsys, argv, message):
+        if argv[0] == "verify":
+            argv = argv + ["--complex", str(small_complex)]
+        code, out, err = run(capsys, argv + ["--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert error_of(err) == ("invalid-config", message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["build", "--L", "abc"], "goodpants build: argument --L: invalid int value: 'abc'"),
+            (
+                ["frob"],
+                "goodpants: argument command: invalid choice: 'frob'"
+                " (choose from 'build', 'verify', 'homology', 'lemma')",
+            ),
+            (
+                ["verify", "--complex", "x.json"],
+                "goodpants verify: the following arguments are required: --seed",
+            ),
+            ([], "goodpants: the following arguments are required: command"),
+            (["build", "--nope"], "goodpants: unrecognized arguments: --nope"),
+        ],
+    )
+    def test_usage_error_is_json(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert error_of(err) == ("invalid-config", message)
+
+    def test_help_still_exits_0(self, capsys):
+        code, out, err = run(capsys, ["build", "--help"])
+        assert code == 0
+        assert out.startswith("usage: goodpants build") and err == ""
+
+    def test_verify_reports_a_failed_development(self, small_complex, capsys):
+        # the same failure that build --L 0 --R 100 --tau 1 --seed 2
+        # reports; development_residual raises it
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--R", "100", "--tau", "1",
+             "--seed", "2", "--words", "2", "--samples", "10"],
+        )
+        assert code == 3
+        assert out == ""
+        assert error_of(err) == (
+            "construction-failed", "frame does not map the cuff axis to (0, infinity)"
+        )
+
+    def test_qi_overflow_is_a_construction_failure(self, small_complex, capsys):
+        # the QI sampler's long paths overflow at R = 90; that ended in a
+        # traceback
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--R", "90", "--seed", "0",
+             "--words", "1", "--samples", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert error_of(err)[0] == "construction-failed"
+
+    def test_qi_bends_still_refused(self, small_complex, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--p", "2", "--seed", "1",
+             "--words", "2", "--samples", "10"],
+        )
+        assert code == 2
+        assert error_of(err) == ("invalid-config", "need p >= 3 for admissible bends")
+
+    @pytest.mark.parametrize("p", ["2", "5"])
+    def test_angle_change_past_double_precision(self, capsys, p):
+        code, out, err = run(
+            capsys,
+            ["lemma", "angle-change", "--R", "90", "--p", p, "--samples", "2000", "--seed", "0"],
+        )
+        assert code == 3
+        assert out == ""
+        assert error_of(err) == (
+            "construction-failed",
+            "R = 90.0 is too large for double precision: the holonomy of word"
+            " [6, 1, 4] rounds to a singular matrix",
+        )
+
+
+# Option values for the contract test.  Every size is small, so that the
+# whole property runs in about 20 s: --L <= 4 (growth is steep in L),
+# --words <= 2 (the scan is exponential in it), --samples <= 20 and
+# --g <= 4 (the book's homology is cubic in g).  The size options are
+# always given, since their defaults are far larger.
+VALUES = {
+    "--genus": ["1", "1", "2", "0"],
+    "--p": ["3", "3", "5", "2", "1"],
+    "--R": ["20", "20", "10", "40", "90", "-5", "nan", "1e6", "abc"],
+    "--tau": ["0", "1", "0.5", "2"],
+    "--L": ["0", "2", "4", "-1", "abc"],
+    "--seed": ["0", "1", "7", "-1"],
+    "--samples": ["1", "5", "20", "0"],
+    "--words": ["1", "2", "0"],
+    "--g": ["1", "4", "0"],
+    "--delta": ["1e-4", "1e-3", "0.5", "nan"],
+    "--eps": ["0.01", "0.05", "0.5", "nan"],
+    "--complex": ["{complex}", "{complex}", "{missing}"],
+}
+HEXAGON_R = ["10,20", "", ",", "10,inf", "1", "1e6", "abc"]
+OPTIONS = {
+    "build": ["--genus", "--p", "--R", "--tau", "--L", "--seed"],
+    "verify": ["--complex", "--R", "--p", "--tau", "--samples", "--seed", "--words"],
+    "homology": ["--g", "--p"],
+    "lemma": ["--delta", "--R", "--eps", "--p", "--complex", "--samples", "--seed"],
+}
+SIZES = {"--L", "--samples", "--words"}
+# left out only now and then, as a command without them is refused early
+NEEDED = {("verify", "--complex"), ("verify", "--seed"), ("lemma", "--seed")}
+# group files for homology --free-product, the first one valid
+GROUPS = [{"rank": 1, "torsion": [2]}, [1, 2], "x", {"torsion": "x"}, {"rank": -1}, {"rank": 1.5}]
+# values a mutation writes into a complex file
+ODD = [None, "x", 1.5, True, -1, 0, 2, 7, [], {}, [0, 1, 2, 3]]
+
+
+def _slots(doc):
+    """Every (container, key) of a JSON document, the root excluded."""
+    found = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            found.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return found
+
+
+@st.composite
+def complex_texts(draw):
+    """A small valid complex file, or one mutated from it.
+
+    The bases are build_xp(1, 3), two disjoint copies of it, and two
+    copies joined only across singular circle 0; a mutation drops an
+    item, gives it a value of another type, or appends an extra one.
+    """
+    base = draw(st.sampled_from(["one", "one", "one", "two", "joined", "not json"]))
+    if base == "not json":
+        return "{not json"
+    x = build_xp(1, 3) if base == "one" else two_chains(share_singular=base == "joined")
+    doc = json.loads(x.to_json())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        node, key = draw(st.sampled_from(_slots(doc)))
+        action = draw(st.sampled_from(["drop", "set", "extra"]))
+        if action == "drop":
+            del node[key]
+        elif action == "set":
+            node[key] = copy.deepcopy(draw(st.sampled_from(ODD)))
+        elif isinstance(node[key], list):
+            node[key].append(copy.deepcopy(draw(st.sampled_from(ODD))))
+        elif isinstance(node[key], dict):
+            node[key]["extra"] = draw(st.sampled_from(ODD))
+    return json.dumps(doc)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*OPTIONS, *OPTIONS, "frob", None]))
+    if command is None:
+        return draw(st.sampled_from([[], ["--version"]]))
+    argv = [command]
+    if command == "lemma":
+        argv.append(draw(st.sampled_from(["delta", "hexagon", "two-planes", "angle-change", "x"])))
+    for option in OPTIONS.get(command, []):
+        values = HEXAGON_R if argv[1:] == ["hexagon"] and option == "--R" else VALUES[option]
+        if option in SIZES:
+            given = True
+        elif (command, option) in NEEDED:
+            given = draw(st.sampled_from([True] * 9 + [False]))
+        else:
+            given = draw(st.booleans())
+        if given:
+            argv += [option, draw(st.sampled_from(values))]
+    if command == "homology":
+        # one mode, mostly; none or two are refused
+        book = ["--book"]
+        one = ["--complex", "{complex}"]
+        group = "{group%d}" % draw(st.integers(0, len(GROUPS) - 1))
+        product = ["--free-product", *draw(st.sampled_from([["{complex}"], [group, "{complex}"]]))]
+        argv += draw(st.sampled_from([book, one, one, product, [], book + one]))
+    junk = draw(st.sampled_from([None] * 12 + ["--nope", "extra", "--R", "x"]))
+    if junk is not None:
+        argv.insert(draw(st.integers(1, len(argv))), junk)
+    return argv
+
+
+def invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    """Any input succeeds, or exits 2, 3 or 4 and says why in JSON."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs(), text=complex_texts())
+    @example(argv=["build", "--L", "abc"], text="{}")
+    @example(argv=["frob"], text="{}")
+    @example(argv=["verify", "--complex", "{complex}"], text="{}")
+    @example(argv=["verify", "--complex", "{complex}", "--seed", "1", "--tau", "2"], text="{}")
+    @example(argv=["build", "--L", "0", "--R", "90", "--tau", "1", "--seed", "2"], text="{}")
+    @example(
+        argv=["verify", "--complex", "{complex}", "--R", "90", "--seed", "0", "--samples", "1",
+              "--words", "1"],
+        text=build_xp(1, 3).to_json(),
+    )
+    @example(argv=["homology", "--free-product", "{group1}", "{complex}"], text="{}")
+    def test_exit_codes_and_errors(self, argv, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"complex": Path(tmp, "x.json"), "missing": Path(tmp, "missing.json")}
+            paths["complex"].write_text(text)
+            for i, group in enumerate(GROUPS):
+                paths[f"group{i}"] = Path(tmp, f"g{i}.json")
+                paths[f"group{i}"].write_text(json.dumps(group))
+            code, out, err = invoke([a.format(**paths) for a in argv])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        elif code == 4:
+            if argv[0] == "build":
+                assert error_of(err)[0] == "not-viable"
+            else:
+                assert json.loads(out)["pass"] is False
+        else:
+            assert out == ""
+            assert error_of(err)[0] == {2: "invalid-config", 3: "construction-failed"}[code]
 
 
 class TestThreads:

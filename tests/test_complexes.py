@@ -299,6 +299,22 @@ class TestValidate:
     def test_no_pants(self):
         assert validate(PantsComplex(pants=(), circles=())) == ["complex has no pants"]
 
+    def test_disconnected(self):
+        x = PantsComplex(
+            pants=(Pants(slots=(0, 1, 1)), Pants(slots=(2, 3, 3))),
+            circles=(Circle(d=2), Circle(), Circle(d=2), Circle()),
+        )
+        assert validate(x) == ["complex is not connected"]
+        with pytest.raises(ValueError, match="^invalid complex: complex is not connected$"):
+            graph_of(x)
+
+    def test_joined_across_a_singular_circle(self):
+        x = PantsComplex(
+            pants=(Pants(slots=(0, 1, 1)), Pants(slots=(0, 2, 2))),
+            circles=(Circle(d=2), Circle(), Circle()),
+        )
+        assert validate(x) == []
+
     def test_k_coprime_to_d(self):
         def with_k(k, d=6):
             return PantsComplex(pants=(Pants(slots=(0, 0, 0)),), circles=(Circle(d=d, k=k),))
@@ -562,6 +578,17 @@ class TestGrowUntil:
         assert complexity(graph_of(x)) == (129, -1)
         digest = hashlib.sha256((x.to_json() + "\n").encode()).hexdigest()
         assert digest == "3818abe837636f194553d8677d45539f4f9d376bc0508ea28a7050b5600668a2"
+
+    def test_one_connectivity_search_per_surgery(self):
+        # validate searches each grown complex once, when graph_of first
+        # builds its graph; the start complex adds one
+        with mock.patch.object(
+            complexes, "_connected", wraps=complexes._connected
+        ) as search:
+            x = grow_until(build_xp(1, 3), 16)
+        surgeries = (len(x.pants) - 4) // 4
+        assert surgeries == 23
+        assert search.call_count == surgeries + 1
 
     def test_deterministic(self):
         a = grow_until(build_xp(1, 3), 5)
