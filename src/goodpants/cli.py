@@ -10,9 +10,11 @@ as pants that meet only across singular circles; 4 a failed check.  Exits
 2 and 3 print one JSON error line on stderr.
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
-integer >= 1) but nothing runs in parallel: every sampler runs its
-samples sequentially from per-sample seeds, so reports never depend on
-its value.
+integer >= 1) but nothing runs in parallel.  Each sample of a sampler
+draws from its own seed, or from one stream in a fixed order, and the
+samplers that evaluate slices of samples as arrays (the QI sampler, the
+two-planes and angle-change sweeps) get the bits of one-at-a-time
+evaluation, so reports never depend on its value.
 """
 
 from __future__ import annotations

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elementwise as ew
 from .complexes import PantsComplex, graph_of
 from .geom import (
     DegenerateError,
     MoebiusMap,
-    Point,
-    apply_to_point,
     complex_translation_length,
-    hyperbolic_point_distance,
     _FLIP,
     _screw,
 )
@@ -236,31 +234,41 @@ def check_p_separated(rho: ViableRep, p: int) -> bool:
     circle passes iff all circular gaps between copies are at least
     2*pi/p and no two feet coincide, both up to a tolerance of 1e-9.
     """
-    tol = 1e-9
     x = rho.complex
     for c in x.singular_circles():
-        d = x.circles[c].d
         atts = x.attachments_of(c)
         # frame from the first attachment; its own foot angle is 0
         first, slot = atts[0]
         F = cuff_frame(rho.base_reps[first], slot) * rho.conjugators[first].inverse()
-        angles = []
+        thetas = []
         for pi, slot in atts:
             frame = (
                 cuff_frame(rho.base_reps[pi], slot)
                 if pi == first
                 else F * rho.conjugators[pi]
             )
-            theta = foot_of(rho.base_reps[pi], slot, frame=frame).value.imag
-            angles.extend((theta + 2.0 * math.pi * l / d) % (2.0 * math.pi) for l in range(d))
-        angles.sort()
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
-        if len(angles) > 1 and min(gaps) < tol:
-            return False
-        if min(gaps) < 2.0 * math.pi / p - tol:
+            thetas.append(foot_of(rho.base_reps[pi], slot, frame=frame).value.imag)
+        if not _feet_separated(thetas, x.circles[c].d, p):
             return False
     return True
+
+
+def _feet_separated(thetas, d: int, p: int) -> bool:
+    """The separation test of check_p_separated on one circle's foot angles.
+
+    The d copies of each foot repeat every 2*pi/d, so their circular
+    gaps are those of the angles reduced modulo 2*pi/d, on a circle of
+    that length: the work and memory grow with the feet, not with d.
+    """
+    tol = 1e-9
+    period = 2.0 * math.pi / d
+    residues = sorted(theta % period for theta in thetas)
+    gaps = [b - a for a, b in zip(residues, residues[1:])]
+    # the wrap-around gap; a lone foot's copies are period apart
+    gaps.append(residues[0] + period - residues[-1] if len(residues) > 1 else period)
+    if d * len(thetas) > 1 and min(gaps) < tol:
+        return False
+    return not min(gaps) < 2.0 * math.pi / p - tol
 
 
 @dataclass(frozen=True)
@@ -281,49 +289,134 @@ class QiReport:
         return self.violations == 0
 
 
+# Samples evaluated together as arrays by certify_qi.  A path has at most
+# five segments; one slice's draws, frames and temporaries peak at about
+# 370 KB (tracemalloc), whatever the number of samples.
+_QI_SLICE = 512
+
+# most segments of a sampled path: n_seg = rng.integers(2, 6)
+_QI_MAX_SEG = 5
+
+# tilt(alpha), the rotation by alpha about the horizontal axis through
+# the base point, is to_horizontal^-1 * Screw(i alpha) * to_horizontal
+_SQRT_HALF = 1 / math.sqrt(2.0)
+_TO_HORIZONTAL = MoebiusMap(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
+
+
+@ew.python_floats
+def _path_chords(n_seg, draws):
+    """Chord and length of broken paths from the base point (0, 1).
+
+    Row i is a path of n_seg[i] segments; draws[i, 3 j] is the length of
+    its segment j, and draws[i, 3 j + 1] and draws[i, 3 j + 2] the bend
+    and spin after it, for each j + 1 < n_seg[i]; entries past those do
+    not count (a path that has ended keeps its frame).  The path leaves the base point up the axis (0, infinity);
+    at each vertex it spins by its spin about the incoming segment and
+    turns by pi - bend, so a bend of pi goes straight on and a bend of 0
+    backtracks.  The products are the scalar ones (frame * Screw(length),
+    then * Screw(i spin) * tilt(pi - bend)) made elementwise, so each
+    chord has the bits of the scalar evaluation.  Raises OverflowError or
+    ZeroDivisionError where an entry leaves double range.
+    """
+    ones, zeros = np.ones(len(n_seg)), np.zeros(len(n_seg))
+    frame = ((ones, zeros), (zeros, zeros), (zeros, zeros), (ones, zeros))
+    total = np.zeros(len(n_seg))
+    to_horizontal = ew.pairs(_TO_HORIZONTAL)
+    from_horizontal = ew.pairs(_TO_HORIZONTAL.inverse())
+    for j in range(int(np.max(n_seg))):
+        active = j < n_seg
+        length = draws[:, 3 * j]
+        total += np.where(active, length, 0.0)
+        step = ew.matmul(frame, ew.screw((length, 0.0)))
+        if j + 1 < _QI_MAX_SEG:
+            bend, spin = draws[:, 3 * j + 1], draws[:, 3 * j + 2]
+            tilt = ew.matmul(
+                ew.matmul(from_horizontal, ew.screw(ew.scale((0.0, 1.0), math.pi - bend))),
+                to_horizontal,
+            )
+            turned = ew.matmul(ew.matmul(step, ew.screw(ew.scale((0.0, 1.0), spin))), tilt)
+            step = _select(j + 1 < n_seg, turned, step)
+        frame = _select(active, step, frame)
+    z, t = ew.apply_to_point(frame, (0.0, 0.0), 1.0)
+    if not np.all(t > 0.0):
+        # Point refuses the height: the frame's entries left double range
+        raise OverflowError("interior points need positive height")
+    return ew.point_distance((0.0, 0.0), 1.0, z, t), total
+
+
+def _select(keep, new, old):
+    """Entries of the 2x2 matrices new where keep holds, of old elsewhere."""
+    return tuple(
+        (np.where(keep, n[0], o[0]), np.where(keep, n[1], o[1])) for n, o in zip(new, old)
+    )
+
+
+def _qi_margins(R: float, chord, total):
+    """Margins chord - (total / 2 - R / 4), and which paths violate a bound.
+
+    A path violates the bounds when its margin is negative or its chord
+    exceeds its length by more than 1e-9; nan compares false to both.
+    """
+    margin = chord - (total / 2.0 - R / 4.0)
+    return margin, (margin < 0) | (chord > total + 1e-9)
+
+
 def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiReport:
     """Sample admissible broken geodesic paths and check their chords.
 
-    A path has segments of length in [R/2, 3R] meeting at angles in
-    [2*pi/p, pi]; its chord must be at least half its length minus R/4
-    and at most its length.
+    A path has 2 to 5 segments of length in [R/2, 3R] meeting at angles
+    in [2*pi/p, pi]; its chord must be at least half its length minus
+    R/4 and at most its length.
+
+    Sample i draws from its own generator, child i of
+    SeedSequence(seed): its segment count, then its lengths, bends and
+    spins in path order.  The samples are evaluated in slices of at most
+    _QI_SLICE as arrays (_path_chords), with the bits of one-at-a-time
+    evaluation.  The chords of long paths leave double range at large R
+    (from R = 60 some are inf, which counts as a violation); where an
+    entry overflows, OverflowError names R.
     """
     if p < 3:
         raise ValueError("need p >= 3 for admissible bends")
-    base = Point(0j, 1.0)
-    # rotation by alpha about the horizontal axis through the base point
-    sqrt2 = math.sqrt(2.0)
-    to_horizontal = MoebiusMap(1 / sqrt2, 1 / sqrt2, 1 / sqrt2, -1 / sqrt2)
-
-    def tilt(alpha):
-        return to_horizontal.inverse() * _screw(1j * alpha) * to_horizontal
-
+    if not 0.0 < R < math.inf:
+        raise ValueError("need a finite R > 0")
+    # bounds of the draws in path order: length, then bend and spin
+    # before each further segment
+    low = np.tile([R / 2.0, 2.0 * math.pi / p, 0.0], _QI_MAX_SEG)
+    high = np.tile([3.0 * R, math.pi, 2.0 * math.pi], _QI_MAX_SEG)
     violations = 0
     min_margin = math.inf
     min_ratio = math.inf
     max_ratio = -math.inf
-    for i in range(samples):
-        # child i of SeedSequence(seed).spawn(samples), made when drawn
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        n_seg = int(rng.integers(2, 6))
-        frame = MoebiusMap.identity()
-        total = 0.0
-        for i in range(n_seg):
-            length = float(rng.uniform(R / 2.0, 3.0 * R))
-            total += length
-            frame = frame * _screw(complex(length))
-            if i + 1 < n_seg:
-                bend = float(rng.uniform(2.0 * math.pi / p, math.pi))
-                spin = float(rng.uniform(0.0, 2.0 * math.pi))
-                frame = frame * _screw(1j * spin) * tilt(math.pi - bend)
-        chord = hyperbolic_point_distance(base, apply_to_point(frame, base))
-        margin = chord - (total / 2.0 - R / 4.0)
+    for start in range(0, samples, _QI_SLICE):
+        count = min(_QI_SLICE, samples - start)
+        n_seg = np.empty(count, dtype=np.int64)
+        unit = np.zeros((count, 3 * _QI_MAX_SEG))
+        for row in range(count):
+            # child start + row of SeedSequence(seed).spawn(samples)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(start + row,))
+            )
+            n = int(rng.integers(2, 6))
+            n_seg[row] = n
+            unit[row, : 3 * n - 2] = rng.random(3 * n - 2)
+        # rng.uniform(low, high) is low + (high - low) * rng.random(), a
+        # double at a time; scaled here for the whole slice at once
+        draws = low + (high - low) * unit
+        try:
+            chord, total = _path_chords(n_seg, draws)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: the QI sampler's"
+                " path products leave double range"
+            ) from exc
+        margin, violated = _qi_margins(R, chord, total)
         ratio = chord / total
-        min_margin = min(min_margin, margin)
-        min_ratio = min(min_ratio, ratio)
-        max_ratio = max(max_ratio, ratio)
-        if margin < 0 or chord > total + 1e-9:
-            violations += 1
+        # np.fmin and np.fmax skip nan, as min and max of floats did
+        min_margin = float(np.fmin.reduce(margin, initial=min_margin))
+        min_ratio = float(np.fmin.reduce(ratio, initial=min_ratio))
+        max_ratio = float(np.fmax.reduce(ratio, initial=max_ratio))
+        violations += int(np.count_nonzero(violated))
     return QiReport(
         R=R,
         p=p,

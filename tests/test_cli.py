@@ -608,7 +608,7 @@ class TestOneRuleForInput:
 
     def test_qi_overflow_is_a_construction_failure(self, small_complex, capsys):
         # the QI sampler's long paths overflow at R = 90; that ended in a
-        # traceback
+        # traceback, then in the bare "(34, 'Numerical result out of range')"
         code, out, err = run(
             capsys,
             ["verify", "--complex", str(small_complex), "--R", "90", "--seed", "0",
@@ -616,7 +616,11 @@ class TestOneRuleForInput:
         )
         assert code == 3
         assert out == ""
-        assert error_of(err)[0] == "construction-failed"
+        assert error_of(err) == (
+            "construction-failed",
+            "R = 90.0 is too large for double precision: the QI sampler's path"
+            " products leave double range",
+        )
 
     def test_qi_bends_still_refused(self, small_complex, capsys):
         code, out, err = run(

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +12,15 @@ from hypothesis import strategies as st
 
 from goodpants import cli, geom, holonomy, pants
 from goodpants.complexes import PantsComplex, build_xp, graph_of, grow_until
-from goodpants.geom import complex_translation_length
+from goodpants.complexes import Circle
+from goodpants.geom import (
+    MoebiusMap,
+    Point,
+    _screw,
+    apply_to_point,
+    complex_translation_length,
+    hyperbolic_point_distance,
+)
 from goodpants.holonomy import (
     RepParams,
     build_rho,
@@ -181,7 +191,182 @@ class TestPSeparated:
             assert not check_p_separated(rho, 2)
 
 
+def list_separated(thetas, d, p):
+    """The separation test as it was: every one of the d copies of each foot."""
+    tol = 1e-9
+    angles = []
+    for theta in thetas:
+        angles.extend((theta + 2.0 * math.pi * l / d) % (2.0 * math.pi) for l in range(d))
+    angles.sort()
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
+    if len(angles) > 1 and min(gaps) < tol:
+        return False
+    if min(gaps) < 2.0 * math.pi / p - tol:
+        return False
+    return True
+
+
+class TestFeetSeparated:
+    def test_matches_the_list_of_copies(self):
+        rng = random.Random(8)
+        results = set()
+        for _ in range(3000):
+            d, p = rng.randint(1, 7), rng.randint(2, 8)
+            thetas = [rng.uniform(-math.pi, math.pi) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.2:
+                # a foot on a copy of another: they coincide
+                thetas.append(thetas[0] + 2.0 * math.pi * rng.randint(-3, 3) / d)
+            want = list_separated(thetas, d, p)
+            assert holonomy._feet_separated(thetas, d, p) == want, (thetas, d, p)
+            results.add(want)
+        assert results == {True, False}
+
+    def test_memory_does_not_grow_with_d(self):
+        # circle 0 of the model is singular, with one attachment
+        x = build_xp(1, 3)
+        circles = (Circle(d=1000003, k=1),) + x.circles[1:]
+        x = PantsComplex(pants=x.pants, circles=circles)
+        rho = build_rho(x, RepParams.zero(x, R=20.0))
+        tracemalloc.start()
+        try:
+            separated = check_p_separated(rho, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert separated is False
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_sample(R, p, seed, i):
+    """Chord and length of QI sample i, one scalar product at a time.
+
+    The loop body of certify_qi before it evaluated slices as arrays: the
+    oracle that the array evaluation must match bit for bit.
+    """
+    base = Point(0j, 1.0)
+    # rotation by alpha about the horizontal axis through the base point
+    sqrt2 = math.sqrt(2.0)
+    to_horizontal = MoebiusMap(1 / sqrt2, 1 / sqrt2, 1 / sqrt2, -1 / sqrt2)
+
+    def tilt(alpha):
+        return to_horizontal.inverse() * _screw(1j * alpha) * to_horizontal
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    n_seg = int(rng.integers(2, 6))
+    frame = MoebiusMap.identity()
+    total = 0.0
+    for i in range(n_seg):
+        length = float(rng.uniform(R / 2.0, 3.0 * R))
+        total += length
+        frame = frame * _screw(complex(length))
+        if i + 1 < n_seg:
+            bend = float(rng.uniform(2.0 * math.pi / p, math.pi))
+            spin = float(rng.uniform(0.0, 2.0 * math.pi))
+            frame = frame * _screw(1j * spin) * tilt(math.pi - bend)
+    chord = hyperbolic_point_distance(base, apply_to_point(frame, base))
+    return chord, total
+
+
+def scalar_certify_qi(R, p, samples, seed):
+    """certify_qi as it was, one sample at a time."""
+    violations = 0
+    min_margin = math.inf
+    min_ratio = math.inf
+    max_ratio = -math.inf
+    for i in range(samples):
+        chord, total = scalar_sample(R, p, seed, i)
+        margin = chord - (total / 2.0 - R / 4.0)
+        ratio = chord / total
+        min_margin = min(min_margin, margin)
+        min_ratio = min(min_ratio, ratio)
+        max_ratio = max(max_ratio, ratio)
+        if margin < 0 or chord > total + 1e-9:
+            violations += 1
+    return holonomy.QiReport(
+        R=R,
+        p=p,
+        samples=samples,
+        violations=violations,
+        min_margin=min_margin,
+        min_ratio=min_ratio,
+        max_ratio=max_ratio,
+        seed=seed,
+    )
+
+
+def path(lengths, bends, spins):
+    """One broken path as a row of _path_chords' draws."""
+    row = np.zeros(3 * holonomy._QI_MAX_SEG)
+    row[0 : 3 * len(lengths) : 3] = lengths
+    row[1 : 3 * len(bends) : 3] = bends
+    row[2 : 3 * len(spins) : 3] = spins
+    return row
+
+
 class TestCertifyQi:
+    @pytest.mark.parametrize("R", [12.0, 20.0, 30.0, 40.0, 60.0, 70.0])
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_matches_scalar_oracle(self, R, p):
+        slice_ = holonomy._QI_SLICE
+        seed = int(R) + p
+        for samples in (1, slice_ - 1, slice_, slice_ + 1, 3 * slice_ + 7):
+            want = scalar_certify_qi(R, p, samples, seed)
+            assert certify_qi(R, p, samples, seed) == want, samples
+
+    def test_inf_chords_are_violations_as_before(self):
+        # long paths at R = 60 leave double range: the parent's report too
+        report = certify_qi(R=60.0, p=3, samples=300, seed=2)
+        assert report == scalar_certify_qi(60.0, 3, 300, 2)
+        assert report.max_ratio == math.inf and report.violations == 2
+
+    @pytest.mark.parametrize("R, samples", [(80.0, 100), (90.0, 1)])
+    def test_overflow_names_the_sampler(self, R, samples):
+        with pytest.raises(OverflowError):
+            scalar_certify_qi(R, 3, samples, 0)
+        with pytest.raises(
+            OverflowError,
+            match=rf"^R = {R} is too large for double precision: the QI sampler's",
+        ):
+            certify_qi(R, 3, samples, 0)
+
+    def test_backtracking_path_is_a_violation(self):
+        R = 20.0
+        # bend 0: the second segment runs back along the first
+        chord, total = holonomy._path_chords(np.array([2]), path([R, R], [0.0], [1.3])[None])
+        margin, violated = holonomy._qi_margins(R, chord, total)
+        assert chord[0] < 1e-6 and total[0] == 2 * R
+        assert margin[0] < 0 and violated.tolist() == [True]
+
+    @pytest.mark.parametrize("gap, violated", [(0.01, True), (-0.01, False)])
+    def test_margin_sign_decides(self, gap, violated):
+        # two segments of length R whose chord is gap short of the bound
+        # total / 2 - R / 4, by the law of cosines for the bend
+        R = 20.0
+        chord = R - R / 4.0 - gap
+        bend = math.acos((math.cosh(R) ** 2 - math.cosh(chord)) / math.sinh(R) ** 2)
+        got, total = holonomy._path_chords(np.array([2]), path([R, R], [bend], [2.0])[None])
+        margin, violations = holonomy._qi_margins(R, got, total)
+        assert got[0] == pytest.approx(chord, abs=1e-4)
+        assert margin[0] == pytest.approx(-gap, abs=1e-4)
+        assert violations.tolist() == [violated]
+
+    @pytest.mark.parametrize("n_seg", [2, 5])
+    def test_straight_path_has_its_length_as_chord(self, n_seg):
+        R = 20.0
+        lengths = [R / 2.0 + 7.0 * j for j in range(n_seg)]
+        draws = path(lengths, [math.pi] * (n_seg - 1), [0.4 + j for j in range(n_seg - 1)])
+        chord, total = holonomy._path_chords(np.array([n_seg]), draws[None])
+        margin, violated = holonomy._qi_margins(R, chord, total)
+        assert abs(chord[0] - total[0]) < 1e-9
+        assert violated.tolist() == [False]
+
+    def test_rejects_non_positive_R(self):
+        for R in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite R > 0"):
+                certify_qi(R=R, p=3, samples=1, seed=0)
+
     def test_standard_parameters_pass(self):
         report = certify_qi(R=20.0, p=3, samples=500, seed=1)
         assert report.passed
