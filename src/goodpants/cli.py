@@ -66,7 +66,11 @@ class ConfigError(ValueError):
 
 
 def thread_cap() -> int:
-    """Parallelism cap from GOODPANTS_THREADS (>= 1, default 1)."""
+    """The validated GOODPANTS_THREADS value (>= 1, default 1).
+
+    Nothing runs in parallel: the value is checked and then unused, and
+    reports are byte-identical whatever it is.
+    """
     raw = os.environ.get("GOODPANTS_THREADS", "1")
     try:
         n = int(raw)

@@ -355,10 +355,12 @@ def _qi_margins(R: float, chord, total):
     """Margins chord - (total / 2 - R / 4), and which paths violate a bound.
 
     A path violates the bounds when its margin is negative or its chord
-    exceeds its length by more than 1e-9; nan compares false to both.
+    exceeds its length by more than 1e-9.  A margin that is not finite
+    (a chord of nan, which compares false to both, or of inf) decides
+    nothing, so it counts as a violation too.
     """
     margin = chord - (total / 2.0 - R / 4.0)
-    return margin, (margin < 0) | (chord > total + 1e-9)
+    return margin, (margin < 0) | (chord > total + 1e-9) | ~np.isfinite(margin)
 
 
 def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiReport:

@@ -1,13 +1,17 @@
 """Integer homology of pants complexes and their gluing blocks.
 
-Everything here is exact integer linear algebra over Python ints: Smith
-normal form with unimodular transforms, finitely generated abelian
-groups as (rank, invariant factors), and the first homology of a pants
-complex computed from its graph-of-groups presentation.
+Everything here is exact integer linear algebra over Python ints.
+Groups are presented by sparse relation columns; cokernel eliminates
+the +-1 pivots (least fill first) and reads the invariant factors of the
+small remainder from the Smith normal form, which keeps its unimodular
+transforms as a certificate.  Finitely generated abelian groups are
+(rank, invariant factors), and the first homology of a pants complex
+comes from its graph-of-groups presentation.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -214,17 +218,84 @@ def smith_normal_form(
     )
 
 
-def cokernel(m: IntegerMatrix, n_generators: int) -> AbelianGroup:
-    """The abelian group Z^n_generators / (column span of m).
+def cokernel(columns, n_generators: int) -> AbelianGroup:
+    """The abelian group Z^n_generators / (span of the columns).
 
-    m has one column per relation and n_generators rows.
+    Each column is one relation, a mapping {generator: coefficient};
+    zero coefficients may be left out.  A coefficient of +-1 solves its
+    relation for its generator, so both leave the presentation, and the
+    generator is substituted into every other relation that names it;
+    the group does not change.  The next unit pivot is the one of least
+    Markowitz cost (r - 1)(c - 1) for r entries in its row and c in its
+    column, popped from a heap; costs that grew since they were pushed
+    are pushed again, and entries that become +-1 are pushed as they
+    appear.  When no unit pivot is left, every all-zero row is a free
+    generator, and the invariant factors of the small dense remainder
+    come from smith_normal_form.
     """
-    if m.rows != n_generators:
-        raise ValueError("relation matrix has wrong number of rows")
-    d, _, _ = smith_normal_form(m)
+    cols: dict[int, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
+    for j, column in enumerate(columns):
+        col = {}
+        for i, v in column.items():
+            if not 0 <= i < n_generators:
+                raise ValueError(f"relation names generator {i} of {n_generators}")
+            if v:
+                col[i] = v
+                rows.setdefault(i, {})[j] = v
+        if col:
+            cols[j] = col
+    heap = [
+        ((len(rows[i]) - 1) * (len(col) - 1), i, j)
+        for j, col in cols.items()
+        for i, v in col.items()
+        if v in (1, -1)
+    ]
+    heapq.heapify(heap)
+    eliminated = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or col.get(i) not in (1, -1):
+            continue
+        now = (len(rows[i]) - 1) * (len(col) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        pivot = col[i]
+        del cols[j]
+        for r in col:
+            del rows[r][j]
+        eliminated += 1
+        # generator i = -pivot * (rest of column j): substitute it into
+        # every other relation that names it
+        for k, a in rows.pop(i).items():
+            target = cols[k]
+            q = a * pivot
+            del target[i]
+            for r, b in col.items():
+                if r == i:
+                    continue
+                v = target.get(r, 0) - q * b
+                if v:
+                    target[r] = v
+                    rows[r][k] = v
+                    if v in (1, -1):
+                        heapq.heappush(heap, ((len(rows[r]) - 1) * (len(target) - 1), r, k))
+                else:
+                    del target[r]
+                    del rows[r][k]
+            if not target:
+                del cols[k]
+    live = sorted(i for i, row in rows.items() if row)
+    free = n_generators - eliminated - len(live)
+    order = sorted(cols)
+    d, _, _ = smith_normal_form(
+        IntegerMatrix.from_rows([[rows[i].get(j, 0) for j in order] for i in live])
+    )
     diag = [x for x in d.diagonal() if x != 0]
     return AbelianGroup(
-        rank=n_generators - len(diag),
+        rank=free + len(live) - len(diag),
         torsion=tuple(x for x in diag if x > 1),
     )
 
@@ -236,18 +307,23 @@ def h1_of_complex(x: PantsComplex) -> AbelianGroup:
     attachment says the cuff class equals the signed d-th multiple of its
     circle's class.  The attachments of slots 0 and 1 solve for a and b,
     which leaves one relation per pants on the circle classes:
-    sum over its slots s of o_s * d_(c_s) * [c_s] = 0.  One free stable
-    letter per independent cycle of the attachment graph adds to the rank,
-    which holds for a connected complex only; graph_of refuses any other.
+    sum over its slots s of o_s * d_(c_s) * [c_s] = 0.  These go to
+    cokernel as sparse columns, one per pants; a regular circle between
+    two pants gives a unit pivot, so little is left for the Smith form.
+    One free stable letter per independent cycle of the attachment graph
+    adds to the rank, which holds for a connected complex only; graph_of
+    refuses any other.
     """
     graph_of(x)
     n_p = len(x.pants)
     n_c = len(x.circles)
-    rows = [[0] * n_p for _ in range(n_c)]
-    for pi, p in enumerate(x.pants):
+    columns = []
+    for p in x.pants:
+        column: dict[int, int] = {}
         for c, o in zip(p.slots, p.orientations):
-            rows[c][pi] += o * x.circles[c].d
-    group = cokernel(IntegerMatrix.from_rows(rows), n_c)
+            column[c] = column.get(c, 0) + o * x.circles[c].d
+        columns.append(column)
+    group = cokernel(columns, n_c)
     # the attachment graph has pants + circles vertices, 3 * pants edges
     stable = 3 * n_p - (n_p + n_c) + 1
     return AbelianGroup(rank=group.rank + stable, torsion=group.torsion)
@@ -257,71 +333,44 @@ def book_of_i_bundles_h1(genus: int, p: int) -> AbelianGroup:
     """H1 of the block with a genus-g page and a p-fold binding circle.
 
     Presented on e_1..e_2g, c1, c2 with the single relation
-    p(c1 - c2) = 0; the invariant factors come out of the Smith form
-    rather than being written down.
+    p(c1 - c2) = 0; the invariant factors come out of cokernel rather
+    than being written down.
     """
     if genus < 1 or p < 2:
         raise ValueError("need genus >= 1 and p >= 2")
     n = 2 * genus + 2
-    relation = [0] * n
-    relation[-2] = p
-    relation[-1] = -p
-    m = IntegerMatrix.from_rows([[r] for r in relation])
-    return cokernel(m, n)
+    return cokernel([{n - 2: p, n - 1: -p}], n)
 
 
-def _boundary_lattice(genus: int, p: int) -> IntegerMatrix:
+def _boundary_lattice(genus: int, p: int) -> list[dict[int, int]]:
     """Columns spanning the boundary image together with the relation.
 
     On the basis e_1..e_2g, c1, c2: the classes e_i, p*c1, c1 + c2, and
     the presentation relation p(c1 - c2).
     """
     n = 2 * genus + 2
-    cols = []
-    for i in range(2 * genus):
-        col = [0] * n
-        col[i] = 1
-        cols.append(col)
-    col = [0] * n
-    col[-2] = p
-    cols.append(col)
-    col = [0] * n
-    col[-2] = 1
-    col[-1] = 1
-    cols.append(col)
-    col = [0] * n
-    col[-2] = p
-    col[-1] = -p
-    cols.append(col)
-    return IntegerMatrix.from_rows(zip(*cols))
+    cols = [{i: 1} for i in range(2 * genus)]
+    cols += [{n - 2: p}, {n - 2: 1, n - 1: 1}, {n - 2: p, n - 1: -p}]
+    return cols
 
 
 def sigma(p: int, genus: int = 1) -> int:
     """Order of the torsion surviving the boundary gluing.
 
-    The torsion of the block is generated by w = c1 - c2; the multiples
-    of w landing in the boundary-image lattice are k0*Z for a minimal
-    k0, and the surviving quotient has order gcd(k0, p).  Comes out as p
-    for odd p and p/2 for even p, but is computed, not special-cased.
+    The torsion of the block is generated by w = c1 - c2.  Its class in
+    the quotient G by the boundary-image lattice has order k0 =
+    |Tor G| / |Tor(G / <w>)|, read from two cokernels; a rank drop
+    instead means w has infinite order.  The surviving quotient has
+    order gcd(k0, p).  Comes out as p for odd p and p/2 for even p, but
+    is computed, not special-cased.
     """
-    L = _boundary_lattice(genus, p)
-    n = L.rows
-    w = [0] * n
-    w[-2] = 1
-    w[-1] = -1
-    d, u, _ = smith_normal_form(L)
-    wp = [sum(u.entries[i][j] * w[j] for j in range(n)) for i in range(n)]
-    diag = d.diagonal()
-    # minimal k0 with k0 * w in the lattice: lcm of di / gcd(di, wp_i)
-    k0 = 1
-    for i in range(n):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if wp[i] != 0:
-                raise ArithmeticError("torsion generator outside lattice span")
-            continue
-        need = di // math.gcd(di, wp[i]) if wp[i] else 1
-        k0 = k0 * need // math.gcd(k0, need)
+    n = 2 * genus + 2
+    lattice = _boundary_lattice(genus, p)
+    before = cokernel(lattice, n)
+    after = cokernel(lattice + [{n - 2: 1, n - 1: -1}], n)
+    if after.rank < before.rank:
+        raise ArithmeticError("torsion generator outside lattice span")
+    k0 = math.prod(before.torsion) // math.prod(after.torsion)
     return math.gcd(k0, p)
 
 
@@ -340,13 +389,5 @@ def free_product_h1(groups) -> AbelianGroup:
     groups = list(groups)
     rank = sum(g.rank for g in groups)
     torsion = [t for g in groups for t in g.torsion]
-    if not torsion:
-        return AbelianGroup(rank=rank)
-    m = IntegerMatrix.from_rows(
-        [
-            [torsion[i] if i == j else 0 for j in range(len(torsion))]
-            for i in range(len(torsion))
-        ]
-    )
-    folded = cokernel(m, len(torsion))
+    folded = cokernel([{i: t} for i, t in enumerate(torsion)], len(torsion))
     return AbelianGroup(rank=rank, torsion=folded.torsion)

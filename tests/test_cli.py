@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,19 @@ class TestVerify:
         assert code == 0, err
         assert all(check["pass"] for check in json.loads(out)["checks"].values())
 
+    def test_nan_chord_fails_the_qi_check(self, small_complex, capsys):
+        # at R = 76 the one sampled path's products overflow to inf - inf:
+        # its chord is nan, which compares false to both bounds
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(small_complex), "--R", "76", "--seed", "0",
+             "--samples", "1", "--words", "1"],
+        )
+        assert code == 4, err
+        qi = json.loads(out)["checks"]["quasi_isometry"]
+        assert qi["pass"] is False
+        assert qi["violations"] == 1
+
     def test_failed_check_exit_code(self, small_complex, capsys, monkeypatch):
         monkeypatch.setattr(cli, "check_p_separated", lambda rho, p: False)
         code, out, err = run(
@@ -229,6 +243,18 @@ class TestHomology:
         assert doc["h1"] == {"rank": 3, "torsion": [5], "describe": "Z^3 + Z/5"}
         assert doc["sigma"] == 5
         assert doc["surviving_torsion"]["torsion"] == [5]
+
+    def test_large_book(self, capsys):
+        # --g is not bounded: the book's one relation goes through the
+        # sparse cokernel, which leaves a 2 x 1 remainder at any genus
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, ["homology", "--book", "--g", "500", "--p", "4"])
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sigma"] == 2
+        assert doc["h1"]["describe"] == "Z^1001 + Z/4"
+        assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
     def test_complex(self, small_complex, capsys):
         code, out, _ = run(capsys, ["homology", "--complex", str(small_complex)])

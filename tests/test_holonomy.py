@@ -270,7 +270,10 @@ def scalar_sample(R, p, seed, i):
 
 
 def scalar_certify_qi(R, p, samples, seed):
-    """certify_qi as it was, one sample at a time."""
+    """certify_qi one sample at a time, the oracle of its array slices.
+
+    A margin that is not finite (a nan or inf chord) is a violation.
+    """
     violations = 0
     min_margin = math.inf
     min_ratio = math.inf
@@ -282,7 +285,7 @@ def scalar_certify_qi(R, p, samples, seed):
         min_margin = min(min_margin, margin)
         min_ratio = min(min_ratio, ratio)
         max_ratio = max(max_ratio, ratio)
-        if margin < 0 or chord > total + 1e-9:
+        if margin < 0 or chord > total + 1e-9 or not math.isfinite(margin):
             violations += 1
     return holonomy.QiReport(
         R=R,

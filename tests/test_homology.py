@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +30,10 @@ from goodpants.homology import (
 def dense_h1(x: PantsComplex) -> AbelianGroup:
     """Reference H1 on the full graph-of-groups presentation.
 
+    It factors the dense attachments x generators matrix with
+    smith_normal_form, not with cokernel, so it checks cokernel's sparse
+    elimination rather than reusing it.
+
     Generators: a, b per pants (the third cuff is -a-b) and one class
     per circle; one relation per attachment saying the cuff class equals
     the signed d-th multiple of its circle's class; one free stable
@@ -45,9 +50,23 @@ def dense_h1(x: PantsComplex) -> AbelianGroup:
             col[2 * pi], col[2 * pi + 1] = cuff[slot]
             col[2 * n_p + c] -= p.orientations[slot] * x.circles[c].d
             columns.append(col)
-    group = cokernel(IntegerMatrix.from_rows(zip(*columns)), n_gens)
+    group = dense_cokernel([[col[i] for col in columns] for i in range(n_gens)])
     stable = len(columns) - (n_p + n_c) + 1
     return AbelianGroup(rank=group.rank + stable, torsion=group.torsion)
+
+
+def dense_cokernel(rows) -> AbelianGroup:
+    """Z^len(rows) / (column span) from the dense Smith normal form.
+
+    It reads the diagonal of smith_normal_form, whose unimodular
+    certificate TestSmithNormalForm checks, and shares no code with
+    cokernel's elimination.
+    """
+    d, _, _ = smith_normal_form(IntegerMatrix.from_rows(rows))
+    diag = [x for x in d.diagonal() if x != 0]
+    return AbelianGroup(
+        rank=len(rows) - len(diag), torsion=tuple(x for x in diag if x > 1)
+    )
 
 
 @st.composite
@@ -157,6 +176,46 @@ class TestSmithNormalForm:
             assert_snf_contract(IntegerMatrix.from_rows(rows))
 
 
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 8 x 8 with entries in {0, +-1, +-2, 3, 4, 6}.
+
+    Zero rows and zero columns are drawn on purpose: a zero row is a free
+    generator, a zero column an empty relation.
+    """
+    n_r = draw(st.integers(0, 8))
+    n_c = draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=2))
+    return [
+        [0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(n_c)]
+        for i in range(n_r)
+    ]
+
+
+class TestCokernel:
+    @settings(max_examples=500, deadline=None)
+    @given(integer_matrices())
+    def test_matches_dense_smith_form(self, rows):
+        n_c = len(rows[0]) if rows else 0
+        columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_c)]
+        assert cokernel(columns, len(rows)) == dense_cokernel(rows)
+
+    def test_zero_coefficients_and_absent_generators(self):
+        # generator 2 appears in no relation; zero entries are ignored
+        group = cokernel([{0: 2, 1: 0}, {1: 1, 0: 0}], 3)
+        assert group == AbelianGroup(rank=1, torsion=(2,))
+
+    def test_non_cyclic_torsion(self):
+        # no unit pivot: the whole matrix is the remainder
+        assert cokernel([{0: 2}, {1: 4}, {2: 6}], 3) == AbelianGroup(0, (2, 2, 12))
+
+    def test_generator_out_of_range(self):
+        with pytest.raises(ValueError):
+            cokernel([{3: 1}], 3)
+
+
 class TestAbelianGroup:
     def test_divisor_chain_enforced(self):
         with pytest.raises(ValueError):
@@ -191,6 +250,15 @@ class TestH1OfComplex:
         x = grow_until(build_xp(1, 3), 16)
         assert len(x.pants) == 96
         assert h1_of_complex(x) == AbelianGroup(rank=97, torsion=(3,))
+
+    def test_large_complex_is_fast(self):
+        x = grow_until(build_xp(1, 3), 128)
+        assert len(x.pants) == 768
+        t0 = time.perf_counter()
+        h = h1_of_complex(x)
+        elapsed = time.perf_counter() - t0
+        assert h == AbelianGroup(rank=769, torsion=(3,))
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     @settings(max_examples=300, deadline=None)
     @given(connected_complexes())
@@ -249,6 +317,17 @@ class TestSigma:
     @pytest.mark.parametrize("p", range(2, 20))
     def test_closed_form(self, p):
         assert sigma(p) == (p if p % 2 else p // 2)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_values_for_every_genus(self, genus):
+        # every genus gives the closed form; the Smith-transform formula
+        # gave these same 92 values
+        for p in range(2, 25):
+            assert sigma(p, genus) == (p if p % 2 else p // 2), (p, genus)
+
+    def test_large_genus(self):
+        assert sigma(4, 500) == 2
+        assert sigma(9, 500) == 9
 
     def test_mv_embedding(self):
         assert mv_torsion_embedding(5) == AbelianGroup(rank=0, torsion=(5,))
