@@ -45,12 +45,6 @@ from .holonomy import (
 )
 from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
 from .homology import mv_torsion_embedding, sigma
-from .lemmalab import (
-    angle_change_check,
-    hexagon_asymptotics_check,
-    quasigeodesic_stability_check,
-    two_planes_angle_check,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 4
@@ -304,6 +298,14 @@ def cmd_lemma(args) -> int:
 
 
 def _run_lemma(args):
+    # only lemma runs the sweeps, so only lemma imports them
+    from .lemmalab import (
+        angle_change_check,
+        hexagon_asymptotics_check,
+        quasigeodesic_stability_check,
+        two_planes_angle_check,
+    )
+
     if args.name == "hexagon":
         return hexagon_asymptotics_check(_parse_R_list(args.R))
     if args.seed is None:

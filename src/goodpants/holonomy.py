@@ -310,10 +310,10 @@ def _path_chords(n_seg, draws):
     Row i is a path of n_seg[i] segments; draws[i, 3 j] is the length of
     its segment j, and draws[i, 3 j + 1] and draws[i, 3 j + 2] the bend
     and spin after it, for each j + 1 < n_seg[i]; entries past those do
-    not count (a path that has ended keeps its frame).  The path leaves the base point up the axis (0, infinity);
-    at each vertex it spins by its spin about the incoming segment and
-    turns by pi - bend, so a bend of pi goes straight on and a bend of 0
-    backtracks.  The products are the scalar ones (frame * Screw(length),
+    not count (a path that has ended keeps its frame).  The path leaves
+    the base point up the axis (0, infinity); at each vertex it spins by
+    its spin about the incoming segment and turns by pi - bend, so a
+    bend of pi goes straight on and a bend of 0 backtracks.  The products are the scalar ones (frame * Screw(length),
     then * Screw(i spin) * tilt(pi - bend)) made elementwise, so each
     chord has the bits of the scalar evaluation.  Raises OverflowError or
     ZeroDivisionError where an entry leaves double range.

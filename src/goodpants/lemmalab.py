@@ -29,7 +29,6 @@ from .geom import (
     DegenerateError,
     OrientedGeodesic,
     Point,
-    NotNormalError,
     apply_to_point,
     hexagon_solve,
     hyperbolic_point_distance,
@@ -40,39 +39,13 @@ from .geom import (
 )
 
 __all__ = [
-    "AngleCoordinates",
-    "DegenerateFrameError",
     "SweepReport",
     "SweepRow",
     "angle_change_check",
-    "angle_coordinates",
     "hexagon_asymptotics_check",
     "quasigeodesic_stability_check",
     "two_planes_angle_check",
 ]
-
-
-class DegenerateFrameError(ValueError):
-    """The angle-coordinate frame cannot be built from these inputs."""
-
-
-@dataclass(frozen=True)
-class AngleCoordinates:
-    """Direction of a segment in the frame of a geodesic with a normal.
-
-    theta is the angle to the geodesic's forward direction, phi the
-    angle to the binormal of the plane spanned by the geodesic and the
-    orthogonal reference geodesic; both lie in [0, pi].
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.theta <= math.pi + 1e-12):
-            raise ValueError("theta out of range")
-        if not (-1e-12 <= self.phi <= math.pi + 1e-12):
-            raise ValueError("phi out of range")
 
 
 @dataclass(frozen=True)
@@ -140,68 +113,19 @@ class SweepReport:
 _SLICE = 4096
 
 
-# the axis (0, infinity), the geodesic (-1, 1) crossing it orthogonally
-# at height 1, and the upward unit vector
-_AXIS = OrientedGeodesic(0j, INFINITY)
+# the geodesic (-1, 1), which crosses the axis (0, infinity) orthogonally
+# at height 1; and the axis frame that angle-change measures in: the
+# upward unit vector and the binormal i, both parallel along the axis
 _NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
 _UP = ((0.0, 0.0), 1.0)
-
-
-def _frame(gamma: OrientedGeodesic, alpha: OrientedGeodesic):
-    """The map sending gamma to (0, infinity), and the binormal there.
-
-    Raises when alpha does not cross gamma orthogonally.
-    """
-    m = normalize_to_axis(gamma)
-    a_img = alpha.apply(m)
-    a, b = a_img.source, a_img.target
-    if isinstance(a, type(INFINITY)) or isinstance(b, type(INFINITY)):
-        raise DegenerateFrameError("alpha shares an endpoint with gamma")
-    a, b = complex(a), complex(b)
-    scale = abs(a) + abs(b)
-    if min(abs(a), abs(b)) <= 1e-9 * scale:
-        raise DegenerateFrameError("alpha shares an endpoint with gamma")
-    if abs(a + b) > 1e-6 * scale:
-        raise NotNormalError("alpha does not cross gamma orthogonally")
-    chi = math.atan2(b.imag, b.real)
-    binormal = 1j * complex(math.cos(chi), math.sin(chi))
-    return m, ((binormal.real, binormal.imag), 0.0)
+_BINORMAL = ((0.0, 1.0), 0.0)
 
 
 @ew.python_floats
-def _segment_angles(xt, y, yt, binormal):
+def _segment_angles(xt, y, yt):
     """theta and phi of segments from (0, xt) on the axis to the points (y, yt)."""
     e = ew.direction((0.0, 0.0), xt, y, yt)
-    return ew.angle_between(e, _UP), ew.angle_between(e, binormal)
-
-
-def _check_on_axis(z, t):
-    if np.any(np.hypot(*z) > 1e-6 * t):
-        raise ValueError("segment must start on gamma")
-
-
-def angle_coordinates(
-    gamma: OrientedGeodesic,
-    alpha: OrientedGeodesic,
-    segment: tuple[Point, Point],
-) -> AngleCoordinates:
-    """Angles (theta, phi) of a segment leaving a framed geodesic.
-
-    gamma carries the frame: its forward direction is the first frame
-    vector, and alpha -- which must cross gamma orthogonally -- supplies
-    the normal whose parallel transport along gamma completes the frame.
-    The segment starts at a point of gamma; theta is its angle to
-    gamma's direction and phi its angle to the binormal.
-    """
-    x, y = segment
-    m, binormal = _frame(gamma, alpha)
-    x_img = apply_to_point(m, x)
-    _check_on_axis((x_img.horizontal.real, x_img.horizontal.imag), x_img.height)
-    y_img = apply_to_point(m, y)
-    theta, phi = _segment_angles(
-        x_img.height, (y_img.horizontal.real, y_img.horizontal.imag), y_img.height, binormal
-    )
-    return AngleCoordinates(theta=float(theta), phi=float(phi))
+    return ew.angle_between(e, _UP), ew.angle_between(e, _BINORMAL)
 
 
 def _pair_distances(z: np.ndarray, t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -373,15 +297,9 @@ def _two_planes_angles(b, d, xi):
     _NORMAL to B and the leg d up the axis to C = (0, e^d).
     """
     # B = apply_to_point(translate_along(_NORMAL, b), corner), where
-    # translate_along is m^-1 * _screw(b) * m; for real b the screw is
-    # diag(h, 1 / h) with h = exp(b / 2), divided by the square root of
-    # its rounded determinant
+    # translate_along is m^-1 * _screw(b) * m
     m = normalize_to_axis(_NORMAL)
-    h = ew.floats(math.exp, b / 2.0)
-    inv = 1.0 / h
-    det_root = np.sqrt(h * inv)
-    screw = ((h / det_root, 0.0), (0.0, 0.0), (0.0, 0.0), (inv / det_root, 0.0))
-    push = ew.matmul(ew.matmul(ew.pairs(m.inverse()), screw), ew.pairs(m))
+    push = ew.matmul(ew.matmul(ew.pairs(m.inverse()), ew.screw((b, 0.0))), ew.pairs(m))
     corner = (0.0, 0.0)
     B, Bt = ew.apply_to_point(push, corner, 1.0)
     Ct = ew.floats(math.exp, d)
@@ -428,7 +346,9 @@ def two_planes_angle_check(
     closed form sin^2 psi = sin^2 xi / (1 - sin^2 beta cos^2 xi) against
     a direct construction of the tilted normal on the unit tangent
     sphere.  Every psi must stay below 10 * eps / R and the two routes
-    must agree to 1e-9.
+    must agree to 1e-9.  From about R = 355 a leg d near R overflows
+    (e^(2d)), and from R = 74 a leg b under 1e-8 can round the closed
+    form's denominator to 0; OverflowError then names R.
     """
     if not 0.0 < eps < 0.1:
         raise ValueError("eps must lie in (0, 0.1)")
@@ -446,7 +366,13 @@ def two_planes_angle_check(
     for done in range(0, samples, _SLICE):
         u = rng.random((min(_SLICE, samples - done), 3))
         b, d, xi = (low + width * u).T
-        _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
+        try:
+            _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: a two-planes"
+                " triangle overflows or rounds to a degenerate one"
+            ) from exc
         max_psi = max(max_psi, float(psi_formula.max()))
         max_disagreement = max(
             max_disagreement, float(np.abs(psi_direct - psi_formula).max())
@@ -483,17 +409,14 @@ def _word_images(word_mats, word):
 
 
 @ew.python_floats
-def _angle_shifts(to_axis, binormal, xt, ends):
+def _angle_shifts(xt, ends):
     """Largest theta shift, phi defect and combined shift over a slice.
 
     Segment k runs from (0, xt[k]) to each representation's base-point
-    image; ends[k] holds the two images in the frame, each as (real,
-    imag, height).
+    image; ends[k] holds the two images, each as (real, imag, height).
     """
-    x, x_t = ew.apply_to_point(ew.pairs(to_axis), (0.0, 0.0), xt)
-    _check_on_axis(x, x_t)
-    theta0, phi0 = _segment_angles(x_t, (ends[:, 0], ends[:, 1]), ends[:, 2], binormal)
-    theta1, phi1 = _segment_angles(x_t, (ends[:, 3], ends[:, 4]), ends[:, 5], binormal)
+    theta0, phi0 = _segment_angles(xt, (ends[:, 0], ends[:, 1]), ends[:, 2])
+    theta1, phi1 = _segment_angles(xt, (ends[:, 3], ends[:, 4]), ends[:, 5])
     d_theta = np.abs(theta0 - theta1)
     return (
         float(d_theta.max()),
@@ -509,7 +432,9 @@ def angle_change_check(
 
     Both representations must develop the same complex at the same R;
     segments leave a shared cuff axis at matched points and end at the
-    images of the base point under matched holonomy words.  The theta
+    images of the base point under matched holonomy words.  The circle
+    sits on the axis (0, infinity) in its left-oriented coordinates, so
+    the angles are measured in the axis frame (_UP, _BINORMAL).  The theta
     shift and the phi defect from pi/2 are each bounded by 1/(4p), their
     maximum by 1/p.  Samples whose endpoints are closer than R/2 are
     rejected and redrawn.  DegenerateError names a word whose holonomy
@@ -527,7 +452,6 @@ def angle_change_check(
         raise ValueError("need at least one sample")
     cutoff = 1.0 / (10000.0 * p * p)
     c = min(rho0.complex.regular_circles())
-    to_axis, binormal = _frame(_AXIS, _NORMAL)
     word_mats = []
     for rho in (rho0, rho1):
         # generators of the pants on both sides of the circle, written in
@@ -546,9 +470,8 @@ def angle_change_check(
     n_letters = len(word_mats[0])
 
     # per reduced word seen (at most 8 + 8 * 7 + 8 * 7^2 with eight
-    # letters): its row, the base point's images under both
-    # representations, and their images in the frame, as a row
-    # (real, imag, height) * 2 of `ends`
+    # letters): its row, and the base point's images under both
+    # representations, also as a row (real, imag, height) * 2 of `ends`
     words = {}
     images = []
     ends = []
@@ -582,11 +505,9 @@ def angle_change_check(
                     f"R = {R!r} is too large for double precision: the holonomy"
                     f" of word {word} rounds to a singular matrix"
                 ) from None
-            end = []
-            for y in images[row]:
-                y = apply_to_point(to_axis, y)
-                end += [y.horizontal.real, y.horizontal.imag, y.height]
-            ends.append(end)
+            ends.append(
+                [v for y in images[row] for v in (y.horizontal.real, y.horizontal.imag, y.height)]
+            )
         if any(hyperbolic_point_distance(x, y) < R / 2.0 for y in images[row]):
             rejected += 1
             continue
@@ -595,9 +516,7 @@ def angle_change_check(
         if len(pending) == _SLICE or accepted == samples:
             heights, word_rows = zip(*pending)
             pending.clear()
-            shifts = _angle_shifts(
-                to_axis, binormal, np.array(heights), np.array(ends)[list(word_rows)]
-            )
+            shifts = _angle_shifts(np.array(heights), np.array(ends)[list(word_rows)])
             maxima = tuple(map(max, maxima, shifts))
     max_theta, max_phi, max_combined = maxima
     rows = (

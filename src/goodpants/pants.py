@@ -42,7 +42,6 @@ __all__ = [
     "cuff_frame",
     "foot_of",
     "halflength_tolerance",
-    "is_good_pants",
     "measured_halflength",
     "shear",
 ]
@@ -253,10 +252,3 @@ def shear(foot_left: HalfNormalCoordinate, foot_right: HalfNormalCoordinate) -> 
         )
     s = foot_left.value - foot_right.value - math.pi * 1j
     return HalfNormalCoordinate(s, foot_left.hl).value
-
-
-def is_good_pants(p: PantsRep, R: float, eps: float) -> bool:
-    """Whether all three half-lengths are within eps of R/2."""
-    return all(
-        abs(complex(measured_halflength(p, i)) - R / 2) < eps for i in range(3)
-    )

@@ -4,7 +4,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -413,11 +416,37 @@ class TestLemma:
                 ["angle-change", "--p", "3", "--R", "20", "--samples", "10000"], "1",
                 "2dbe8cf548644e1098fd586350ddc4efc044466198d520549bba21f03b70b080", id="angle-change-1",
             ),
+            pytest.param(
+                ["angle-change", "--p", "5", "--R", "30", "--samples", "10000"], "0",
+                "8d7996e831d2562d299b36aa69d605bc7b971056c2f5137de9762bdf0e7e1565", id="angle-change-p5-R30-0",
+            ),
+            pytest.param(
+                ["angle-change", "--p", "5", "--R", "30", "--samples", "10000"], "1",
+                "266512643621ab64d10b31f15726339beed86afa7c1c4c0b2158aaacfe72cb69", id="angle-change-p5-R30-1",
+            ),
+            pytest.param(
+                ["angle-change", "--complex", "{complex}", "--samples", "10000"], "1",
+                "c07199ddb32888958f6ab1d4f05bc26f681999431155a8e17c8ce3914ddc720b", id="angle-change-L16-1",
+            ),
+            pytest.param(
+                ["two-planes", "--eps", "0.05", "--R", "80", "--samples", "10000"], "0",
+                "f7334602a5d2c0799dd92ef2479734dcfaef97eef9c175378c8d40f6edda1ef1", id="two-planes-R80-0",
+            ),
+            pytest.param(
+                ["two-planes", "--eps", "0.05", "--R", "80", "--samples", "10000"], "1",
+                "77d151dfc3682bdf55fed2406f33f94cebb8febfe2aa42674ca2b78d9e55e3af", id="two-planes-R80-1",
+            ),
         ],
     )
-    def test_pinned_sweep_bytes(self, capsys, argv, seed, digest):
-        # digests of the reports of the per-sample implementation: the
-        # sliced sweeps must print the same bytes
+    def test_pinned_sweep_bytes(self, tmp_path, capsys, argv, seed, digest):
+        # digests of the reports of the per-sample implementation (and,
+        # for the later cases, of the sweeps measured through a general
+        # frame): the sliced, axis-frame sweeps must print the same bytes
+        if "{complex}" in argv:
+            path = tmp_path / "x.json"
+            code, _, _ = run(capsys, ["build", "--L", "16", "--seed", "3", "--out", str(path)])
+            assert code == 0
+            argv = [str(path) if a == "{complex}" else a for a in argv]
         code, out, err = run(capsys, ["lemma", *argv, "--seed", seed])
         assert code in (0, 4) and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -448,7 +477,18 @@ class TestLemma:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "construction-failed"
 
+    def test_two_planes_out_of_range_names_R(self, capsys):
+        # legs d near R make e^(2d) overflow from about R = 355
+        code, out, err = run(
+            capsys, ["lemma", "two-planes", "--R", "400", "--samples", "10", "--seed", "0"]
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "construction-failed"
+        assert "R = 400.0" in error["message"]
+
     def test_failed_sweep_exit_code(self, capsys, monkeypatch):
+        from goodpants import lemmalab
         from goodpants.lemmalab import SweepReport, SweepRow
 
         forced = SweepReport(
@@ -456,7 +496,7 @@ class TestLemma:
             rows=(SweepRow(params=(("check", "x"),), measured=1.0, bound=0.0),),
         )
         monkeypatch.setattr(
-            cli, "quasigeodesic_stability_check", lambda *a, **k: forced
+            lemmalab, "quasigeodesic_stability_check", lambda *a, **k: forced
         )
         code, out, err = run(
             capsys, ["lemma", "delta", "--samples", "10", "--seed", "1"]
@@ -892,3 +932,14 @@ class TestExports:
             missing = [name for name in names if not hasattr(module, name)]
             assert not missing, (info.name, missing)
         assert {"geom", "pants", "holonomy"} <= set(exporting)
+
+    def test_cli_import_leaves_the_sweeps_unloaded(self):
+        # build, verify and homology never compile lemmalab: only the
+        # lemma command imports it
+        src = str(Path(goodpants.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = "import goodpants.cli, sys; print('goodpants.lemmalab' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"

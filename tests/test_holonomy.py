@@ -90,7 +90,7 @@ class TestBuildRho:
             for _ in range(d - 1):
                 power = power * t
             residual = power * rho.base_reps[pi].cuff(slot).inverse()
-            assert residual.distance_to_identity() < 1e-9
+            assert residual.is_close_to(MoebiusMap.identity(), 1e-9)
             want = rho.conjugators[pi] * t * rho.conjugators[pi].inverse()
             got = rho.singular_holonomy[c]
             scale = max(abs(e) for e in want.entries())
@@ -122,7 +122,8 @@ class TestBuildRho:
     def test_seams_found_once_per_pants(self):
         # build_pants_rep finds each pants' seams, once, as screw
         # products; developing the complex reads its frames and never
-        # maps, extracts or joins a boundary endpoint
+        # maps a boundary endpoint (axes and perpendiculars read from
+        # endpoints exist only as test oracles)
         x = grow_until(build_xp(1, 3), 16)
         built = []
 
@@ -132,7 +133,7 @@ class TestBuildRho:
 
         refuse = mock.Mock(side_effect=AssertionError("boundary endpoint read"))
         with mock.patch.object(holonomy, "build_pants_rep", record), mock.patch.multiple(
-            geom, axis_of=refuse, common_perpendicular=refuse, mobius_apply=refuse
+            geom, mobius_apply=refuse
         ):
             rho = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=5))
             assert development_residual(rho) < 1e-9

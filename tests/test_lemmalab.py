@@ -14,24 +14,18 @@ from goodpants import lemmalab
 from goodpants.complexes import build_xp
 from goodpants.geom import (
     INFINITY,
-    MoebiusMap,
-    NotNormalError,
     OrientedGeodesic,
     Point,
     apply_to_point,
     hyperbolic_point_distance,
-    mobius_apply,
     normalize_to_axis,
     translate_along,
 )
 from goodpants.holonomy import RepParams, build_rho
 from goodpants.lemmalab import (
-    AngleCoordinates,
-    DegenerateFrameError,
     SweepReport,
     SweepRow,
     angle_change_check,
-    angle_coordinates,
     hexagon_asymptotics_check,
     quasigeodesic_stability_check,
     two_planes_angle_check,
@@ -156,71 +150,57 @@ class TestSweepReport:
         assert lines[2].endswith("false")
 
 
+def axis_frame_angles(x, y):
+    """theta and phi of the segment from x on the axis to y, by the sweep's kernel."""
+    z = y.horizontal
+    theta, phi = lemmalab._segment_angles(
+        np.array([x.height]), (np.array([z.real]), np.array([z.imag])), np.array([y.height])
+    )
+    return float(theta[0]), float(phi[0])
+
+
 class TestAngleCoordinates:
+    """The angle-change sweep's angles, measured in the axis frame."""
+
     def test_along_gamma_theta_zero(self):
-        x = Point(0j, 2.0)
-        ac = angle_coordinates(AXIS, NORMAL, (x, Point(0j, 5.0)))
-        assert abs(ac.theta) < 1e-12
-        assert abs(ac.phi - math.pi / 2.0) < 1e-12
+        x, y = Point(0j, 2.0), Point(0j, 5.0)
+        theta, phi = axis_frame_angles(x, y)
+        assert (theta, phi) == scalar_angle_coordinates(AXIS, NORMAL, (x, y))
+        assert abs(theta) < 1e-12
+        assert abs(phi - math.pi / 2.0) < 1e-12
 
     def test_in_plane_phi_is_right_angle(self):
-        x = Point(0j, 2.0)
-        ac = angle_coordinates(AXIS, NORMAL, (x, Point(3.0 + 0j, 1.0)))
-        assert abs(ac.phi - math.pi / 2.0) < 1e-12
-        assert 0.0 < ac.theta < math.pi
+        x, y = Point(0j, 2.0), Point(3.0 + 0j, 1.0)
+        theta, phi = axis_frame_angles(x, y)
+        assert (theta, phi) == scalar_angle_coordinates(AXIS, NORMAL, (x, y))
+        assert abs(phi - math.pi / 2.0) < 1e-12
+        assert 0.0 < theta < math.pi
 
     def test_out_of_plane(self):
-        x = Point(0j, 1.0)
         # (0.6i, 0.8) lies on the unit semicircle over the imaginary
         # axis, so the segment leaves x straight along the binormal
-        ac = angle_coordinates(AXIS, NORMAL, (x, Point(0.6j, 0.8)))
-        assert abs(ac.phi) < 1e-12
-        assert abs(ac.theta - math.pi / 2.0) < 1e-12
-
-    def test_ranges(self):
-        with pytest.raises(ValueError):
-            AngleCoordinates(theta=-1.0, phi=0.0)
-        with pytest.raises(ValueError):
-            AngleCoordinates(theta=0.0, phi=4.0)
-
-    def test_tangent_alpha_rejected(self):
-        bad = OrientedGeodesic(0j, 1.0 + 0j)  # shares the endpoint 0
-        with pytest.raises(DegenerateFrameError):
-            angle_coordinates(AXIS, bad, (Point(0j, 1.0), Point(1.0 + 0j, 1.0)))
-
-    def test_non_orthogonal_alpha_rejected(self):
-        skew = OrientedGeodesic(-1.0 + 0j, 2.0 + 0j)
-        with pytest.raises(NotNormalError):
-            angle_coordinates(AXIS, skew, (Point(0j, 1.0), Point(1.0 + 0j, 1.0)))
-
-    def test_off_gamma_start_rejected(self):
-        with pytest.raises(ValueError):
-            angle_coordinates(
-                AXIS, NORMAL, (Point(5.0 + 0j, 1.0), Point(0j, 2.0))
-            )
+        x, y = Point(0j, 1.0), Point(0.6j, 0.8)
+        theta, phi = axis_frame_angles(x, y)
+        assert (theta, phi) == scalar_angle_coordinates(AXIS, NORMAL, (x, y))
+        assert abs(phi) < 1e-12
+        assert abs(theta - math.pi / 2.0) < 1e-12
 
     def test_conjugation_invariance(self):
+        # a translation along gamma carries the axis frame along with
+        # the segment, so neither angle moves
         import random
 
         rng = random.Random(4)
         x = Point(0j, 3.0)
         y = Point(2.0 + 1.5j, 0.7)
-        want = angle_coordinates(AXIS, NORMAL, (x, y))
+        want = axis_frame_angles(x, y)
         for _ in range(10):
-            m = MoebiusMap(
-                *(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
-            )
-            gamma = OrientedGeodesic(
-                mobius_apply(m, AXIS.source), mobius_apply(m, AXIS.target)
-            )
-            alpha = OrientedGeodesic(
-                mobius_apply(m, NORMAL.source), mobius_apply(m, NORMAL.target)
-            )
-            got = angle_coordinates(
-                gamma, alpha, (apply_to_point(m, x), apply_to_point(m, y))
-            )
-            assert abs(got.theta - want.theta) < 1e-9
-            assert abs(got.phi - want.phi) < 1e-9
+            m = translate_along(AXIS, rng.uniform(0.1, 10.0))
+            if rng.random() < 0.5:
+                m = m.inverse()
+            got = axis_frame_angles(apply_to_point(m, x), apply_to_point(m, y))
+            assert abs(got[0] - want[0]) < 1e-9
+            assert abs(got[1] - want[1]) < 1e-9
 
 
 class TestQuasigeodesicStability:
@@ -393,8 +373,7 @@ class TestArrayKernels:
             xt[k], y[k], yt[k] = a, z, h
         x0, below = Point(0j, 1.0), Point(1e-9 + 0j, 0.5)
         assert direction_toward(x0, geodesic_through(x0, below).target) == Vector(0j, -1.0)
-        _, binormal = lemmalab._frame(AXIS, NORMAL)
-        theta, phi = lemmalab._segment_angles(xt, (y.real, y.imag), yt, binormal)
+        theta, phi = lemmalab._segment_angles(xt, (y.real, y.imag), yt)
         want = [
             scalar_angle_coordinates(AXIS, NORMAL, (Point(0j, a), Point(z, h)))
             for a, z, h in zip(xt.tolist(), y.tolist(), yt.tolist())
@@ -402,22 +381,6 @@ class TestArrayKernels:
         assert theta.tolist() == [w[0] for w in want]
         assert phi.tolist() == [w[1] for w in want]
         assert theta[0] == 0.0 and theta[1] == math.pi and theta[2] == math.pi
-
-    def test_angle_coordinates_matches_scalar_route_in_any_frame(self):
-        import random
-
-        rng = random.Random(13)
-        for _ in range(50):
-            m = MoebiusMap(
-                *(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
-            )
-            gamma, alpha = AXIS.apply(m), NORMAL.apply(m)
-            x = apply_to_point(m, Point(0j, math.exp(rng.uniform(-3, 3))))
-            y = apply_to_point(
-                m, Point(complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.uniform(0.1, 3))
-            )
-            got = angle_coordinates(gamma, alpha, (x, y))
-            assert (got.theta, got.phi) == scalar_angle_coordinates(gamma, alpha, (x, y))
 
     @pytest.mark.parametrize("sweep", ["two-planes", "angle-change"])
     def test_state_carries_across_slices(self, sweep, monkeypatch):

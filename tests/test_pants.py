@@ -8,8 +8,6 @@ from goodpants.geom import (
     DegenerateError,
     MoebiusMap,
     OrientedGeodesic,
-    axis_of,
-    common_perpendicular,
     complex_translation_length,
     half_turn,
     normalize_to_axis,
@@ -23,10 +21,10 @@ from goodpants.pants import (
     cuff_frame,
     foot_of,
     halflength_tolerance,
-    is_good_pants,
     measured_halflength,
     shear,
 )
+from oracles import axis_of, common_perpendicular
 
 
 def random_moebius(rng):
@@ -308,15 +306,21 @@ class TestShear:
 
 
 class TestIsGoodPants:
+    """Goodness read back from the holonomy: every half-length within eps of R/2."""
+
+    @staticmethod
+    def worst_gap(p, R):
+        return max(abs(complex(measured_halflength(p, i)) - R / 2) for i in range(3))
+
     def test_exact_halflengths(self):
         p = build_pants_rep(10, 10, 10)
-        assert is_good_pants(p, 20, 1e-6)
+        assert self.worst_gap(p, 20) < 1e-6
 
     def test_off_by_two_eps(self):
         p = build_pants_rep(10 + 0.02, 10, 10)
-        assert not is_good_pants(p, 20, 0.01)
+        assert not self.worst_gap(p, 20) < 0.01
 
     def test_eps_over_r_condition(self):
         eps, R = 0.01, 20
         p = build_pants_rep(R / 2 + eps / R * (0.5 + 0.5j), R / 2, R / 2)
-        assert is_good_pants(p, R, eps / R)
+        assert self.worst_gap(p, R) < eps / R
