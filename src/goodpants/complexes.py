@@ -12,6 +12,7 @@ the number of such paths), measured between the singular-adjacent
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -281,8 +282,12 @@ def _dart_arrays(g: PantsGraph):
     # wraps modulo 2**64, so the counts the callers return, sums and
     # differences of products of layer entries that are far below 2**63,
     # still come out exact
-    dtype = np.int64 if n_darts > 256 else object
-    return tail, head, marked, dtype
+    return tail, head, marked, _count_dtype(n_darts)
+
+
+def _count_dtype(n_darts: int):
+    """The walk-count dtype of a graph with n_darts darts (see _dart_arrays)."""
+    return np.int64 if n_darts > 256 else object
 
 
 def _predecessors(tail, head, marked):
@@ -311,7 +316,7 @@ def _predecessors(tail, head, marked):
     return table[: max(width - 1, 1)]
 
 
-def _walk_layers(tail, head, marked, dtype):
+def _walk_layers(tail, head, marked, dtype, pred=None):
     """Non-backtracking walk counts, one layer per walk length.
 
     Seeds are the darts leaving marked vertices, in dart order.  Layer t
@@ -325,11 +330,15 @@ def _walk_layers(tail, head, marked, dtype):
     the backward counts.
 
     The counts are stored dart-major and each layer is the sum of a few
-    row gathers of the previous one through the _predecessors table.
+    row gathers of the previous one through the _predecessors table,
+    which is built here unless the caller keeps one (growth edits it in
+    place).  Its columns may list their darts in any order, because a
+    layer entry is an integer sum.
     """
     n_darts = len(tail)
     seeds = np.flatnonzero(marked[tail])
-    pred = _predecessors(tail, head, marked)
+    if pred is None:
+        pred = _predecessors(tail, head, marked)
     cur = np.zeros((n_darts + 1, len(seeds)), dtype=dtype)
     cur[seeds, np.arange(len(seeds))] = 1
     while True:
@@ -340,7 +349,7 @@ def _walk_layers(tail, head, marked, dtype):
         cur = nxt
 
 
-def _shortest_level(g: PantsGraph, darts):
+def _shortest_level(g: PantsGraph, darts, pred=None):
     """Walk forward to the shortest essential level.
 
     An essential walk is non-backtracking, its interior vertices are
@@ -366,7 +375,7 @@ def _shortest_level(g: PantsGraph, darts):
         ends = np.flatnonzero(marked[head])
         bound = 2 * (g.n_vertices + len(g.edges)) + 1
         layers = {}
-        walks = _walk_layers(tail, head, marked, dtype)
+        walks = _walk_layers(tail, head, marked, dtype, pred)
         for length, cur in zip(range(1, bound + 1), walks):
             layers[length] = cur
             # l >= length, so layers below ceil(length/2) are done
@@ -379,13 +388,13 @@ def _shortest_level(g: PantsGraph, darts):
     raise NoEssentialPathError("no essential marked path")
 
 
-def _shortest_walks(g: PantsGraph, darts):
+def _shortest_walks(g: PantsGraph, darts, pred=None):
     """(l, n, k, counts): the shortest level and its middle-dart counts.
 
     l and n are as in _shortest_level; k = ceil((l + 1)/2) and counts[d]
     is the number of shortest essential walks whose k-th dart is d.
     """
-    l, total, layers = _shortest_level(g, darts)
+    l, total, layers = _shortest_level(g, darts, pred)
     k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
     # fwd[i][d]: length-k walks with first dart starts[i] and k-th dart
     # d; back[i][d] = layers[l - k + 1][i][d ^ 1]: length-(l - k + 1)
@@ -460,58 +469,138 @@ def surger(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
     to one former attachment of the donor circle, so every path through
     the old edge now has to cross the donor.
     """
-    # a circle that is not regular is refused by _paste, with its own error
-    if x.is_regular(edge) and edge not in _middle_edge_circles(x):
+    if not 0 <= edge < len(x.circles):
+        raise NotOnShortestPathError(
+            f"circle {edge} is not in the complex (ids 0..{len(x.circles) - 1})"
+        )
+    if not x.is_regular(edge):
+        raise NotOnShortestPathError(f"circle {edge} is not regular")
+    if edge not in _middle_edge_circles(x):
         raise NotOnShortestPathError(
             f"circle {edge} is not the middle edge of any shortest essential path"
         )
-    return _paste(x, edge, donor)
+    growth = _Growth(x, donor)
+    # the edges are in circle-id order
+    growth.surger(bisect.bisect_left(growth.edges, (edge,)))
+    return growth.freeze()
 
 
-def _paste(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
-    """surger without the shortest-path check, for callers that made it."""
-    if not x.is_regular(edge):
-        raise NotOnShortestPathError(f"circle {edge} is not regular")
-    donor_atts = donor.attachments_of(0)
-    if len(donor_atts) != 2 or not donor.is_regular(0):
-        raise ValueError("donor circle 0 must be regular")
-    if _separates(donor, 0):
-        raise DisconnectedResultError("donor circle separates the donor")
+class _Growth:
+    """A complex under surgery, edited in place and frozen at the end.
 
-    n_x_circles = len(x.circles)
-    # the two pasted circles: x's first side keeps circle `edge`, its
-    # second side gets the fresh circle n_x_circles; donor circle j > 0
-    # becomes circle n_x_circles + j
-    (xa, xa_slot), (xb, xb_slot) = x.attachments_of(edge)
-    new_circle_b = n_x_circles  # pairs xb with the donor's second side
+    It keeps what the walk needs: the pants and circles, the graph's
+    edges in circle-id order, the marked vertices, the dart arrays with
+    the darts into each vertex, and the _predecessors table.  One surgery
+    changes only the pants and circles it touches, so it edits those
+    rows instead of rebuilding, re-validating and re-searching the whole
+    complex.  The start complex passes validate (through graph_of) and
+    the donor is checked once; cutting a regular edge of a connected
+    complex and pasting in a donor that circle 0 does not cut apart
+    keeps the complex valid and connected, which graph_of checks again
+    when the frozen result is first used.
+    """
 
-    def donor_circle_id(j):
-        return n_x_circles + j  # j = 0 -> new_circle_b is reused below
+    # a pants has three slots, so at most three darts enter a vertex and
+    # a dart has at most two predecessors
+    _PRED_ROWS = 2
 
-    pants = list(x.pants)
-    # reroute xb's slot to the fresh circle
-    slots = list(pants[xb].slots)
-    slots[xb_slot] = new_circle_b
-    pants[xb] = Pants(slots=tuple(slots), orientations=pants[xb].orientations)
+    def __init__(self, x: PantsComplex, donor: PantsComplex):
+        g = graph_of(x)
+        if not (len(donor.attachments_of(0)) == 2 and donor.is_regular(0)):
+            raise ValueError("donor circle 0 must be regular")
+        if _separates(donor, 0):
+            raise DisconnectedResultError("donor circle separates the donor")
+        self.donor = donor
+        self.pants = list(x.pants)
+        self.circles = list(x.circles)
+        self.edges = list(g.edges)
+        self.marked = set(g.marked)
+        self.tail, self.head, self.mask, _ = _dart_arrays(g)
+        self.into = [[] for _ in self.pants]
+        for d, v in enumerate(self.head.tolist()):
+            self.into[v].append(d)
+        n_darts = len(self.tail)
+        pred = _predecessors(self.tail, self.head, self.mask)
+        self.pred = np.full((self._PRED_ROWS, n_darts + 1), n_darts, dtype=np.intp)
+        self.pred[: len(pred)] = pred
 
-    (da, da_slot), (db, db_slot) = donor_atts
-    for qi, q in enumerate(donor.pants):
-        slots = []
-        for si, c in enumerate(q.slots):
-            if c == 0:
-                # first donor attachment joins x's circle `edge`,
-                # second joins the fresh circle
-                slots.append(edge if (qi, si) == (da, da_slot) else new_circle_b)
+    @property
+    def n_vertices(self) -> int:
+        return len(self.pants)
+
+    def walks(self) -> tuple[int, int, int, list[int]]:
+        """_shortest_walks of the current graph.
+
+        The state stands in for the graph: it has n_vertices, edges and
+        marked.
+        """
+        darts = (self.tail, self.head, self.mask, _count_dtype(len(self.tail)))
+        return _shortest_walks(self, darts, self.pred)
+
+    def surger(self, e: int) -> None:
+        """Cut the regular circle of edge e and paste the donor in."""
+        donor = self.donor
+        edge, xa, xb = self.edges[e]
+        # xb's attachment is the later one when xa == xb
+        xb_slot = 2 - self.pants[xb].slots[::-1].index(edge)
+        (da, da_slot), (db, _) = donor.attachments_of(0)
+        n_pants, n_circles, n_darts = len(self.pants), len(self.circles), len(self.tail)
+        pa, pb = n_pants + da, n_pants + db
+        # x's first side keeps circle `edge` and joins the donor's first
+        # side; x's second side and the donor's second side share the
+        # fresh circle n_circles; donor circle j > 0 becomes n_circles + j
+        slots = list(self.pants[xb].slots)
+        slots[xb_slot] = n_circles
+        self.pants[xb] = Pants(slots=tuple(slots), orientations=self.pants[xb].orientations)
+        for qi, q in enumerate(donor.pants):
+            slots = tuple(
+                edge if (qi, si) == (da, da_slot) else n_circles + c
+                for si, c in enumerate(q.slots)
+            )
+            self.pants.append(Pants(slots=slots, orientations=q.orientations))
+        self.circles += [Circle(), *donor.circles[1:]]
+
+        new_edges = [(n_circles, xb, pb)]
+        for j in range(1, len(donor.circles)):
+            ends = [n_pants + qi for qi, _ in donor.attachments_of(j)]
+            if donor.is_regular(j):
+                new_edges.append((n_circles + j, *ends))
             else:
-                slots.append(donor_circle_id(c))
-        pants.append(Pants(slots=tuple(slots), orientations=q.orientations))
+                self.marked.update(ends)
+        self.mask = np.append(
+            self.mask, [pi in self.marked for pi in range(n_pants, len(self.pants))]
+        )
 
-    circles = list(x.circles) + [Circle()] + [
-        donor.circles[j] for j in range(1, len(donor.circles))
-    ]
-    # x has passed validate, so it is connected, and cutting circle 0
-    # leaves the donor connected, so the result is connected too
-    return PantsComplex(pants=tuple(pants), circles=tuple(circles))
+        # the cut circle's edge moves in place, from xa-xb to xa-pa: dart
+        # 2e now enters pa and dart 2e + 1 leaves it
+        self.edges[e] = (edge, xa, pa)
+        self.head[2 * e] = self.tail[2 * e + 1] = pa
+        self.into += [[] for _ in donor.pants]
+        self.into[xb].remove(2 * e)
+        self.into[pa].append(2 * e)
+        for f, (_, a, b) in enumerate(new_edges, start=len(self.edges)):
+            self.into[b].append(2 * f)
+            self.into[a].append(2 * f + 1)
+        self.edges += new_edges
+        ends = np.array([(a, b) for _, a, b in new_edges], dtype=np.intp)
+        self.tail = np.append(self.tail, ends.ravel())
+        self.head = np.append(self.head, ends[:, ::-1].ravel())
+
+        # the sentinel names the row past the last dart, so it moves too
+        n_new = len(self.tail)
+        old = self.pred[:, :n_darts]
+        self.pred = np.full((self._PRED_ROWS, n_new + 1), n_new, dtype=np.intp)
+        self.pred[:, :n_darts] = np.where(old == n_darts, n_new, old)
+        # a column changes only when its dart's tail or the darts into
+        # that tail change: those are the darts leaving xa, xb and the
+        # donor's pants
+        for v in (xa, xb, *range(n_pants, len(self.pants))):
+            for i in self.into[v]:
+                live = [] if self.mask[v] else [j for j in self.into[v] if j != i]
+                self.pred[:, i ^ 1] = live + [n_new] * (self._PRED_ROWS - len(live))
+
+    def freeze(self) -> PantsComplex:
+        return PantsComplex(pants=tuple(self.pants), circles=tuple(self.circles))
 
 
 def _separates(x: PantsComplex, circle: int) -> bool:
@@ -547,13 +636,12 @@ def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    donor = make_donor()
+    growth = _Growth(x, make_donor())
     while True:
-        g = graph_of(x)
-        l, _, counts = _middle_dart_counts(g)
+        l, _, _, counts = growth.walks()
         if l > threshold:
-            return x
+            return growth.freeze()
         # of the admissible mid-path darts, cut the one carried by the
-        # most shortest walks: one surgery then retires a whole family
-        best = max(range(len(counts)), key=lambda d: (counts[d], -d))
-        x = _paste(x, g.edges[best // 2][0], donor)
+        # most shortest walks: one surgery then retires a whole family;
+        # argmax takes the first maximum, the smallest such dart
+        growth.surger(int(np.argmax(counts)) // 2)

@@ -438,7 +438,9 @@ def angle_change_check(
     shift and the phi defect from pi/2 are each bounded by 1/(4p), their
     maximum by 1/p.  Samples whose endpoints are closer than R/2 are
     rejected and redrawn.  DegenerateError names a word whose holonomy
-    rounds to a singular matrix, as happens past double precision.
+    rounds to a singular matrix, as happens past double precision, and
+    OverflowError names R when a word image lies too far out for the
+    rejection test to measure (as at R = 130).
     """
     rho0, rho1 = rep_pair
     if rho0.complex != rho1.complex:
@@ -508,7 +510,14 @@ def angle_change_check(
             ends.append(
                 [v for y in images[row] for v in (y.horizontal.real, y.horizontal.imag, y.height)]
             )
-        if any(hyperbolic_point_distance(x, y) < R / 2.0 for y in images[row]):
+        try:
+            near = any(hyperbolic_point_distance(x, y) < R / 2.0 for y in images[row])
+        except OverflowError as exc:
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: a word image's"
+                " distance from the base point overflows"
+            ) from exc
+        if near:
             rejected += 1
             continue
         accepted += 1

@@ -487,6 +487,17 @@ class TestLemma:
         assert error["code"] == "construction-failed"
         assert "R = 400.0" in error["message"]
 
+    def test_angle_change_out_of_range_names_R(self, capsys):
+        # a word image's squared distance overflows in the rejection test
+        code, out, err = run(
+            capsys,
+            ["lemma", "angle-change", "--R", "130", "--samples", "2000", "--seed", "0"],
+        )
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "construction-failed"
+        assert "R = 130.0" in error["message"]
+
     def test_failed_sweep_exit_code(self, capsys, monkeypatch):
         from goodpants import lemmalab
         from goodpants.lemmalab import SweepReport, SweepRow

@@ -19,7 +19,9 @@ from goodpants.complexes import (
     PantsComplex,
     PantsGraph,
     _dart_arrays,
+    _Growth,
     _middle_dart_counts,
+    _predecessors,
     _shortest_walks,
     _walk_layers,
     build_xp,
@@ -506,6 +508,65 @@ class TestOneWalk:
         assert walk.call_count == 0
 
 
+class TestGrowthState:
+    @staticmethod
+    def walk_and_compare(growth):
+        """The state's walks, after checking the state against its frozen
+        complex validated, graphed and walked from scratch."""
+        walks = growth.walks()
+        x = growth.freeze()
+        assert validate(x) == []
+        g = graph_of(x)
+        assert growth.edges == list(g.edges)
+        assert growth.marked == g.marked
+        tail, head, marked, dtype = _dart_arrays(g)
+        assert np.array_equal(growth.tail, tail)
+        assert np.array_equal(growth.head, head)
+        assert np.array_equal(growth.mask, marked)
+        # each column as a multiset, sentinels included
+        pred = _predecessors(tail, head, marked)
+        want = np.full_like(growth.pred, len(tail))
+        want[: len(pred)] = pred
+        assert np.array_equal(np.sort(growth.pred, axis=0), np.sort(want, axis=0))
+        assert walks == _shortest_walks(g, (tail, head, marked, dtype))
+        return walks
+
+    def test_every_step_to_l64_matches_the_rebuilt_complex(self):
+        growth = _Growth(build_xp(1, 3), make_donor())
+        surgeries = 0
+        while (walks := self.walk_and_compare(growth))[0] <= 64:
+            growth.surger(int(np.argmax(walks[3])) // 2)
+            surgeries += 1
+        assert surgeries == 95
+        assert growth.freeze().to_json() == grown(64).to_json()
+
+    def test_cut_loop_reroutes_its_later_slot(self):
+        # a loop at the one marked pants is the shortest essential path
+        x = PantsComplex(
+            pants=(Pants(slots=(0, 1, 1), orientations=(1, 1, -1)),),
+            circles=(Circle(d=3), Circle()),
+        )
+        growth = _Growth(x, make_donor())
+        walks = self.walk_and_compare(growth)
+        assert walks[:2] == (1, 2) and growth.edges == [(1, 0, 0)]
+        growth.surger(0)
+        assert growth.pants[0].slots == (0, 1, 2)
+        while (walks := self.walk_and_compare(growth))[0] <= 12:
+            growth.surger(int(np.argmax(walks[3])) // 2)
+
+    def test_singular_donor_circle_marks_its_pants(self):
+        # the donor's handle circle 5 gets d = 2, so every surgery adds a
+        # marked pants
+        donor = make_donor()
+        donor = PantsComplex(pants=donor.pants, circles=donor.circles[:5] + (Circle(d=2),))
+        growth = _Growth(build_xp(1, 3), donor)
+        for _ in range(12):
+            walks = self.walk_and_compare(growth)
+            growth.surger(int(np.argmax(walks[3])) // 2)
+        self.walk_and_compare(growth)
+        assert len(growth.marked) == 2 + 12
+
+
 class TestSurger:
     def test_middle_edge_increases_complexity(self):
         x = build_xp(1, 3)
@@ -523,6 +584,11 @@ class TestSurger:
     def test_rejects_singular_circle(self):
         with pytest.raises(NotOnShortestPathError):
             surger(build_xp(1, 3), 0, make_donor())
+
+    @pytest.mark.parametrize("edge", [99, -1])
+    def test_rejects_missing_circle(self, edge):
+        with pytest.raises(NotOnShortestPathError, match=f"circle {edge} is not in"):
+            surger(build_xp(1, 3), edge, make_donor())
 
     def test_separating_donor_circle(self):
         donor = PantsComplex(
@@ -580,15 +646,33 @@ class TestGrowUntil:
         assert digest == "3818abe837636f194553d8677d45539f4f9d376bc0508ea28a7050b5600668a2"
 
     def test_one_connectivity_search_per_surgery(self):
-        # validate searches each grown complex once, when graph_of first
-        # builds its graph; the start complex adds one
-        with mock.patch.object(
-            complexes, "_connected", wraps=complexes._connected
-        ) as search:
-            x = grow_until(build_xp(1, 3), 16)
-        surgeries = (len(x.pants) - 4) // 4
-        assert surgeries == 23
-        assert search.call_count == surgeries + 1
+        # validate searches the start complex once, when graph_of builds
+        # its graph; the surgeries edit a working state and search nothing
+        for threshold, surgeries in ((16, 23), (64, 95)):
+            with mock.patch.object(
+                complexes, "_connected", wraps=complexes._connected
+            ) as search:
+                x = grow_until(build_xp(1, 3), threshold)
+            assert (len(x.pants) - 4) // 4 == surgeries
+            assert search.call_count == 1
+
+    def test_refuses_invalid_start(self):
+        missing = PantsComplex(pants=(Pants(slots=(0, 1, 7)),), circles=(Circle(), Circle()))
+        with pytest.raises(ValueError, match="^invalid complex: .* missing circle 7$"):
+            grow_until(missing, 16)
+        # X_3 beside a closed donor surface whose circles are renumbered
+        x, donor = build_xp(1, 3), make_donor()
+        shift = len(x.circles)
+        apart = PantsComplex(
+            pants=x.pants
+            + tuple(
+                Pants(slots=tuple(c + shift for c in q.slots), orientations=q.orientations)
+                for q in donor.pants
+            ),
+            circles=x.circles + donor.circles,
+        )
+        with pytest.raises(ValueError, match="^invalid complex: complex is not connected$"):
+            grow_until(apart, 16)
 
     def test_deterministic(self):
         a = grow_until(build_xp(1, 3), 5)
