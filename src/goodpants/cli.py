@@ -140,7 +140,8 @@ def _load_complex(path: str) -> PantsComplex:
 
 
 def _params_for(x: PantsComplex, args) -> RepParams:
-    if getattr(args, "seed", None) is not None and args.tau != 0.0:
+    """The development's parameters; a non-zero --tau draws with --seed."""
+    if args.tau != 0.0:
         return RepParams.random(x, R=args.R, tau=args.tau, seed=args.seed)
     return RepParams.zero(x, R=args.R, tau=args.tau)
 
@@ -165,6 +166,8 @@ def cmd_build(args) -> int:
     if args.genus < 1:
         raise ConfigError("--genus must be at least 1")
     _development_options(args)
+    if args.tau != 0.0 and args.seed is None:
+        raise ConfigError("--tau > 0 needs --seed to draw the perturbation")
     if args.L < 0:
         raise ConfigError("--L must be non-negative")
     try:

@@ -247,7 +247,7 @@ class PantsGraph:
     @cached_property
     def _walks(self) -> tuple[int, int, int, list[int]]:
         """_shortest_walks of the graph; it is immutable, so walked once."""
-        return _shortest_walks(self, _dart_arrays(self))
+        return _shortest_walks(_dart_arrays(self))
 
 
 def graph_of(x: PantsComplex) -> PantsGraph:
@@ -255,39 +255,19 @@ def graph_of(x: PantsComplex) -> PantsGraph:
     return x._graph
 
 
-def _darts(g: PantsGraph):
-    """Darts 2e and 2e+1 are the two directions of edge e."""
-    head = []
-    tail = []
-    for _, a, b in g.edges:
-        tail.extend((a, b))
-        head.extend((b, a))
-    return tail, head
-
-
 def _dart_arrays(g: PantsGraph):
-    """Vectorized dart data: (tail, head, marked mask, count dtype)."""
-    tail, head = _darts(g)
-    n_darts = len(tail)
-    tail = np.array(tail, dtype=np.intp)
-    head = np.array(head, dtype=np.intp)
+    """(tail, head, marked mask) as arrays.
+
+    Darts 2e and 2e+1 are the two directions of edge e.
+    """
+    ends = np.array([(a, b) for _, a, b in g.edges], dtype=np.intp).reshape(-1, 2)
     marked = np.zeros(g.n_vertices, dtype=bool)
-    if g.marked:
-        marked[list(g.marked)] = True
-    # exact Python integers for small graphs where parallel edges can
-    # make counts explode; int64 for large graphs, which arise from
-    # surgery and have vertex degree <= 3.  Deep layers overflow int64
-    # there too (entries reach about 2**119 at L = 128, and the two sums
-    # _shortest_level subtracts about 2**120 each), but int64 arithmetic
-    # wraps modulo 2**64, so the counts the callers return, sums and
-    # differences of products of layer entries that are far below 2**63,
-    # still come out exact
-    return tail, head, marked, _count_dtype(n_darts)
+    marked[list(g.marked)] = True
+    return ends.ravel(), ends[:, ::-1].ravel(), marked
 
 
-def _count_dtype(n_darts: int):
-    """The walk-count dtype of a graph with n_darts darts (see _dart_arrays)."""
-    return np.int64 if n_darts > 256 else object
+# float64 holds every integer below 2**53 exactly
+_EXACT = 2**53
 
 
 def _predecessors(tail, head, marked):
@@ -323,7 +303,7 @@ def _walk_layers(tail, head, marked, dtype, pred=None):
     (t = 1, 2, ...) has one row per seed: layer[i][d] is the number of
     walks of t darts that start with seeds[i], end with dart d, never
     reverse a dart, and pass only unmarked vertices in between; keeping
-    the first dart apart is what lets callers subtract the closed walks
+    the first dart apart is what lets callers leave out the closed walks
     that are not cyclically reduced.  Reversal maps the walks of t darts
     that start with dart d and end with seeds[i] ^ 1 one to one onto
     those counted in layer[i][d ^ 1], so one forward walk also gives
@@ -332,8 +312,9 @@ def _walk_layers(tail, head, marked, dtype, pred=None):
     The counts are stored dart-major and each layer is the sum of a few
     row gathers of the previous one through the _predecessors table,
     which is built here unless the caller keeps one (growth edits it in
-    place).  Its columns may list their darts in any order, because a
-    layer entry is an integer sum.
+    place).  Every entry is a sum of non-negative terms, each at most the
+    entry, so in float64 an entry below 2**53 is exact whatever order the
+    table's columns list their darts in.
     """
     n_darts = len(tail)
     seeds = np.flatnonzero(marked[tail])
@@ -349,7 +330,7 @@ def _walk_layers(tail, head, marked, dtype, pred=None):
         cur = nxt
 
 
-def _shortest_level(g: PantsGraph, darts, pred=None):
+def _shortest_level(darts, pred=None, dtype=np.float64):
     """Walk forward to the shortest essential level.
 
     An essential walk is non-backtracking, its interior vertices are
@@ -364,48 +345,65 @@ def _shortest_level(g: PantsGraph, darts, pred=None):
     ordered essential walks of that length (a walk and its reverse are
     both counted; no such walk is its own reverse), and the forward
     layers t >= ceil(l/2), which hold both halves of a walk cut at its
-    middle dart.
+    middle dart.  n is a sum of layer entries that each count essential
+    walks, so each is at most n.
     """
-    if not g.marked:
+    tail, head, marked = darts
+    if not marked.any():
         raise NoEssentialPathError("no marked vertices")
-    tail, head, marked, dtype = darts
     starts = np.flatnonzero(marked[tail])
     if len(starts):
-        rows = np.arange(len(starts))
         ends = np.flatnonzero(marked[head])
-        bound = 2 * (g.n_vertices + len(g.edges)) + 1
+        # a walk ending with the reverse of its first dart is closed at
+        # the start vertex and not cyclically reduced
+        essential = np.ones((len(starts), len(ends)), dtype=bool)
+        essential[np.arange(len(starts)), np.searchsorted(ends, starts ^ 1)] = False
+        bound = 2 * (len(marked) + len(tail) // 2) + 1
         layers = {}
         walks = _walk_layers(tail, head, marked, dtype, pred)
         for length, cur in zip(range(1, bound + 1), walks):
             layers[length] = cur
             # l >= length, so layers below ceil(length/2) are done
             layers.pop((length - 1) // 2, None)
-            # a walk ending with the reverse of its first dart is closed
-            # at the start vertex and not cyclically reduced
-            total = int(cur[:, ends].sum()) - int(cur[rows, starts ^ 1].sum())
+            total = cur[:, ends][essential].sum()
             if total:
                 return length, total, layers
     raise NoEssentialPathError("no essential marked path")
 
 
-def _shortest_walks(g: PantsGraph, darts, pred=None):
+def _shortest_walks(darts, pred=None):
     """(l, n, k, counts): the shortest level and its middle-dart counts.
 
     l and n are as in _shortest_level; k = ceil((l + 1)/2) and counts[d]
-    is the number of shortest essential walks whose k-th dart is d.
+    is the number of shortest essential walks whose k-th dart is d.  The
+    walk runs in float64 and again in Python integers when n reaches
+    2**53 (see complexity).
     """
-    l, total, layers = _shortest_level(g, darts, pred)
-    k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
-    # fwd[i][d]: length-k walks with first dart starts[i] and k-th dart
-    # d; back[i][d] = layers[l - k + 1][i][d ^ 1]: length-(l - k + 1)
-    # walks with first dart d and last dart starts[i] ^ 1 (the reversed
-    # walks).  Gluing at position k and excluding the pairs that form a
-    # closed non-reduced walk (last dart = reverse of first, the same
-    # row) gives the per-dart count of shortest essential walks.
-    fwd = layers[k]
-    back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
-    counts = fwd.sum(axis=0) * back.sum(axis=0) - (fwd * back).sum(axis=0)
-    return l, total, k, counts.tolist()
+    # entries that feed no count may overflow to inf
+    with np.errstate(over="ignore"):
+        l, total, layers = _shortest_level(darts, pred)
+        if total >= _EXACT:
+            l, total, layers = _shortest_level(darts, pred, object)
+        k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
+        # fwd[i][d]: length-k walks with first dart starts[i] and k-th
+        # dart d; back[j][d] = layers[l - k + 1][j][d ^ 1]: length-(l - k
+        # + 1) walks with first dart d and last dart starts[j] ^ 1 (the
+        # reversed walks).  Glued at position k, a pair i != j is a
+        # shortest essential walk, and i == j a closed non-reduced one.
+        fwd = layers[k]
+        back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
+        # counts = sum over i of fwd[i] * others[i], others[i] the sum of
+        # back[j] over j != i, from sums before and after row i; where
+        # both factors are non-zero the product counts essential walks,
+        # so it is at most n, and elsewhere it is 0 (a factor may be inf)
+        zero = np.zeros_like(back[:1])
+        others = np.cumsum(np.concatenate([zero, back[:-1]]), axis=0)
+        others += np.cumsum(np.concatenate([zero, back[:0:-1]]), axis=0)[::-1]
+        both = (fwd != 0) & (others != 0)
+        counts = np.multiply(fwd, others, out=np.zeros_like(fwd), where=both).sum(axis=0)
+    if total < _EXACT:  # so is every count, exactly
+        counts = counts.astype(np.int64)
+    return l, int(total), k, counts.tolist()
 
 
 def complexity(g: PantsGraph) -> tuple[int, int]:
@@ -415,6 +413,11 @@ def complexity(g: PantsGraph) -> tuple[int, int]:
     homotopic; the shortest ones are exactly the non-backtracking edge
     walks between marked vertices with unmarked interior, cyclically
     reduced when closed (a walk and its reverse count once).
+
+    The walks are counted in float64 and n is exact: every count is a
+    sum of non-negative terms, each at most the count, so a count below
+    2**53 is an exact integer, and when the number of ordered walks
+    reaches 2**53 they are counted again in Python integers.
     """
     l, total, _, _ = g._walks
     return l, -(total // 2)
@@ -489,15 +492,15 @@ class _Growth:
     """A complex under surgery, edited in place and frozen at the end.
 
     It keeps what the walk needs: the pants and circles, the graph's
-    edges in circle-id order, the marked vertices, the dart arrays with
-    the darts into each vertex, and the _predecessors table.  One surgery
+    edges in circle-id order, the marked mask, the dart arrays with the
+    darts into each vertex, and the _predecessors table.  One surgery
     changes only the pants and circles it touches, so it edits those
     rows instead of rebuilding, re-validating and re-searching the whole
-    complex.  The start complex passes validate (through graph_of) and
-    the donor is checked once; cutting a regular edge of a connected
-    complex and pasting in a donor that circle 0 does not cut apart
-    keeps the complex valid and connected, which graph_of checks again
-    when the frozen result is first used.
+    complex.  The start complex and the donor pass validate (through
+    graph_of), and the donor's graph is read once; cutting a regular
+    edge of a connected complex and pasting in a donor that circle 0
+    does not cut apart keeps the complex valid and connected, which
+    graph_of checks again when the frozen result is first used.
     """
 
     # a pants has three slots, so at most three darts enter a vertex and
@@ -506,16 +509,21 @@ class _Growth:
 
     def __init__(self, x: PantsComplex, donor: PantsComplex):
         g = graph_of(x)
-        if not (len(donor.attachments_of(0)) == 2 and donor.is_regular(0)):
+        h = graph_of(donor)
+        # the edges are in circle-id order
+        if not (h.edges and h.edges[0][0] == 0):
             raise ValueError("donor circle 0 must be regular")
         if _separates(donor, 0):
             raise DisconnectedResultError("donor circle separates the donor")
         self.donor = donor
+        (_, self.da, self.db), *self.donor_edges = h.edges
+        # circle 0's first attachment, the one that keeps the cut circle
+        self.da_slot = donor.pants[self.da].slots.index(0)
+        self.donor_mask = _dart_arrays(h)[2]
         self.pants = list(x.pants)
         self.circles = list(x.circles)
         self.edges = list(g.edges)
-        self.marked = set(g.marked)
-        self.tail, self.head, self.mask, _ = _dart_arrays(g)
+        self.tail, self.head, self.mask = _dart_arrays(g)
         self.into = [[] for _ in self.pants]
         for d, v in enumerate(self.head.tolist()):
             self.into[v].append(d)
@@ -524,18 +532,9 @@ class _Growth:
         self.pred = np.full((self._PRED_ROWS, n_darts + 1), n_darts, dtype=np.intp)
         self.pred[: len(pred)] = pred
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.pants)
-
     def walks(self) -> tuple[int, int, int, list[int]]:
-        """_shortest_walks of the current graph.
-
-        The state stands in for the graph: it has n_vertices, edges and
-        marked.
-        """
-        darts = (self.tail, self.head, self.mask, _count_dtype(len(self.tail)))
-        return _shortest_walks(self, darts, self.pred)
+        """_shortest_walks of the current graph."""
+        return _shortest_walks((self.tail, self.head, self.mask), self.pred)
 
     def surger(self, e: int) -> None:
         """Cut the regular circle of edge e and paste the donor in."""
@@ -543,9 +542,8 @@ class _Growth:
         edge, xa, xb = self.edges[e]
         # xb's attachment is the later one when xa == xb
         xb_slot = 2 - self.pants[xb].slots[::-1].index(edge)
-        (da, da_slot), (db, _) = donor.attachments_of(0)
         n_pants, n_circles, n_darts = len(self.pants), len(self.circles), len(self.tail)
-        pa, pb = n_pants + da, n_pants + db
+        pa, pb = n_pants + self.da, n_pants + self.db
         # x's first side keeps circle `edge` and joins the donor's first
         # side; x's second side and the donor's second side share the
         # fresh circle n_circles; donor circle j > 0 becomes n_circles + j
@@ -554,22 +552,16 @@ class _Growth:
         self.pants[xb] = Pants(slots=tuple(slots), orientations=self.pants[xb].orientations)
         for qi, q in enumerate(donor.pants):
             slots = tuple(
-                edge if (qi, si) == (da, da_slot) else n_circles + c
+                edge if (qi, si) == (self.da, self.da_slot) else n_circles + c
                 for si, c in enumerate(q.slots)
             )
             self.pants.append(Pants(slots=slots, orientations=q.orientations))
         self.circles += [Circle(), *donor.circles[1:]]
 
-        new_edges = [(n_circles, xb, pb)]
-        for j in range(1, len(donor.circles)):
-            ends = [n_pants + qi for qi, _ in donor.attachments_of(j)]
-            if donor.is_regular(j):
-                new_edges.append((n_circles + j, *ends))
-            else:
-                self.marked.update(ends)
-        self.mask = np.append(
-            self.mask, [pi in self.marked for pi in range(n_pants, len(self.pants))]
-        )
+        new_edges = [(n_circles, xb, pb)] + [
+            (n_circles + j, n_pants + a, n_pants + b) for j, a, b in self.donor_edges
+        ]
+        self.mask = np.append(self.mask, self.donor_mask)
 
         # the cut circle's edge moves in place, from xa-xb to xa-pa: dart
         # 2e now enters pa and dart 2e + 1 leaves it
@@ -638,10 +630,14 @@ def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
         raise ValueError("threshold must be non-negative")
     growth = _Growth(x, make_donor())
     while True:
-        l, _, _, counts = growth.walks()
-        if l > threshold:
-            return growth.freeze()
+        walks = growth.walks()
+        if walks[0] > threshold:
+            x = growth.freeze()
+            # graph_of validates the result; its darts are the state's,
+            # so its cached walk is this one and is not walked again
+            graph_of(x).__dict__["_walks"] = walks
+            return x
         # of the admissible mid-path darts, cut the one carried by the
         # most shortest walks: one surgery then retires a whole family;
         # argmax takes the first maximum, the smallest such dart
-        growth.surger(int(np.argmax(counts)) // 2)
+        growth.surger(int(np.argmax(walks[3])) // 2)

@@ -432,7 +432,8 @@ def angle_change_check(
 
     Both representations must develop the same complex at the same R;
     segments leave a shared cuff axis at matched points and end at the
-    images of the base point under matched holonomy words.  The circle
+    images of the base point under matched holonomy words.  The circle,
+    the complex's first regular circle (ValueError when it has none),
     sits on the axis (0, infinity) in its left-oriented coordinates, so
     the angles are measured in the axis frame (_UP, _BINORMAL).  The theta
     shift and the phi defect from pi/2 are each bounded by 1/(4p), their
@@ -453,7 +454,10 @@ def angle_change_check(
     if samples < 1:
         raise ValueError("need at least one sample")
     cutoff = 1.0 / (10000.0 * p * p)
-    c = min(rho0.complex.regular_circles())
+    regular = rho0.complex.regular_circles()
+    if not regular:
+        raise ValueError("the complex has no regular circle to measure the angles along")
+    c = regular[0]
     word_mats = []
     for rho in (rho0, rho1):
         # generators of the pants on both sides of the circle, written in

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import goodpants
 import goodpants.cli as cli
 from goodpants.cli import main
-from goodpants.complexes import Pants, PantsComplex, build_xp
+from goodpants.complexes import Circle, Pants, PantsComplex, build_xp
 
 
 def run(capsys, argv):
@@ -69,6 +69,8 @@ class TestBuild:
             ["build", "--R", "-3"],
             ["build", "--tau", "1.5"],
             ["build", "--L", "-1"],
+            # a perturbation with no seed to draw it from
+            ["build", "--L", "0", "--tau", "1"],
         ],
     )
     def test_bad_config(self, capsys, argv):
@@ -497,6 +499,23 @@ class TestLemma:
         error = json.loads(err)["error"]
         assert error["code"] == "construction-failed"
         assert "R = 130.0" in error["message"]
+
+    def test_angle_change_needs_a_regular_circle(self, tmp_path, capsys):
+        # one pants on three singular circles
+        path = tmp_path / "f.json"
+        path.write_text(
+            PantsComplex(
+                pants=(Pants(slots=(0, 1, 2)),), circles=(Circle(d=2),) * 3
+            ).to_json()
+        )
+        code, out, err = run(
+            capsys,
+            ["lemma", "angle-change", "--complex", str(path), "--samples", "10", "--seed", "0"],
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid-config"
+        assert "no regular circle" in error["message"]
 
     def test_failed_sweep_exit_code(self, capsys, monkeypatch):
         from goodpants import lemmalab

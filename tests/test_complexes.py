@@ -22,6 +22,7 @@ from goodpants.complexes import (
     _Growth,
     _middle_dart_counts,
     _predecessors,
+    _shortest_level,
     _shortest_walks,
     _walk_layers,
     build_xp,
@@ -196,6 +197,38 @@ def scatter_walk_layers(tail, head, marked, dtype, n_vertices):
         by_vertex = np.zeros((len(seeds), n_vertices), dtype=dtype)
         np.add.at(by_vertex, (rows[:, None], head[None, :]), ext)
         cur = by_vertex[:, tail] - ext[:, flip]
+
+
+def exact_walks(darts):
+    """_shortest_walks in Python integers, its middle-dart counts formed
+    by subtraction, which is exact there."""
+    l, total, layers = _shortest_level(darts, dtype=object)
+    k = (l + 2) // 2
+    fwd = layers[k]
+    back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
+    counts = fwd.sum(axis=0) * back.sum(axis=0) - (fwd * back).sum(axis=0)
+    return l, total, k, counts.tolist()
+
+
+def chain_complex(k):
+    """2k + 2 pants in a row, joined alternately by one circle and by
+    two, with two d = 2 circles on each end pants.
+
+    The essential paths run from end to end: 2**k of them are shortest,
+    of length 2k + 1, one for each choice of circle at each double join.
+    """
+    circles = [Circle(d=2)] * 2
+    slots = [[0, 1]]
+    for i in range(2 * k + 1):
+        joins = list(range(len(circles), len(circles) + 1 + i % 2))
+        circles += [Circle()] * len(joins)
+        slots[-1] += joins
+        slots.append(list(joins))
+    slots[-1] += [len(circles), len(circles) + 1]
+    circles += [Circle(d=2)] * 2
+    return PantsComplex(
+        pants=tuple(Pants(slots=tuple(s)) for s in slots), circles=tuple(circles)
+    )
 
 
 @functools.cache
@@ -429,8 +462,11 @@ class TestComplexity:
 
 class TestWalkKernel:
     @staticmethod
-    def assert_matches_scatter(g):
-        tail, head, marked, dtype = _dart_arrays(g)
+    def assert_matches_scatter(g, n_layers):
+        """The float64 kernel against the Python-int scatter oracle, equal
+        wherever the exact entry is below 2**53; returns how many entries
+        were not."""
+        tail, head, marked = _dart_arrays(g)
         starts = np.flatnonzero(marked[tail])
         ends = np.flatnonzero(marked[head])
         # backward row j (last dart ends[j]) is forward row i with
@@ -438,50 +474,93 @@ class TestWalkKernel:
         rows = np.searchsorted(starts, ends ^ 1)
         assert np.array_equal(starts[rows], ends ^ 1)
         flip = np.arange(len(tail)) ^ 1
-        n_layers = 2 * (g.n_vertices + len(g.edges)) + 1
         walks = zip(
-            _walk_layers(tail, head, marked, dtype),
-            scatter_walk_layers(tail, head, marked, dtype, g.n_vertices),
-            scatter_walk_layers(head, tail, marked, dtype, g.n_vertices),
+            _walk_layers(tail, head, marked, np.float64),
+            scatter_walk_layers(tail, head, marked, object, g.n_vertices),
+            scatter_walk_layers(head, tail, marked, object, g.n_vertices),
         )
+        large = 0
         for fwd, want, back in islice(walks, n_layers):
-            assert fwd.dtype == want.dtype == dtype
-            assert np.array_equal(fwd, want)
-            assert np.array_equal(back, fwd[rows][:, flip])
+            assert fwd.dtype == np.float64
+            small = want < 2**53
+            assert np.array_equal(fwd[small], want[small].astype(np.float64))
+            assert np.array_equal(back, want[rows][:, flip])
+            large += np.count_nonzero(~small)
+        return large
 
     def test_matches_scatter_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(300):
             g = random_graph(rng)
-            assert _dart_arrays(g)[3] is object
-            self.assert_matches_scatter(g)
+            self.assert_matches_scatter(g, 2 * (g.n_vertices + len(g.edges)) + 1)
 
     def test_matches_scatter_on_grown_graph(self):
+        # the layers a count can read, and as many again; past the
+        # shortest level some entries pass 2**53
         g = graph_of(grown(64))
-        assert _dart_arrays(g)[3] is np.int64
-        self.assert_matches_scatter(g)
+        l, _ = complexity(g)
+        assert self.assert_matches_scatter(g, 2 * l) > 0
 
     @pytest.mark.parametrize("threshold", [64, 128])
-    def test_int64_counts_match_exact_integers(self, threshold):
-        # int64 layers wrap modulo 2**64 on large graphs; the returned
-        # counts must still equal the exact Python-integer ones
+    def test_float_counts_match_exact_integers(self, threshold):
         g = graph_of(grown(threshold))
-        tail, head, marked, dtype = _dart_arrays(g)
-        assert len(tail) > 256 and dtype is np.int64
-        exact = _shortest_walks(g, (tail, head, marked, object))
-        assert _shortest_walks(g, (tail, head, marked, dtype)) == exact
-        assert exact == g._walks
+        exact = exact_walks(_dart_arrays(g))
+        assert _shortest_walks(_dart_arrays(g)) == exact
+        # the walk grow_until handed to the frozen complex's graph
+        assert g._walks == exact
 
-    def test_int64_wraps_at_l128(self):
-        # at L = 64 every entry stays below 2**56, so only the [128] case
-        # above reaches the wrap: there the middle products pass 2**63
+    def test_counts_stay_exact_past_2_53_at_l128(self):
+        # some layer entries a count skips pass 2**53 (about 2**119 at
+        # the start's own reversed seed); the counts match the exact ones
+        # in the test above
         g = graph_of(grown(128))
-        tail, head, marked, _ = _dart_arrays(g)
-        l, k, _ = _middle_dart_counts(g)
-        walks = _walk_layers(tail, head, marked, object)
-        layers = list(islice(walks, l))
-        fwd, back = layers[k - 1], layers[l - k]
-        assert max(fwd.sum(axis=0) * back.sum(axis=0)[np.arange(len(tail)) ^ 1]) > 2**63
+        tail, head, marked = _dart_arrays(g)
+        l, k, counts = _middle_dart_counts(g)
+        layers = list(islice(_walk_layers(tail, head, marked, np.float64), l))
+        assert max(layer.max() for layer in layers) > 2**53
+        assert max(counts) < 2**53
+
+    def test_entries_past_float_range_never_meet_a_zero(self):
+        # marked 0 joins a bouquet of six loops at 1 and a path of m edges
+        # to marked m + 1: walks into the bouquet number about 11**t, past
+        # 1e308 before the middle layer, and only come back to 0 by
+        # reversing their first dart
+        m = 700
+        loops = [(0, 0, 1)] + [(e, 1, 1) for e in range(1, 7)]
+        stops = [0, *range(2, m + 2)]
+        path = [(7 + i, a, b) for i, (a, b) in enumerate(zip(stops, stops[1:]))]
+        g = PantsGraph(n_vertices=m + 2, edges=tuple(loops + path), marked=frozenset({0, m + 1}))
+        tail, head, marked = _dart_arrays(g)
+        with np.errstate(over="ignore"):
+            layers = list(islice(_walk_layers(tail, head, marked, np.float64), m // 2))
+        assert np.isinf(layers[-1]).any()
+        l, k, counts = _middle_dart_counts(g)
+        assert complexity(g) == (m, -1)
+        # the walk out along the path and the walk back
+        crossed = [d for d, c in enumerate(counts) if c]
+        assert crossed == sorted([2 * (7 + k - 1), 2 * (7 + m - k) + 1])
+        assert [counts[d] for d in crossed] == [1, 1]
+
+
+class TestChainCounts:
+    @pytest.mark.parametrize("k", [40, 51, 52, 62, 63])
+    def test_exact_complexity(self, k):
+        with mock.patch.object(
+            complexes, "_walk_layers", wraps=complexes._walk_layers
+        ) as walk:
+            g = graph_of(chain_complex(k))
+            assert complexity(g) == (2 * k + 1, -(2**k))
+        # 2**(k + 1) ordered walks: from k = 52 on float64 cannot hold
+        # them all, and the walk is counted again in Python integers
+        dtypes = [call.args[3] for call in walk.call_args_list]
+        assert dtypes == ([np.float64, object] if k >= 52 else [np.float64])
+        l, _, counts = _middle_dart_counts(g)
+        assert sum(counts) == 2 ** (k + 1)
+
+    def test_small_chains_match_brute_force(self):
+        for k in range(4):
+            g = graph_of(chain_complex(k))
+            assert complexity(g) == brute_force_complexity(g) == (2 * k + 1, -(2**k))
 
 
 class TestOneWalk:
@@ -494,7 +573,9 @@ class TestOneWalk:
             complexes, "_walk_layers", wraps=complexes._walk_layers
         ) as walk:
             x = grow_until(build_xp(1, 3), 64)
-        # 95 surgeries of 4 pants each: 96 graphs, one walk each
+            complexity(graph_of(x))
+        # 95 surgeries of 4 pants each: 96 graphs, one walk each; the
+        # frozen result's graph takes the last one
         assert len(x.pants) == 384
         assert walk.call_count == 96
 
@@ -518,8 +599,7 @@ class TestGrowthState:
         assert validate(x) == []
         g = graph_of(x)
         assert growth.edges == list(g.edges)
-        assert growth.marked == g.marked
-        tail, head, marked, dtype = _dart_arrays(g)
+        tail, head, marked = _dart_arrays(g)
         assert np.array_equal(growth.tail, tail)
         assert np.array_equal(growth.head, head)
         assert np.array_equal(growth.mask, marked)
@@ -528,7 +608,7 @@ class TestGrowthState:
         want = np.full_like(growth.pred, len(tail))
         want[: len(pred)] = pred
         assert np.array_equal(np.sort(growth.pred, axis=0), np.sort(want, axis=0))
-        assert walks == _shortest_walks(g, (tail, head, marked, dtype))
+        assert walks == _shortest_walks((tail, head, marked))
         return walks
 
     def test_every_step_to_l64_matches_the_rebuilt_complex(self):
@@ -564,7 +644,7 @@ class TestGrowthState:
             walks = self.walk_and_compare(growth)
             growth.surger(int(np.argmax(walks[3])) // 2)
         self.walk_and_compare(growth)
-        assert len(growth.marked) == 2 + 12
+        assert np.count_nonzero(growth.mask) == 2 + 12
 
 
 class TestSurger:
@@ -646,15 +726,17 @@ class TestGrowUntil:
         assert digest == "3818abe837636f194553d8677d45539f4f9d376bc0508ea28a7050b5600668a2"
 
     def test_one_connectivity_search_per_surgery(self):
-        # validate searches the start complex once, when graph_of builds
-        # its graph; the surgeries edit a working state and search nothing
+        # validate searches the start complex, the donor and the result
+        # once each, when graph_of builds their graphs; the surgeries edit
+        # a working state and search nothing
         for threshold, surgeries in ((16, 23), (64, 95)):
             with mock.patch.object(
                 complexes, "_connected", wraps=complexes._connected
             ) as search:
                 x = grow_until(build_xp(1, 3), threshold)
+                complexity(graph_of(x))
             assert (len(x.pants) - 4) // 4 == surgeries
-            assert search.call_count == 1
+            assert search.call_count == 3
 
     def test_refuses_invalid_start(self):
         missing = PantsComplex(pants=(Pants(slots=(0, 1, 7)),), circles=(Circle(), Circle()))
@@ -673,6 +755,19 @@ class TestGrowUntil:
         )
         with pytest.raises(ValueError, match="^invalid complex: complex is not connected$"):
             grow_until(apart, 16)
+
+    def test_refuses_invalid_donor(self):
+        donor = make_donor()
+        # the last handle pants names circle 9, which the donor lacks
+        broken = PantsComplex(
+            pants=donor.pants[:3] + (Pants(slots=(4, 5, 9), orientations=(-1, 1, -1)),),
+            circles=donor.circles,
+        )
+        with pytest.raises(ValueError, match="^invalid complex: .* missing circle 9$"):
+            surger(build_xp(1, 3), 2, broken)
+        with mock.patch.object(complexes, "make_donor", return_value=broken):
+            with pytest.raises(ValueError, match="^invalid complex: .* missing circle 9$"):
+                grow_until(build_xp(1, 3), 16)
 
     def test_deterministic(self):
         a = grow_until(build_xp(1, 3), 5)
