@@ -15,6 +15,12 @@ draws from its own seed, or from one stream in a fixed order, and the
 samplers that evaluate slices of samples as arrays (the QI sampler, the
 two-planes and angle-change sweeps) get the bits of one-at-a-time
 evaluation, so reports never depend on its value.
+
+A command loads only the modules it runs: this module imports the
+standard library and the version at its top, and each handler imports
+what it calls inside its own body.  So ``homology``, ``--version``,
+``--help`` and usage errors start without numpy, and only ``lemma``
+loads the sweeps.
 """
 
 from __future__ import annotations
@@ -26,25 +32,6 @@ import os
 import sys
 
 from . import __version__
-from .complexes import (
-    PantsComplex,
-    build_xp,
-    complexity,
-    graph_of,
-    grow_until,
-    validate,
-)
-from .geom import DegenerateError
-from .holonomy import (
-    RepParams,
-    build_rho,
-    certify_qi,
-    check_p_separated,
-    development_residual,
-    nontriviality_scan,
-)
-from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
-from .homology import mv_torsion_embedding, sigma
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 4
@@ -123,7 +110,10 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_complex(path: str) -> PantsComplex:
+def _load_complex(path: str):
+    """The complex stored at path, once it passes validate."""
+    from .complexes import PantsComplex, validate
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -139,8 +129,10 @@ def _load_complex(path: str) -> PantsComplex:
     return x
 
 
-def _params_for(x: PantsComplex, args) -> RepParams:
+def _params_for(x, args):
     """The development's parameters; a non-zero --tau draws with --seed."""
+    from .holonomy import RepParams
+
     if args.tau != 0.0:
         return RepParams.random(x, R=args.R, tau=args.tau, seed=args.seed)
     return RepParams.zero(x, R=args.R, tau=args.tau)
@@ -163,6 +155,9 @@ def _report_header(args, command: str) -> dict:
 
 
 def cmd_build(args) -> int:
+    from .complexes import build_xp, complexity, graph_of, grow_until
+    from .holonomy import build_rho, development_residual
+
     if args.genus < 1:
         raise ConfigError("--genus must be at least 1")
     _development_options(args)
@@ -204,6 +199,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .holonomy import build_rho, certify_qi, check_p_separated, development_residual
+    from .holonomy import nontriviality_scan
+
     _development_options(args)
     if args.words < 1:
         raise ConfigError("--words must be at least 1")
@@ -245,6 +243,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .complexes import _integer
+    from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
+    from .homology import mv_torsion_embedding, sigma
+
     modes = [bool(args.complex), args.book, bool(args.free_product)]
     if sum(modes) != 1:
         raise ConfigError("choose exactly one of --complex, --book, --free-product")
@@ -266,15 +268,24 @@ def cmd_homology(args) -> int:
                     obj = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read group file {path}: {exc}") from exc
-            if isinstance(obj, dict) and "pants" in obj:
+            if not isinstance(obj, dict):
+                raise ConfigError(f"{path} is not a group or complex file")
+            if "pants" in obj:
                 groups.append(h1_of_complex(_load_complex(path)))
                 continue
+            # a group file names Z^rank + Z/t_1 + Z/t_2 + ... with orders
+            # t_i > 1 in any order; each summand joins the free product as
+            # a factor, and free_product_h1 gives the invariant factors
             try:
-                rank = int(obj["rank"])
-                torsion = tuple(int(t) for t in obj.get("torsion", ()))
-                groups.append(AbelianGroup(rank=rank, torsion=torsion))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path} is not a group or complex file") from exc
+                groups.append(AbelianGroup(rank=_integer(obj.get("rank"), "rank")))
+                orders = obj.get("torsion", [])
+                if not isinstance(orders, list):
+                    raise ValueError(f"torsion must be a list, got {orders!r}")
+                groups += [
+                    AbelianGroup(rank=0, torsion=(_integer(t, "torsion order"),)) for t in orders
+                ]
+            except ValueError as exc:
+                raise ConfigError(f"{path} is not a group or complex file: {exc}") from exc
         report["h1"] = _group_json(free_product_h1(groups))
     _write(args.out, canonical_json(report))
     return EXIT_OK
@@ -289,6 +300,8 @@ def _parse_R_list(raw: str) -> list[float]:
 
 
 def cmd_lemma(args) -> int:
+    from .geom import DegenerateError
+
     try:
         report = _run_lemma(args)
     except DegenerateError as exc:
@@ -319,6 +332,10 @@ def _run_lemma(args):
         return two_planes_angle_check(
             args.eps, _finite_R(args.R), samples=args.samples, seed=args.seed
         )
+    # only angle-change develops a complex
+    from .complexes import build_xp
+    from .holonomy import RepParams, build_rho
+
     R = _development_options(args)
     x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
     rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))

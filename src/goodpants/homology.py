@@ -100,14 +100,16 @@ class IntegerMatrix:
 class AbelianGroup:
     """A finitely generated abelian group Z^rank + sum Z_{t_i}.
 
-    The torsion coefficients form a divisor chain t_1 | t_2 | ... with
-    every t_i > 1.
+    The rank is non-negative, and the torsion coefficients form a divisor
+    chain t_1 | t_2 | ... with every t_i > 1.
     """
 
     rank: int
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"rank must be non-negative, got {self.rank}")
         if any(t <= 1 for t in self.torsion):
             raise ValueError("torsion coefficients must exceed 1")
         for a, b in zip(self.torsion, self.torsion[1:]):

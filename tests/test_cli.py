@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import goodpants
 import goodpants.cli as cli
+from goodpants import holonomy
 from goodpants.cli import main
 from goodpants.complexes import Circle, Pants, PantsComplex, build_xp
 
@@ -134,7 +136,7 @@ class TestBuild:
         def boom(x, params):
             raise ValueError("no viable development")
 
-        monkeypatch.setattr(cli, "build_rho", boom)
+        monkeypatch.setattr(holonomy, "build_rho", boom)
         code, out, err = run(capsys, ["build", "--L", "0"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "construction-failed"
@@ -219,7 +221,7 @@ class TestVerify:
         assert qi["violations"] == 1
 
     def test_failed_check_exit_code(self, small_complex, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "check_p_separated", lambda rho, p: False)
+        monkeypatch.setattr(holonomy, "check_p_separated", lambda rho, p: False)
         code, out, err = run(
             capsys,
             [
@@ -355,6 +357,48 @@ class TestHomology:
         grp.write_text(json.dumps({"torsion": "x"}))
         code, out, err = run(capsys, ["homology", "--free-product", str(grp)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "group, field",
+        [
+            ({"rank": -3}, "rank must be non-negative, got -3"),
+            ({"rank": 1.7}, "rank must be an integer, got 1.7"),
+            ({"rank": True}, "rank must be an integer, got True"),
+            ({"rank": "3"}, "rank must be an integer, got '3'"),
+            ({"rank": 0, "torsion": [2.9]}, "torsion order must be an integer, got 2.9"),
+        ],
+    )
+    def test_group_file_is_read_not_coerced(self, tmp_path, capsys, group, field):
+        grp = tmp_path / "g.json"
+        grp.write_text(json.dumps(group))
+        code, out, err = run(capsys, ["homology", "--free-product", str(grp)])
+        assert (code, out) == (2, "")
+        assert error_of(err) == ("invalid-config", f"{grp} is not a group or complex file: {field}")
+
+    @pytest.mark.parametrize(
+        "orders, torsion", [([2, 3], [6]), ([4, 6], [2, 12]), ([12, 2, 9], [6, 36])]
+    )
+    def test_group_file_torsion_in_any_order(self, tmp_path, capsys, orders, torsion):
+        grp = tmp_path / "g.json"
+        grp.write_text(json.dumps({"rank": 1, "torsion": orders}))
+        code, out, err = run(capsys, ["homology", "--free-product", str(grp)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["h1"]["torsion"] == torsion
+
+    def test_group_file_torsion_matches_sympy(self, tmp_path, capsys):
+        from sympy import diag
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(15)
+        grp = tmp_path / "g.json"
+        for _ in range(60):
+            orders = [rng.randrange(2, 61) for _ in range(rng.randrange(6))]
+            grp.write_text(json.dumps({"rank": 0, "torsion": orders}))
+            code, out, err = run(capsys, ["homology", "--free-product", str(grp)])
+            assert (code, err) == (0, "")
+            d = smith_normal_form(diag(*orders)) if orders else None
+            want = [abs(d[i, i]) for i in range(len(orders)) if abs(d[i, i]) > 1]
+            assert json.loads(out)["h1"]["torsion"] == sorted(want), orders
 
 
 class TestLemma:
@@ -973,3 +1017,59 @@ class TestExports:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "False"
+
+    # modules a command must not load: homology, --version, --help and
+    # usage errors start without numpy, and each command leaves out the
+    # layers it does not run
+    NO_NUMPY = {"numpy", "holonomy", "pants", "geom", "elementwise"}
+    NO_COMPLEXES = {"complexes", "holonomy", "homology", "pants"}
+    NO_HOMOLOGY = {"homology", "lemmalab"}
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            pytest.param(argv, unloaded, id=" ".join(argv[:2]))
+            for argv, unloaded in [
+                (["--version"], NO_NUMPY),
+                (["--help"], NO_NUMPY),
+                (["frob"], NO_NUMPY),
+                (["homology", "--complex", "{complex}"], NO_NUMPY),
+                (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY),
+                (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
+                (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES),
+                (["lemma", "delta", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
+                (["lemma", "two-planes", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
+                (["build", "--L", "4"], NO_HOMOLOGY),
+                (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
+                  "--words", "2"], NO_HOMOLOGY),
+            ]
+        ],
+    )
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, unloaded):
+        # a fresh interpreter runs the command and lists what it loaded
+        paths = {"complex": tmp_path / "x.json", "group": tmp_path / "g.json"}
+        paths["complex"].write_text(build_xp(1, 3).to_json())
+        paths["group"].write_text(json.dumps({"rank": 1, "torsion": [2]}))
+        argv = [a.format(**paths) for a in argv]
+        src = str(Path(goodpants.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from goodpants.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(sys.modules)]))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argv)],
+            env=env, capture_output=True, text=True, check=True, cwd=tmp_path,
+        ).stdout
+        code, modules = json.loads(out)
+        assert code == (2 if argv == ["frob"] else 0)
+        loaded = {
+            m.removeprefix("goodpants.")
+            for m in modules
+            if m.split(".")[0] in ("goodpants", "numpy")
+        }
+        assert not loaded & unloaded, sorted(loaded & unloaded)

@@ -18,13 +18,7 @@ from goodpants.complexes import (
     Pants,
     PantsComplex,
     PantsGraph,
-    _dart_arrays,
-    _Growth,
     _middle_dart_counts,
-    _predecessors,
-    _shortest_level,
-    _shortest_walks,
-    _walk_layers,
     build_xp,
     complexity,
     graph_of,
@@ -32,6 +26,14 @@ from goodpants.complexes import (
     make_donor,
     surger,
     validate,
+)
+from goodpants.walks import (
+    _dart_arrays,
+    _Growth,
+    _predecessors,
+    _shortest_level,
+    _shortest_walks,
+    _walk_layers,
 )
 
 
@@ -545,9 +547,7 @@ class TestWalkKernel:
 class TestChainCounts:
     @pytest.mark.parametrize("k", [40, 51, 52, 62, 63])
     def test_exact_complexity(self, k):
-        with mock.patch.object(
-            complexes, "_walk_layers", wraps=complexes._walk_layers
-        ) as walk:
+        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
             g = graph_of(chain_complex(k))
             assert complexity(g) == (2 * k + 1, -(2**k))
         # 2**(k + 1) ordered walks: from k = 52 on float64 cannot hold
@@ -569,9 +569,7 @@ class TestOneWalk:
         assert graph_of(x) is graph_of(x)
 
     def test_grow_walks_each_graph_once(self):
-        with mock.patch.object(
-            complexes, "_walk_layers", wraps=complexes._walk_layers
-        ) as walk:
+        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
             x = grow_until(build_xp(1, 3), 64)
             complexity(graph_of(x))
         # 95 surgeries of 4 pants each: 96 graphs, one walk each; the
@@ -582,9 +580,7 @@ class TestOneWalk:
     def test_surger_reuses_the_counts(self):
         x = build_xp(1, 3)
         _middle_dart_counts(graph_of(x))
-        with mock.patch.object(
-            complexes, "_walk_layers", wraps=complexes._walk_layers
-        ) as walk:
+        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
             surger(x, 2, make_donor())
         assert walk.call_count == 0
 

@@ -223,6 +223,10 @@ class TestAbelianGroup:
         with pytest.raises(ValueError):
             AbelianGroup(rank=0, torsion=(1,))
 
+    def test_negative_rank_refused(self):
+        with pytest.raises(ValueError, match="^rank must be non-negative, got -3$"):
+            AbelianGroup(rank=-3)
+
     def test_describe(self):
         assert AbelianGroup(rank=2, torsion=(3,)).describe() == "Z^2 + Z/3"
         assert AbelianGroup(rank=0).describe() == "0"
