@@ -6,11 +6,17 @@ The program never reads geometry back this way (the hexagon construction
 keeps its frames), but these routes are independent of it, so the tests
 check the construction against them where the endpoints are still
 accurate (small R).
+
+The quasigeodesic inequality is also checked here the direct way, on
+every vertex pair of a path, against which the program's log-height
+bound is tested.
 """
 
 from __future__ import annotations
 
 import cmath
+
+import numpy as np
 
 from goodpants.geom import (
     INFINITY,
@@ -23,6 +29,7 @@ from goodpants.geom import (
     _Infinity,
     _same_boundary_point,
 )
+from goodpants.lemmalab import _pair_distances
 
 
 class SharedEndpointError(ValueError):
@@ -114,3 +121,23 @@ def axis_of(m: MoebiusMap) -> OrientedGeodesic:
         return OrientedGeodesic(p2, p1)
     return OrientedGeodesic(p1, p2)
 
+
+
+def quasigeodesic_on_full_net(z, t, delta: float) -> bool:
+    """The (1 + delta, delta) quasigeodesic inequality on every vertex pair.
+
+    Measures all n (n - 1) / 2 distances of the path through (z, t), takes
+    the walk from the neighbour pairs among them, and checks
+    gap / (1 + delta) - delta <= dist <= (1 + delta) gap + delta on each
+    pair i < j, up to 1e-12.  O(n^2) for a path of n vertices.
+    """
+    n = len(t) - 1
+    j, i = np.tril_indices(n + 1, -1)
+    dist = _pair_distances(z, t, i, j)
+    # pairs are ordered by j, so the pair (k, k + 1) sits at (k + 1) (k + 2) / 2 - 1
+    neighbours = np.arange(2, n + 2) * np.arange(1, n + 1) // 2 - 1
+    walk = np.concatenate(([0.0], np.cumsum(dist[neighbours])))
+    gap = np.abs(walk[i] - walk[j])
+    lower_ok = np.all(dist >= gap / (1.0 + delta) - delta - 1e-12)
+    upper_ok = np.all(dist <= (1.0 + delta) * gap + delta + 1e-12)
+    return bool(lower_ok and upper_ok)

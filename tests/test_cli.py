@@ -497,6 +497,33 @@ class TestLemma:
         assert code in (0, 4) and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "delta, seed, digest",
+        [
+            ("1e-2", "0", "77468a557b549230c7dc47b06367be924d054133d3b0178a4af1b6e5964c64a4"),
+            ("1e-2", "1", "64ec87e8e3bd239e0713ff0ca74da744d44f9f12976f065281ad5f571de4628a"),
+            ("1e-2", "7", "14fb43ad818be3d70c84674ba431824515500059d99bf41e892ed31531cfbcbb"),
+            ("1e-4", "0", "4695d195a8f942cbcad88f9f83d2f4c17bdcf80eb99c03fccfddb70bafd3a61a"),
+            ("1e-4", "1", "4f376e49f74a51a74cd620259b70697cd7bc73c82eebdcbbd22325e8deda20f9"),
+            ("1e-4", "7", "6e55301ac3dba2a1a1d3fafd79e5deff3d889b89efcb074c9c0b51dea4586b58"),
+            ("1e-6", "0", "f16d25820e33829fc201a0db4af64f2bcd0c469c71c5611f44dc4338003e6225"),
+            ("1e-6", "1", "dec4a8a8b31a188598fcdcd02fa689fd5f34510a140d77e1e6710e5935f1f871"),
+            ("1e-6", "7", "340587d0f6f2b4701686355aee46af8da84a40074a2f501b1f9cb1355f789366"),
+            ("1e-10", "0", "28e5b4673dafb7f577c437a059f717da9bbaa441df58771f18c7f242a743a81b"),
+            ("1e-10", "1", "1a9cbc3f0f19ddd35f09eb25f6ce7f92804c997fff672e69440be195930ce34a"),
+            ("1e-10", "7", "9817758c741c0a79f96dceee5ff186480e920b118125ba0d70a4f2a5feab2e87"),
+        ],
+    )
+    def test_pinned_delta_bytes(self, capsys, delta, seed, digest):
+        # digests of the reports of the sweep that checked every path on
+        # its full net of vertex pairs; the log-height bound must print the
+        # same bytes, and at 1e-10 the full net still decides each path
+        code, out, err = run(
+            capsys, ["lemma", "delta", "--delta", delta, "--samples", "3000", "--seed", seed]
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("name", ["delta", "two-planes", "angle-change"])
     def test_seed_required(self, capsys, name):
         code, out, err = run(capsys, ["lemma", name, "--samples", "10"])

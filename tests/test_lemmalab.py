@@ -30,6 +30,7 @@ from goodpants.lemmalab import (
     quasigeodesic_stability_check,
     two_planes_angle_check,
 )
+from oracles import quasigeodesic_on_full_net
 
 AXIS = OrientedGeodesic(0j, INFINITY)
 NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
@@ -224,6 +225,170 @@ class TestQuasigeodesicStability:
     def test_rejects_large_delta(self):
         with pytest.raises(ValueError):
             quasigeodesic_stability_check(0.5, samples=10, seed=0)
+
+
+DELTAS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12]
+
+
+def zigzag(n, amp, seed):
+    """A path like the delta sweep's: n + 1 vertices every 0.1 up the axis,
+    displaced by amplitude amp in alternating directions."""
+    rng = np.random.default_rng(seed)
+    s = np.arange(n + 1) * 0.1
+    psi = rng.uniform(0.0, 2.0 * math.pi) + np.arange(n + 1) * math.pi + rng.uniform(-0.3, 0.3, n + 1)
+    u = np.full(n + 1, amp)
+    u[0] = u[-1] = 0.0
+    return np.exp(s) * np.tanh(u) * np.exp(1j * psi), np.exp(s) / np.cosh(u)
+
+
+@pytest.fixture()
+def full_nets(monkeypatch):
+    """Counts the calls that measure a path's full net of vertex pairs."""
+    calls = []
+    pair_distances = lemmalab._pair_distances
+
+    def counting(z, t, i, j):
+        if len(i) >= len(t):
+            calls.append(len(t))
+        return pair_distances(z, t, i, j)
+
+    monkeypatch.setattr(lemmalab, "_pair_distances", counting)
+    return calls
+
+
+class TestQuasigeodesicNet:
+    def test_walk_is_the_net_walk(self):
+        # the O(n) walk has the bits of the full net's neighbour pairs
+        z, t = zigzag(150, 5e-4, seed=3)
+        k = np.arange(150)
+        j, i = np.tril_indices(151, -1)
+        dist = lemmalab._pair_distances(z, t, i, j)
+        net = dist[(i + 1 == j)]
+        assert np.array_equal(lemmalab._pair_distances(z, t, k, k + 1), net)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_sweep_verdicts_match_the_full_net(self, monkeypatch, delta):
+        verdicts = []
+        helper = lemmalab._is_quasigeodesic
+
+        def both(z, t, d):
+            verdicts.append((helper(z, t, d), quasigeodesic_on_full_net(z, t, d)))
+            return verdicts[-1][0]
+
+        monkeypatch.setattr(lemmalab, "_is_quasigeodesic", both)
+        quasigeodesic_stability_check(delta, samples=2000, seed=4)
+        assert verdicts and all(got == want for got, want in verdicts)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 1.5, 3.0, 10.0, 100.0])
+    def test_verdict_matches_the_full_net(self, delta, factor):
+        # factor 1 is the sweep's largest amplitude; from about 1.5 up the
+        # zigzag's walk outgrows its chords and the full net rejects it
+        amp = factor * 0.05 * math.sqrt(delta)
+        for seed, n in ((0, 120), (1, 160), (2, 200)):
+            z, t = zigzag(n, amp, seed)
+            want = quasigeodesic_on_full_net(z, t, delta)
+            assert lemmalab._is_quasigeodesic(z, t, delta) == want
+            if factor >= 3.0:
+                assert not want
+
+    def test_bound_decides_the_benchmark_delta(self, full_nets):
+        rep = quasigeodesic_stability_check(1e-4, samples=5000, seed=2)
+        assert rep.passed and full_nets == []
+
+    def test_full_net_decides_below_the_margin(self, full_nets):
+        # 1e-10 < len(t) * _TAU: the rounding of the walk could hide a
+        # violation of the upper inequality, so every path is measured
+        quasigeodesic_stability_check(1e-10, samples=2000, seed=2)
+        assert len(full_nets) >= 10
+
+    def test_fold_back_along_the_axis_is_rejected(self, full_nets):
+        s = np.concatenate((np.arange(0.0, 1.0, 0.1), np.arange(1.0, 0.45, -0.1)))
+        z, t = np.zeros(len(s), dtype=complex), np.exp(s)
+        for delta in (1e-2, 1e-4):
+            assert not quasigeodesic_on_full_net(z, t, delta)
+            assert not lemmalab._is_quasigeodesic(z, t, delta)
+        assert len(full_nets) == 2
+
+    def test_vertex_far_off_the_axis_is_rejected(self, full_nets):
+        z, t = zigzag(150, 0.0, seed=0)
+        z[70], t[70] = math.exp(7.0) * math.tanh(1.0), math.exp(7.0) / math.cosh(1.0)
+        for delta in (1e-2, 1e-4):
+            assert not quasigeodesic_on_full_net(z, t, delta)
+            assert not lemmalab._is_quasigeodesic(z, t, delta)
+        assert len(full_nets) == 2
+
+    def test_geodesic_over_the_top_passes_on_the_full_net(self, full_nets):
+        # along the geodesic (-1, 1) by arclength the height rises and
+        # falls, so the log-height bound cannot decide; the full net can
+        s = np.arange(-10, 11) * 0.1
+        z, t = np.tanh(s) + 0j, 1.0 / np.cosh(s)
+        assert quasigeodesic_on_full_net(z, t, 1e-4)
+        assert lemmalab._is_quasigeodesic(z, t, 1e-4)
+        assert full_nets == [len(t)]
+
+    def test_chord_that_rounds_to_zero_is_rejected(self, full_nets):
+        # the chord from (0, 1) to (0, 1 + 1.4e-8) computes as 0, its
+        # exact length 1.4e-8 less than 2^-26; the walk through the middle
+        # vertex makes the lower inequality ask for 4e-11 > 1e-12, so the
+        # full net rejects the path.  Its log-height drawdown lies within
+        # delta - 1e-9: a margin below the 2^-26 rounding would admit it
+        delta = 1e-6
+        z, t = np.array([0.0, 5e-7, 0.0], dtype=complex), np.array([1.0, 1.0 + 7e-9, 1.0 + 1.4e-8])
+        walk = np.concatenate(([0.0], np.cumsum(lemmalab._pair_distances(z, t, [0, 1], [1, 2]))))
+        f = np.log(t) - walk / (1.0 + delta)
+        assert np.max(np.maximum.accumulate(f) - f) <= delta - 1e-9
+        assert lemmalab._pair_distances(z, t, [0], [2])[0] == 0.0
+        assert not quasigeodesic_on_full_net(z, t, delta)
+        assert not lemmalab._is_quasigeodesic(z, t, delta)
+        assert full_nets == [3]
+
+    @pytest.mark.parametrize("delta, admitted", [(1e-6, False), (2e-6, True), (1e-5, True)])
+    def test_walk_that_rounds_to_zero(self, full_nets, delta, admitted):
+        # 200 steps of 1e-8 up the axis each compute as 0, the chord over
+        # all of them as 2e-6: the upper inequality fails for delta < 2e-6
+        # although every step passes, so below len(t) * _TAU = 3e-6 the
+        # full net decides
+        z, t = np.zeros(201, dtype=complex), np.exp(np.arange(201) * 1e-8)
+        k = np.arange(200)
+        assert not lemmalab._pair_distances(z, t, k, k + 1).any()
+        assert quasigeodesic_on_full_net(z, t, delta) == admitted
+        assert lemmalab._is_quasigeodesic(z, t, delta) == admitted
+        assert full_nets == ([] if delta >= 201 * lemmalab._TAU else [201])
+
+    @pytest.mark.parametrize("start, n", [(0.0, 700), (-201.0, 150), (201.0, 150), (300.0, 150)])
+    def test_outside_the_rounding_bound_the_full_net_decides(self, full_nets, start, n):
+        # _TAU's bound covers walks up to 64 from heights e^+-200; a longer
+        # walk or a path further out is measured pair by pair
+        z, t = np.zeros(n + 1, dtype=complex), np.exp(start + np.arange(n + 1) * 0.1)
+        assert quasigeodesic_on_full_net(z, t, 1e-4)
+        assert lemmalab._is_quasigeodesic(z, t, 1e-4)
+        assert full_nets == [n + 1]
+
+    def test_nan_goes_to_the_full_net(self, full_nets):
+        z, t = zigzag(120, 5e-4, seed=0)
+        z[60] = complex(math.nan, 0.0)
+        assert not lemmalab._is_quasigeodesic(z, t, 1e-4)
+        assert full_nets == [len(t)]
+
+    def test_rejected_paths_are_redrawn_smaller(self, monkeypatch):
+        # a pre-check that admits only half the sweep's amplitude: a
+        # full-amplitude path is rejected at amp and 0.6 amp, then drawn
+        # again at 0.36 amp, from the same random draws
+        base = 0.05 * math.sqrt(1e-4)
+        full = quasigeodesic_stability_check(1e-4, samples=3000, seed=0)
+        monkeypatch.setattr(
+            lemmalab, "_is_quasigeodesic", lambda z, t, d: np.arcsinh(np.abs(z) / t).max() <= 0.5 * base
+        )
+        rep = quasigeodesic_stability_check(1e-4, samples=3000, seed=0)
+        assert full.rejected == 0 and rep.rejected > 0
+        assert rep.samples == full.samples
+        assert 0.3 * base < rep.rows[0].measured <= 0.5 * base
+
+    def test_no_admissible_path_raises(self, monkeypatch):
+        monkeypatch.setattr(lemmalab, "_is_quasigeodesic", lambda z, t, d: False)
+        with pytest.raises(RuntimeError, match="admissible path"):
+            quasigeodesic_stability_check(1e-4, samples=10, seed=0)
 
 
 class TestHexagonAsymptotics:
