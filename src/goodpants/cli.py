@@ -11,16 +11,17 @@ as pants that meet only across singular circles; 4 a failed check.  Exits
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel.  Each sample of a sampler
-draws from its own seed, or from one stream in a fixed order, and the
-samplers that evaluate slices of samples as arrays (the QI sampler, the
-two-planes and angle-change sweeps) get the bits of one-at-a-time
-evaluation, so reports never depend on its value.
+draws from its own seed, or from one stream in a fixed order (the
+angle-change sweep reads that stream's raw words and derives numpy's
+draws from them), and the samplers that evaluate slices of samples as
+arrays (the QI sampler, the two-planes and angle-change sweeps) get the
+bits of one-at-a-time evaluation, so reports never depend on its value.
 
 A command loads only the modules it runs: this module imports the
 standard library and the version at its top, and each handler imports
-what it calls inside its own body.  So ``homology``, ``--version``,
-``--help`` and usage errors start without numpy, and only ``lemma``
-loads the sweeps.
+what it calls inside its own body.  So ``homology``, ``lemma hexagon``,
+``--version``, ``--help`` and usage errors start without numpy, and only
+the sampled ``lemma`` sweeps load ``lemmalab``.
 """
 
 from __future__ import annotations
@@ -314,18 +315,17 @@ def cmd_lemma(args) -> int:
 
 
 def _run_lemma(args):
-    # only lemma runs the sweeps, so only lemma imports them
-    from .lemmalab import (
-        angle_change_check,
-        hexagon_asymptotics_check,
-        quasigeodesic_stability_check,
-        two_planes_angle_check,
-    )
-
+    # only lemma runs the sweeps, so only lemma imports them; the hexagon
+    # sweep needs no numpy, and the sampled ones load it with lemmalab
     if args.name == "hexagon":
+        from .sweeps import hexagon_asymptotics_check
+
         return hexagon_asymptotics_check(_parse_R_list(args.R))
     if args.seed is None:
         raise ConfigError(f"lemma {args.name} requires --seed")
+    from .lemmalab import angle_change_check, quasigeodesic_stability_check
+    from .lemmalab import two_planes_angle_check
+
     if args.name == "delta":
         return quasigeodesic_stability_check(args.delta, samples=args.samples, seed=args.seed)
     if args.name == "two-planes":

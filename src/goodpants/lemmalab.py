@@ -5,38 +5,35 @@ measures the quantity of interest with the geometry primitives, and
 compares against the claimed bound.  Results are collected into
 SweepReport records that serialize to canonical JSON and CSV; a report
 row passes exactly when its measured value does not exceed its bound.
+The records and the hexagon sweep, which needs no numpy, live in
+``sweeps`` and are re-exported here, so this module offers all four
+sweeps.
 
 The sampled sweeps evaluate their samples in slices of at most
 ``_SLICE`` as numpy arrays, so their memory does not grow with the
 sample count.  Their kernels are built from ``elementwise``, which
 repeats the scalar geometry of ``geom`` bit for bit, so a sweep's
 report is the same as when it measured one sample at a time.
+angle-change reads its random stream through ``_RawDraws``, which
+re-derives the Generator's draws from its raw 64-bit words.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import elementwise as ew
 from .geom import (
-    INFINITY,
     DegenerateError,
     OrientedGeodesic,
     Point,
     apply_to_point,
-    hexagon_solve,
-    hyperbolic_point_distance,
     normalize_to_axis,
-    point_to_geodesic_distance,
-    translate_along,
     _FLIP,
 )
+from .sweeps import SweepReport, SweepRow, hexagon_asymptotics_check
 
 __all__ = [
     "SweepReport",
@@ -46,67 +43,6 @@ __all__ = [
     "quasigeodesic_stability_check",
     "two_planes_angle_check",
 ]
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep: parameters, worst measurement, bound."""
-
-    params: tuple[tuple[str, object], ...]
-    measured: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.bound
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Outcome of one sweep; passes when every row does."""
-
-    name: str
-    rows: tuple[SweepRow, ...]
-    samples: int = 0
-    rejected: int = 0
-    stats: tuple[tuple[str, float], ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def to_json(self) -> str:
-        obj = {
-            "version": 1,
-            "name": self.name,
-            "samples": self.samples,
-            "rejected": self.rejected,
-            "stats": dict(self.stats),
-            "rows": [
-                {
-                    "params": dict(r.params),
-                    "measured": r.measured,
-                    "bound": r.bound,
-                    "pass": r.passed,
-                }
-                for r in self.rows
-            ],
-            "pass": self.passed,
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-    def to_csv(self) -> str:
-        keys = sorted({k for r in self.rows for k, _ in r.params})
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys + ["measured", "bound", "pass"])
-        for r in self.rows:
-            d = dict(r.params)
-            writer.writerow(
-                [d.get(k, "") for k in keys]
-                + [repr(r.measured), repr(r.bound), str(r.passed).lower()]
-            )
-        return out.getvalue()
 
 
 # samples evaluated together as arrays in each sampled sweep
@@ -266,71 +202,6 @@ def quasigeodesic_stability_check(
     )
 
 
-def hexagon_asymptotics_check(R_values) -> SweepReport:
-    """Exact identities and the 5R/2 asymptotic for the hexagon spine.
-
-    For each R the symmetric right-angled hexagon with alternating sides
-    R/2 yields a perpendicular of length d1; a geodesic is placed at
-    distance d1 from the axis point, giving d2 at height R, and the
-    chord between the two height-R points is compared to 5R/2.  The two
-    closed forms (cosh d1 and sinh d2) are identity rows with bound
-    1e-9 on the relative residual; the chord rows are bounded by a
-    fitted constant times exp(-R/2), with the fitted decay slope
-    reported in the stats.
-    """
-    R_values = [float(R) for R in R_values]
-    if not R_values:
-        raise ValueError("need at least one R value")
-    if any(R < 2.0 for R in R_values):
-        raise ValueError("R values must be at least 2")
-    rows = []
-    chords = []
-    for R in R_values:
-        hexd = hexagon_solve(R / 2.0, R / 2.0, R / 2.0)
-        d1 = hexd.duals[0].real
-        target1 = math.cosh(R / 2.0) / (math.cosh(R / 2.0) - 1.0)
-        res1 = abs(math.cosh(d1) - target1) / max(1.0, abs(target1))
-        rows.append(
-            SweepRow(params=(("R", R), ("check", "d1-identity")), measured=res1, bound=1e-9)
-        )
-
-        perpendicular = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
-        push = translate_along(perpendicular, d1)
-        gamma1 = OrientedGeodesic(0j, INFINITY).apply(push)
-        y1 = Point(0j, math.exp(R))
-        d2 = point_to_geodesic_distance(y1, gamma1)
-        target2 = math.sinh(d1) * math.cosh(R)
-        res2 = abs(math.sinh(d2) - target2) / max(1.0, abs(target2))
-        rows.append(
-            SweepRow(params=(("R", R), ("check", "d2-identity")), measured=res2, bound=1e-9)
-        )
-
-        y2 = apply_to_point(translate_along(gamma1, R), y1)
-        chord = hyperbolic_point_distance(y1, y2)
-        chords.append((R, abs(chord - 2.5 * R)))
-    fitted = max(res * math.exp(R / 2.0) for R, res in chords)
-    for R, res in chords:
-        rows.append(
-            SweepRow(
-                params=(("R", R), ("check", "chord-asymptotic")),
-                measured=res,
-                bound=fitted * math.exp(-R / 2.0) * (1.0 + 1e-12),
-            )
-        )
-    stats = [("fitted_constant", fitted)]
-    if len(chords) >= 2:
-        xs = np.array([R for R, _ in chords])
-        ys = np.log(np.maximum([res for _, res in chords], 1e-300))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        stats.append(("log_residual_slope", slope))
-    return SweepReport(
-        name="hexagon-asymptotics",
-        rows=tuple(rows),
-        samples=len(R_values),
-        stats=tuple(stats),
-    )
-
-
 @ew.python_floats
 def _two_planes_angles(b, d, xi):
     """beta and the two psi routes of the two-planes samples (b, d, xi).
@@ -440,14 +311,113 @@ _BASE_POINT = Point(0j, 1.0)
 
 
 def _word_images(word_mats, word):
-    """The base point's image under the word, for each representation."""
-    images = []
+    """The base point's image under the word, for each representation.
+
+    A row of ``ends``: (real, imag, height) of each image in turn.
+    """
+    row = []
     for mats in word_mats:
         m = mats[word[0]]
         for letter in word[1:]:
             m = m * mats[letter]
-        images.append(apply_to_point(m, _BASE_POINT))
-    return images
+        y = apply_to_point(m, _BASE_POINT)
+        row += [y.horizontal.real, y.horizontal.imag, y.height]
+    return row
+
+
+# raw 64-bit words that _RawDraws takes from its bit generator at a time
+_RAW_CHUNK = 4096
+
+
+def _raw_words(bit_generator):
+    """The bit generator's raw 64-bit words, read _RAW_CHUNK at a time."""
+    while True:
+        yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
+
+
+class _RawDraws:
+    """A numpy Generator's uniform and integers draws, from its raw words.
+
+    With a PCG64 bit generator, ``Generator.uniform(lo, hi)`` is
+    lo + (hi - lo) * (w >> 11) * 2^-53 for the next 64-bit word w, and
+    ``Generator.integers(lo, hi)``, on a range of at most 2^32 values, is
+    Lemire's multiply-and-reject on 32-bit draws: the low half of a new
+    word, then its high half, which the bit generator carries to its next
+    32-bit draw; whole-word draws leave the carried half alone.  Reading
+    the words in chunks from ``random_raw`` gives the same numbers, from
+    the state the generator is in, without one numpy call per draw.
+    Nothing else may draw from the bit generator meanwhile.
+    """
+
+    def __init__(self, bit_generator):
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._word = _raw_words(bit_generator).__next__
+
+    def _uint32(self) -> int:
+        if self._half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        half, self._half = self._half, None
+        return half
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return lo + (hi - lo) * ((self._word() >> 11) * 2.0**-53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """A draw from range(lo, hi), for 2 <= hi - lo <= 2^32."""
+        n = hi - lo
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            # the lowest 2^32 mod n products are rejected, so that every
+            # value is equally likely
+            threshold = (1 << 32) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return lo + (m >> 32)
+
+
+def _draw_attempts(draws, k, cutoff, R, n_letters):
+    """The next k attempts' axis heights and reduced words.
+
+    An attempt draws t in (cutoff, R) and a sign, for the axis point at
+    height e^(sign t); then a length from 1 to 3 and that many letters,
+    each drawn again while it would cancel the letter before it.
+    """
+    uniform, integers = draws.uniform, draws.integers
+    heights = []
+    words = []
+    for _ in range(k):
+        t = uniform(cutoff, R)
+        sign = 1.0 if uniform() < 0.5 else -1.0
+        heights.append(math.exp(sign * t))
+        word = []
+        for _ in range(integers(1, 4)):
+            letter = integers(0, n_letters)
+            while word and letter == (word[-1] + n_letters // 2) % n_letters:
+                letter = integers(0, n_letters)
+            word.append(letter)
+        words.append(tuple(word))
+    return heights, words
+
+
+def _distances(xt, end):
+    """Distances from the axis points (0, xt) to ends (real, imag, height)."""
+    return ew.point_distance((0.0, 0.0), xt, (end[:, 0], end[:, 1]), end[:, 2])
+
+
+@ew.python_floats
+def _near(xt, ends, R):
+    """Whether the axis point (0, xt[k]) lies within R/2 of either end.
+
+    Decided as any() decides it: the second end is measured only where
+    the first is not near, so only there can its distance overflow.
+    """
+    near = _distances(xt, ends[:, :3]) < R / 2.0
+    far = ~near
+    near[far] = _distances(xt[far], ends[far, 3:]) < R / 2.0
+    return near
 
 
 @ew.python_floats
@@ -484,6 +454,14 @@ def angle_change_check(
     rounds to a singular matrix, as happens past double precision, and
     OverflowError names R when a word image lies too far out for the
     rejection test to measure (as at R = 130).
+
+    The attempts come from one stream, read through _RawDraws.  Each
+    slice of up to _SLICE accepted samples is filled in rounds that draw
+    as many attempts as the slice still lacks and test them as arrays,
+    so no attempt is drawn past the one that completes the sample count,
+    and an error is raised at the attempt where testing one attempt at a
+    time raises it: a new word's images first, then that attempt's
+    rejection test, then RuntimeError after 50 * samples attempts.
     """
     rho0, rho1 = rep_pair
     if rho0.complex != rho1.complex:
@@ -518,61 +496,64 @@ def angle_change_check(
     n_letters = len(word_mats[0])
 
     # per reduced word seen (at most 8 + 8 * 7 + 8 * 7^2 with eight
-    # letters): its row, and the base point's images under both
-    # representations, also as a row (real, imag, height) * 2 of `ends`
+    # letters): its row of `ends`, the base point's images under both
+    # representations as (real, imag, height) * 2
     words = {}
-    images = []
     ends = []
-    pending = []
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x3A7)))
+    draws = _RawDraws(rng.bit_generator)
     maxima = (0.0, 0.0, 0.0)
     accepted = 0
     rejected = 0
-    attempts = 0
+    budget = 50 * samples
     while accepted < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise RuntimeError("could not draw enough admissible samples")
-        t = float(rng.uniform(cutoff, R))
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        x = Point(0j, math.exp(sign * t))
-        length = int(rng.integers(1, 4))
-        word = []
-        for _ in range(length):
-            while True:
-                letter = int(rng.integers(0, n_letters))
-                if not word or letter != (word[-1] + n_letters // 2) % n_letters:
-                    break
-            word.append(letter)
-        row = words.setdefault(tuple(word), len(images))
-        if row == len(images):
+        size = min(_SLICE, samples - accepted)
+        heights = np.empty(0)
+        word_rows = np.empty(0, dtype=np.intp)
+        while len(heights) < size:
+            # each round draws only attempts that this slice still needs,
+            # so none lies past the attempt that completes the sample count
+            k = min(size - len(heights), budget)
+            if k == 0:
+                raise RuntimeError("could not draw enough admissible samples")
+            budget -= k
+            xt, drawn = _draw_attempts(draws, k, cutoff, R, n_letters)
+            # rows of the attempts' words, up to a new word whose images
+            # fail; the attempts before it are still tested, in order
+            rows = []
+            failed = None
+            for word in drawn:
+                if word not in words:
+                    try:
+                        ends.append(_word_images(word_mats, word))
+                    except (ArithmeticError, ValueError) as exc:
+                        failed = (word, exc)
+                        break
+                    words[word] = len(ends) - 1
+                rows.append(words[word])
+            xt = np.array(xt[: len(rows)])
+            rows = np.array(rows, dtype=np.intp)
             try:
-                images.append(_word_images(word_mats, word))
-            except ZeroDivisionError:
-                raise DegenerateError(
-                    f"R = {R!r} is too large for double precision: the holonomy"
-                    f" of word {word} rounds to a singular matrix"
-                ) from None
-            ends.append(
-                [v for y in images[row] for v in (y.horizontal.real, y.horizontal.imag, y.height)]
-            )
-        try:
-            near = any(hyperbolic_point_distance(x, y) < R / 2.0 for y in images[row])
-        except OverflowError as exc:
-            raise OverflowError(
-                f"R = {R!r} is too large for double precision: a word image's"
-                " distance from the base point overflows"
-            ) from exc
-        if near:
-            rejected += 1
-            continue
-        accepted += 1
-        pending.append((x.height, row))
-        if len(pending) == _SLICE or accepted == samples:
-            heights, word_rows = zip(*pending)
-            pending.clear()
-            shifts = _angle_shifts(np.array(heights), np.array(ends)[list(word_rows)])
-            maxima = tuple(map(max, maxima, shifts))
+                near = _near(xt, np.array(ends).reshape(-1, 6)[rows], R)
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"R = {R!r} is too large for double precision: a word image's"
+                    " distance from the base point overflows"
+                ) from exc
+            if failed is not None:
+                word, exc = failed
+                if isinstance(exc, ZeroDivisionError):
+                    raise DegenerateError(
+                        f"R = {R!r} is too large for double precision: the holonomy"
+                        f" of word {list(word)} rounds to a singular matrix"
+                    ) from None
+                raise exc
+            rejected += int(near.sum())
+            heights = np.concatenate((heights, xt[~near]))
+            word_rows = np.concatenate((word_rows, rows[~near]))
+        shifts = _angle_shifts(heights, np.array(ends)[word_rows])
+        maxima = tuple(map(max, maxima, shifts))
+        accepted += size
     max_theta, max_phi, max_combined = maxima
     rows = (
         SweepRow(

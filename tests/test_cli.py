@@ -475,6 +475,10 @@ class TestLemma:
                 "c07199ddb32888958f6ab1d4f05bc26f681999431155a8e17c8ce3914ddc720b", id="angle-change-L16-1",
             ),
             pytest.param(
+                ["angle-change", "--complex", "{complex}", "--samples", "5000"], "1",
+                "3a211de05b82310b5028e29eabade529cee192f38355b390e3c993523b30165d", id="angle-change-L16-5000-1",
+            ),
+            pytest.param(
                 ["two-planes", "--eps", "0.05", "--R", "80", "--samples", "10000"], "0",
                 "f7334602a5d2c0799dd92ef2479734dcfaef97eef9c175378c8d40f6edda1ef1", id="two-planes-R80-0",
             ),
@@ -496,6 +500,67 @@ class TestLemma:
         code, out, err = run(capsys, ["lemma", *argv, "--seed", seed])
         assert code in (0, 4) and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "p, R, samples, digest",
+        [
+            ("3", "20", "300", "e73bf01e973aa3d552801252f989830356b91467622461ffac8d76b1f4d573b6"),
+            ("3", "20", "2000", "dba5e835606a1a876e91c7abd66fdf8a0d25ddfa60c987580b8e169a9292a5bf"),
+            ("4", "30", "300", "387880fce4cefe440b2ea635088a3f526caf3e27ff1ee5e21952cfc61f28267a"),
+            ("4", "30", "2000", "2611559846310579e177b43ebaee6545c235c1a68c00a2089ef49313754e31a9"),
+            ("5", "24", "300", "06896fbb41ad9eb0ca89dd6c91f0b641f05faa2924a77d47a406ad4e55bfdf58"),
+            ("5", "24", "2000", "d29e804c6fbca7d622d4a15377f519ca4515f7b0cdd010956437cd93f5f35306"),
+        ],
+    )
+    def test_pinned_angle_change_seeds(self, capsys, p, R, samples, digest):
+        # digest of the reports of seeds 0-23, one after another, as the
+        # sweep that drew and tested one attempt at a time printed them
+        outs = []
+        for seed in range(24):
+            code, out, err = run(
+                capsys,
+                ["lemma", "angle-change", "--p", p, "--R", R, "--samples", samples,
+                 "--seed", str(seed)],
+            )
+            assert code in (0, 4) and err == ""
+            outs.append(out)
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "R, p, seed, samples, digest, message",
+        [
+            pytest.param(
+                "130", "3", "0", 805,
+                "db2e654a5fdd375ca5055486299b8b46835c6723358bb02e2ee060009cca5699",
+                "a word image's distance from the base point overflows", id="overflow",
+            ),
+            pytest.param(
+                "90", "2", "0", 1134,
+                "87ea4c32dbe91ae6afc6136c7cd81d0ac150d49dbf0670b037708c46670894a6",
+                "the holonomy of word [6, 1, 4] rounds to a singular matrix", id="degenerate",
+            ),
+            pytest.param(
+                "130", "3", "1", 24,
+                "8df80b24ddfb50d18e6459f97a06520543c6f38e90daf928296115ed1d228da1",
+                "the holonomy of word [1, 2] rounds to a singular matrix", id="degenerate-early",
+            ),
+        ],
+    )
+    def test_angle_change_fails_at_the_attempt_that_fails(
+        self, capsys, R, p, seed, samples, digest, message
+    ):
+        # the sweep that tested one attempt at a time reported `samples`
+        # samples, and failed on the attempt that would give one more;
+        # the attempts after the last one a report needs are never tested
+        argv = ["lemma", "angle-change", "--R", R, "--p", p, "--seed", seed, "--samples"]
+        code, out, err = run(capsys, argv + [str(samples)])
+        assert code in (0, 4) and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        code, out, err = run(capsys, argv + [str(samples + 1)])
+        assert code == 3 and out == ""
+        assert error_of(err) == (
+            "construction-failed", f"R = {R}.0 is too large for double precision: {message}"
+        )
 
     @pytest.mark.parametrize(
         "delta, seed, digest",
@@ -943,6 +1008,7 @@ class TestContract:
         text=build_xp(1, 3).to_json(),
     )
     @example(argv=["homology", "--free-product", "{group1}", "{complex}"], text="{}")
+    @example(argv=["lemma", "angle-change", "--samples", "5000", "--seed", "0"], text="{}")
     def test_exit_codes_and_errors(self, argv, text):
         with tempfile.TemporaryDirectory() as tmp:
             paths = {"complex": Path(tmp, "x.json"), "missing": Path(tmp, "missing.json")}
@@ -1051,6 +1117,7 @@ class TestExports:
     NO_NUMPY = {"numpy", "holonomy", "pants", "geom", "elementwise"}
     NO_COMPLEXES = {"complexes", "holonomy", "homology", "pants"}
     NO_HOMOLOGY = {"homology", "lemmalab"}
+    NO_SAMPLING = {"numpy", "elementwise", "lemmalab"}
 
     @pytest.mark.parametrize(
         "argv, unloaded",
@@ -1063,7 +1130,7 @@ class TestExports:
                 (["homology", "--complex", "{complex}"], NO_NUMPY),
                 (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY),
                 (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
-                (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES),
+                (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING),
                 (["lemma", "delta", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
                 (["lemma", "two-planes", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
                 (["build", "--L", "4"], NO_HOMOLOGY),

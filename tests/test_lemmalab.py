@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 import goodpants
 from goodpants import lemmalab
@@ -427,6 +429,43 @@ class TestHexagonAsymptotics:
         with pytest.raises(ValueError):
             hexagon_asymptotics_check([1.0])
 
+    @pytest.mark.parametrize(
+        "R_values",
+        [
+            [10, 14, 18, 22, 26, 30, 34],
+            [2.0, 6.0, 10.0, 20.0, 40.0],
+            [10.0, 20.0],
+            [3.5, 7.25, 11.0, 60.0, 90.5, 120.0],
+            [40.0, 10.0, 40.0, 25.0],
+        ],
+    )
+    def test_slope_is_the_exact_least_squares_slope(self, R_values):
+        rep = hexagon_asymptotics_check(R_values)
+        xs, ys = [], []
+        for row in rep.rows:
+            params = dict(row.params)
+            if params["check"] == "chord-asymptotic":
+                xs.append(params["R"])
+                ys.append(math.log(max(row.measured, 1e-300)))
+        # the normal equations solved in exact rationals, then rounded once
+        # (int / int is correctly rounded)
+        A = sympy.Matrix([[sympy.Rational(x), 1] for x in xs])
+        b = sympy.Matrix([sympy.Rational(y) for y in ys])
+        exact = (A.T * A).solve(A.T * b)[0]
+        slope = dict(rep.stats)["log_residual_slope"]
+        assert slope == int(exact.p) / int(exact.q)
+        assert slope == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12, abs=0.0)
+
+    def test_slope_is_nan_past_double_range(self):
+        # from R = 355 the chord between the height-R points reads nan
+        rep = hexagon_asymptotics_check([10.0, 355.0])
+        assert not rep.passed
+        assert math.isnan(dict(rep.stats)["log_residual_slope"])
+
+    def test_no_slope_without_two_distinct_R(self):
+        for R_values in ([10.0], [10.0, 10.0]):
+            assert "log_residual_slope" not in dict(hexagon_asymptotics_check(R_values).stats)
+
 
 class TestTwoPlanesAngle:
     @pytest.mark.parametrize("eps", [0.005, 0.01])
@@ -488,6 +527,81 @@ class TestAngleChange:
         other = build_rho(y, RepParams.zero(y, R=20.0, tau=1.0))
         with pytest.raises(ValueError):
             angle_change_check((self.rho0, other), p=3, samples=10, seed=0)
+
+
+class _PlantedBits:
+    """A bit generator stand-in that hands out planted raw words."""
+
+    def __init__(self, words):
+        self.state = {"has_uint32": 0, "uinteger": 0}
+        self.words = list(words)
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return np.array(out, dtype=np.uint64)
+
+
+class TestRawDraws:
+    """The angle-change sweep's reader against numpy's Generator."""
+
+    @staticmethod
+    def calls(script):
+        """One call of a Generator method, chosen by the script."""
+        op = script.randrange(5)
+        if op == 0:
+            lo = script.uniform(-5.0, 5.0)
+            return "uniform", (lo, lo + script.uniform(0.0, 30.0))
+        if op == 1:
+            return "uniform", ()
+        if op == 2:
+            return "integers", (1, 4)
+        if op == 3:
+            return "integers", (0, 8)
+        # about 30% of 32-bit draws are rejected on this range
+        return "integers", (0, 3_000_000_000)
+
+    @pytest.mark.parametrize("seeds, n_calls", [(range(200), 300), (range(200, 204), 12000)])
+    def test_same_draws_as_the_generator(self, seeds, n_calls):
+        # the longer runs cross a chunk of raw words
+        for seed in seeds:
+            sequence = np.random.SeedSequence((seed, 0x3A7))
+            generator = np.random.default_rng(sequence)
+            # the sweep's generator starts without a carried half word
+            assert generator.bit_generator.state["has_uint32"] == 0
+            draws = lemmalab._RawDraws(np.random.default_rng(sequence).bit_generator)
+            script = random.Random(seed)
+            for _ in range(n_calls):
+                name, args = self.calls(script)
+                got, want = getattr(draws, name)(*args), getattr(generator, name)(*args)
+                assert type(got) is (float if name == "uniform" else int)
+                assert got == want, (seed, name, args)
+
+    def test_continues_from_a_carried_half_word(self):
+        sequence = np.random.SeedSequence(5)
+        generator, other = np.random.default_rng(sequence), np.random.default_rng(sequence)
+        generator.integers(0, 8)
+        other.integers(0, 8)
+        assert other.bit_generator.state["has_uint32"] == 1
+        draws = lemmalab._RawDraws(other.bit_generator)
+        for _ in range(50):
+            assert draws.integers(0, 8) == generator.integers(0, 8)
+            assert draws.uniform() == generator.uniform()
+
+    def test_lemire_rejects_the_lowest_products(self):
+        # integers(1, 4) multiplies a 32-bit draw x by 3 and rejects the
+        # products whose low word is below 2^32 mod 3 = 1: only x = 0
+        bits = _PlantedBits([0, 0xFFFFFFFF, 0xABCDEF0123456789, 7 << 11])
+        draws = lemmalab._RawDraws(bits)
+        # halves 0 and 0 of the first word are rejected; 0xFFFFFFFF * 3
+        # has high word 2
+        assert draws.integers(1, 4) == 3
+        # the second word's high half, 0, is carried; on eight values
+        # 2^32 mod 8 = 0, so a product of 0 is kept
+        assert draws.integers(0, 8) == 0
+        # a whole word for a double, and the carried half is spent
+        assert draws.uniform() == (0xABCDEF0123456789 >> 11) * 2.0**-53
+        assert draws.uniform(2.0, 4.0) == 2.0 + 2.0 * 7 * 2.0**-53
+        assert bits.words == []
 
 
 class TestArrayKernels:
@@ -581,6 +695,44 @@ class TestArrayKernels:
         # eight letters, inverses four apart: 8 + 8 * 7 + 8 * 7 * 7 words
         assert all((a - b) % 8 != 4 for w in seen for a, b in zip(w, w[1:]))
         assert 400 < len(seen) <= 456
+
+
+class TestAngleChangeSlices:
+    def setup_method(self):
+        x = build_xp(1, 3)
+        self.pair = (
+            build_rho(x, RepParams.zero(x, R=20.0, tau=0.0)),
+            build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=0)),
+        )
+
+    def test_shifts_are_taken_over_slices_of_accepted_samples(self, monkeypatch):
+        # max() drops a slice whose shift is nan, so the slices must hold
+        # the same samples as when they were filled one at a time
+        sizes = []
+        shifts = lemmalab._angle_shifts
+
+        def recording(xt, ends):
+            sizes.append(len(xt))
+            return shifts(xt, ends)
+
+        monkeypatch.setattr(lemmalab, "_angle_shifts", recording)
+        angle_change_check(self.pair, p=3, samples=10000, seed=0)
+        assert sizes == [4096, 4096, 1808]
+
+    def test_gives_up_after_fifty_attempts_per_sample(self, monkeypatch):
+        drawn = []
+        draw_attempts = lemmalab._draw_attempts
+
+        def counting(draws, k, *args):
+            drawn.append(k)
+            return draw_attempts(draws, k, *args)
+
+        monkeypatch.setattr(lemmalab, "_draw_attempts", counting)
+        # every end lies at distance 0, so every attempt is rejected
+        monkeypatch.setattr(lemmalab, "_distances", lambda xt, end: np.zeros(len(xt)))
+        with pytest.raises(RuntimeError, match="could not draw enough admissible samples"):
+            angle_change_check(self.pair, p=3, samples=3, seed=0)
+        assert sum(drawn) == 150
 
 
 def _peak_rss_kb(argv):
