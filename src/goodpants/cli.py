@@ -5,9 +5,15 @@ it; ``verify`` runs the certification checks on a stored complex;
 ``homology`` computes first-homology groups; ``lemma`` runs the
 sampling sweeps.  All reports are canonical JSON (sorted keys); sweep
 commands also write CSV.  Exit codes: 0 success; 2 refused input, usage
-errors and disconnected complexes included; 3 construction failure, such
-as pants that meet only across singular circles; 4 a failed check.  Exits
-2 and 3 print one JSON error line on stderr.
+errors, disconnected complexes and unwritable ``--out`` paths included; 3
+construction failure, such as pants that meet only across singular
+circles; 4 a failed check.  Exits 2 and 3 print one JSON error line on
+stderr.
+
+A command accepts only the options its handler reads: each ``lemma``
+sweep is a subcommand with its own options, and ``homology`` takes
+exactly one of ``--complex``, ``--book`` and ``--free-product``.  Any
+other option is a usage error, so it exits 2 instead of being ignored.
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel.  Each sample of a sampler
@@ -104,11 +110,16 @@ def _emit_error(code: str, message: str) -> int:
 
 
 def _write(path: str | None, text: str) -> None:
+    """Write text and a final newline to path, or to stdout for None or "-"."""
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_complex(path: str):
@@ -175,7 +186,7 @@ def cmd_build(args) -> int:
         residual = development_residual(rho)
     except ValueError as exc:
         return _emit_error("construction-failed", str(exc))
-    if args.out:
+    if args.out is not None:
         _write(args.out, x.to_json())
     summary = _report_header(args, "build")
     summary.update(
@@ -248,11 +259,9 @@ def cmd_homology(args) -> int:
     from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
     from .homology import mv_torsion_embedding, sigma
 
-    modes = [bool(args.complex), args.book, bool(args.free_product)]
-    if sum(modes) != 1:
-        raise ConfigError("choose exactly one of --complex, --book, --free-product")
+    # the parser lets exactly one mode through; an empty path is a mode too
     report = _report_header(args, "homology")
-    if args.complex:
+    if args.complex is not None:
         x = _load_complex(args.complex)
         report["h1"] = _group_json(h1_of_complex(x))
     elif args.book:
@@ -303,13 +312,17 @@ def _parse_R_list(raw: str) -> list[float]:
 def cmd_lemma(args) -> int:
     from .geom import DegenerateError
 
+    if args.out is not None and not os.path.basename(args.out):
+        raise ConfigError(f"--out needs a file name prefix, got {args.out!r}")
     try:
         report = _run_lemma(args)
     except DegenerateError as exc:
         # a development or a sweep that degenerates numerically
         return _emit_error("construction-failed", str(exc))
-    _write(args.out and args.out + ".json", report.to_json())
-    if args.out:
+    if args.out is None:
+        _write(None, report.to_json())
+    else:
+        _write(args.out + ".json", report.to_json())
         _write(args.out + ".csv", report.to_csv())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -321,8 +334,6 @@ def _run_lemma(args):
         from .sweeps import hexagon_asymptotics_check
 
         return hexagon_asymptotics_check(_parse_R_list(args.R))
-    if args.seed is None:
-        raise ConfigError(f"lemma {args.name} requires --seed")
     from .lemmalab import angle_change_check, quasigeodesic_stability_check
     from .lemmalab import two_planes_angle_check
 
@@ -337,7 +348,7 @@ def _run_lemma(args):
     from .holonomy import RepParams, build_rho
 
     R = _development_options(args)
-    x = _load_complex(args.complex) if args.complex else build_xp(1, args.p)
+    x = _load_complex(args.complex) if args.complex is not None else build_xp(1, args.p)
     rho0 = build_rho(x, RepParams.zero(x, R=R, tau=0.0))
     rho1 = build_rho(x, RepParams.random(x, R=R, tau=1.0, seed=args.seed))
     return angle_change_check((rho0, rho1), p=args.p, samples=args.samples, seed=args.seed)
@@ -373,25 +384,35 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     h = sub.add_parser("homology", help="first homology computations")
-    h.add_argument("--complex", default=None)
-    h.add_argument("--book", action="store_true")
+    mode = h.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--complex", default=None)
+    mode.add_argument("--book", action="store_true")
+    mode.add_argument("--free-product", nargs="+", default=None)
     h.add_argument("--g", type=int, default=1)
     h.add_argument("--p", type=int, default=3)
-    h.add_argument("--free-product", nargs="+", default=None)
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_homology)
 
     l = sub.add_parser("lemma", help="sampling sweeps for the quantitative bounds")
-    l.add_argument("name", choices=["delta", "hexagon", "two-planes", "angle-change"])
-    l.add_argument("--delta", type=float, default=1e-4)
-    l.add_argument("--R", default="20", help="R value, or comma list for hexagon")
-    l.add_argument("--eps", type=float, default=0.01)
-    l.add_argument("--p", type=int, default=3)
-    l.add_argument("--complex", default=None)
-    l.add_argument("--samples", type=int, default=10000)
-    l.add_argument("--seed", type=int, default=None)
-    l.add_argument("--out", default=None, help="report path prefix (.json/.csv)")
     l.set_defaults(func=cmd_lemma)
+    # one subcommand per sweep, each with only the options it reads
+    sweeps = l.add_subparsers(dest="name", required=True)
+    delta = sweeps.add_parser("delta", help="quasigeodesic stability")
+    delta.add_argument("--delta", type=float, default=1e-4)
+    hexagon = sweeps.add_parser("hexagon", help="hexagon identities and asymptotics")
+    hexagon.add_argument("--R", default="20", help="comma list of R values")
+    two_planes = sweeps.add_parser("two-planes", help="dihedral angle of two planes")
+    two_planes.add_argument("--eps", type=float, default=0.01)
+    two_planes.add_argument("--R", default="20")
+    angle = sweeps.add_parser("angle-change", help="angle change between two developments")
+    angle.add_argument("--p", type=int, default=3)
+    angle.add_argument("--R", default="20")
+    angle.add_argument("--complex", default=None)
+    for sampled in (delta, two_planes, angle):
+        sampled.add_argument("--samples", type=int, default=10000)
+        sampled.add_argument("--seed", type=int, required=True)
+    for sweep in (delta, hexagon, two_planes, angle):
+        sweep.add_argument("--out", default=None, help="report path prefix (.json/.csv)")
     return parser
 
 

@@ -87,9 +87,10 @@ class ViableRep:
     measure_frames[c] holds, for each regular circle, one frame per side,
     in the order of complex.attachments_of(c); each takes that side's
     base_reps copy to the circle's axis on (0, infinity), the right
-    side's with the axis reversed.  singular_holonomy[c] is the root
-    holonomy of a singular circle, and singular_base[c] the same root
-    next to its unplaced pants.
+    side's with the axis reversed.  singular_base[c] is the root
+    holonomy of a singular circle next to the base_reps copy of its
+    first attachment's pants; as for the pants, nothing stores the
+    placed root.
     """
 
     complex: PantsComplex
@@ -97,7 +98,6 @@ class ViableRep:
     conjugators: tuple[MoebiusMap, ...]
     base_reps: tuple[PantsRep, ...]
     measure_frames: dict
-    singular_holonomy: dict
     singular_base: dict
 
     def halflength_at(self, pants: int, slot: int):
@@ -177,7 +177,6 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             " circles, so they cannot be placed"
         )
 
-    singular = {}
     singular_base = {}
     for c in x.singular_circles():
         d = x.circles[c].d
@@ -185,16 +184,13 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         (pi, slot) = x.attachments_of(c)[0]
         F = cuff_frame(base[pi], slot)
         root_length = (2.0 * params.halflength(c) + 2.0 * k * math.pi * 1j) / d
-        root = F.inverse() * _screw(root_length) * F
-        singular_base[c] = root
-        singular[c] = conj[pi] * root * conj[pi].inverse()
+        singular_base[c] = F.inverse() * _screw(root_length) * F
     return ViableRep(
         complex=x,
         params=params,
         conjugators=tuple(conj),
         base_reps=tuple(base),
         measure_frames=measure_frames,
-        singular_holonomy=singular,
         singular_base=singular_base,
     )
 

@@ -94,11 +94,9 @@ def _least_squares_slope(xs, ys) -> float:
     """Slope of the least-squares line through the points (xs, ys).
 
     Computed exactly in rationals from the floats and rounded once, so
-    it is the correctly rounded slope; the xs must not all be equal.  A
-    y that is nan or infinite, as past double range, gives nan.
+    it is the correctly rounded slope; the xs must not all be equal and
+    the ys must be finite.
     """
-    if not all(map(math.isfinite, ys)):
-        return math.nan
     # fractions loads decimal, about 0.5 MB; the sampled sweeps, which
     # import this module through lemmalab, never need it
     from fractions import Fraction
@@ -112,6 +110,26 @@ def _least_squares_slope(xs, ys) -> float:
     return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
 
 
+def _hexagon_residuals(R: float) -> tuple[float, float, float]:
+    """The d1-identity, d2-identity and chord residuals at one R."""
+    hexd = hexagon_solve(R / 2.0, R / 2.0, R / 2.0)
+    d1 = hexd.duals[0].real
+    target1 = math.cosh(R / 2.0) / (math.cosh(R / 2.0) - 1.0)
+    res1 = abs(math.cosh(d1) - target1) / max(1.0, abs(target1))
+
+    perpendicular = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
+    push = translate_along(perpendicular, d1)
+    gamma1 = OrientedGeodesic(0j, INFINITY).apply(push)
+    y1 = Point(0j, math.exp(R))
+    d2 = point_to_geodesic_distance(y1, gamma1)
+    target2 = math.sinh(d1) * math.cosh(R)
+    res2 = abs(math.sinh(d2) - target2) / max(1.0, abs(target2))
+
+    y2 = apply_to_point(translate_along(gamma1, R), y1)
+    chord = hyperbolic_point_distance(y1, y2)
+    return res1, res2, abs(chord - 2.5 * R)
+
+
 def hexagon_asymptotics_check(R_values) -> SweepReport:
     """Exact identities and the 5R/2 asymptotic for the hexagon spine.
 
@@ -123,7 +141,8 @@ def hexagon_asymptotics_check(R_values) -> SweepReport:
     1e-9 on the relative residual; the chord rows are bounded by a
     fitted constant times exp(-R/2).  The stats report the slope of the
     least-squares line through the points (R, ln residual), exactly
-    rounded, when at least two R values differ.
+    rounded, when at least two R values differ.  From about R = 177.5
+    the chord leaves double range, and OverflowError names R.
     """
     R_values = [float(R) for R in R_values]
     if not R_values:
@@ -133,28 +152,25 @@ def hexagon_asymptotics_check(R_values) -> SweepReport:
     rows = []
     chords = []
     for R in R_values:
-        hexd = hexagon_solve(R / 2.0, R / 2.0, R / 2.0)
-        d1 = hexd.duals[0].real
-        target1 = math.cosh(R / 2.0) / (math.cosh(R / 2.0) - 1.0)
-        res1 = abs(math.cosh(d1) - target1) / max(1.0, abs(target1))
+        try:
+            res1, res2, res3 = _hexagon_residuals(R)
+        except OverflowError:
+            res3 = math.nan
+        if math.isnan(res3):
+            # the chord's far end lies at height about e^(2R): its square
+            # overflows from R = 177.5, and from R = 355 the height is inf
+            # and the distance reads inf / inf
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: the chord between"
+                " the hexagon's height-R points leaves double range"
+            )
         rows.append(
             SweepRow(params=(("R", R), ("check", "d1-identity")), measured=res1, bound=1e-9)
         )
-
-        perpendicular = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
-        push = translate_along(perpendicular, d1)
-        gamma1 = OrientedGeodesic(0j, INFINITY).apply(push)
-        y1 = Point(0j, math.exp(R))
-        d2 = point_to_geodesic_distance(y1, gamma1)
-        target2 = math.sinh(d1) * math.cosh(R)
-        res2 = abs(math.sinh(d2) - target2) / max(1.0, abs(target2))
         rows.append(
             SweepRow(params=(("R", R), ("check", "d2-identity")), measured=res2, bound=1e-9)
         )
-
-        y2 = apply_to_point(translate_along(gamma1, R), y1)
-        chord = hyperbolic_point_distance(y1, y2)
-        chords.append((R, abs(chord - 2.5 * R)))
+        chords.append((R, res3))
     fitted = max(res * math.exp(R / 2.0) for R, res in chords)
     for R, res in chords:
         rows.append(

@@ -7,6 +7,7 @@ import json
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -592,8 +593,11 @@ class TestLemma:
     @pytest.mark.parametrize("name", ["delta", "two-planes", "angle-change"])
     def test_seed_required(self, capsys, name):
         code, out, err = run(capsys, ["lemma", name, "--samples", "10"])
-        assert code == 2
-        assert json.loads(err)["error"]["code"] == "invalid-config"
+        assert code == 2 and out == ""
+        assert error_of(err) == (
+            "invalid-config",
+            f"goodpants lemma {name}: the following arguments are required: --seed",
+        )
 
     def test_bad_name(self, capsys):
         code, out, err = run(capsys, ["lemma", "nope"])
@@ -624,6 +628,18 @@ class TestLemma:
         error = json.loads(err)["error"]
         assert error["code"] == "construction-failed"
         assert "R = 400.0" in error["message"]
+
+    @pytest.mark.parametrize("R", ["180", "400", "720"])
+    def test_hexagon_out_of_range_names_R(self, capsys, R):
+        # the chord's far end overflows from R = 177.5 and reads nan from
+        # R = 355; both ended in a bare or a nan report
+        code, out, err = run(capsys, ["lemma", "hexagon", "--R", f"10,{R}"])
+        assert code == 3 and out == ""
+        assert error_of(err) == (
+            "construction-failed",
+            f"R = {float(R)!r} is too large for double precision: the chord between"
+            " the hexagon's height-R points leaves double range",
+        )
 
     def test_angle_change_out_of_range_names_R(self, capsys):
         # a word image's squared distance overflows in the rejection test
@@ -724,6 +740,113 @@ def error_of(err):
     error = json.loads(err)["error"]
     assert set(error) == {"code", "message"}
     return error["code"], error["message"]
+
+
+# the options of each lemma sweep: 17 (sweep, option) pairs
+LEMMA = {
+    "delta": ["--delta", "--samples", "--seed", "--out"],
+    "hexagon": ["--R", "--out"],
+    "two-planes": ["--eps", "--R", "--samples", "--seed", "--out"],
+    "angle-change": ["--p", "--R", "--complex", "--samples", "--seed", "--out"],
+}
+# an option some sweep reads, given to a sweep that does not read it: 15
+# pairs, each refused
+IGNORED = [
+    (sweep, option)
+    for sweep in LEMMA
+    for option in ["--delta", "--R", "--eps", "--p", "--complex", "--samples", "--seed"]
+    if option not in LEMMA[sweep]
+]
+# the rest of a command line that the sweep runs
+SWEEP_ARGV = {
+    "hexagon": ["--R", "10,20"],
+    "delta": ["--samples", "20", "--seed", "0"],
+    "two-planes": ["--samples", "20", "--seed", "0"],
+    "angle-change": ["--samples", "20", "--seed", "0"],
+}
+IGNORED_VALUE = {
+    "--delta": "1e-3", "--eps": "0.05", "--p": "5", "--complex": "nope.json",
+    "--samples": "20", "--seed": "0", "--R": "40",
+}
+# commands that write their report, or a complex, to --out
+WRITERS = {
+    "build": ["build", "--L", "0"],
+    "verify": ["verify", "--complex", "{complex}", "--seed", "0", "--samples", "10",
+               "--words", "1"],
+    "homology": ["homology", "--book"],
+    "hexagon": ["lemma", "hexagon", "--R", "10"],
+    "delta": ["lemma", "delta", "--samples", "20", "--seed", "0"],
+}
+
+
+class TestEveryOptionIsRead:
+    """A command accepts only the options its handler reads."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["lemma", sweep, *SWEEP_ARGV[sweep], option, IGNORED_VALUE[option]],
+                f"goodpants: unrecognized arguments: {option} {IGNORED_VALUE[option]}",
+                id=f"{sweep} {option}",
+            )
+            for sweep, option in IGNORED
+        ]
+        + [
+            pytest.param(
+                ["homology"],
+                "goodpants homology: one of the arguments --complex --book"
+                " --free-product is required",
+                id="homology no mode",
+            ),
+            pytest.param(
+                ["homology", "--book", "--complex", "x.json"],
+                "goodpants homology: argument --complex: not allowed with argument --book",
+                id="homology two modes",
+            ),
+        ],
+    )
+    def test_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert error_of(err) == ("invalid-config", message)
+
+    @pytest.mark.parametrize("sweep", list(LEMMA))
+    def test_help_lists_only_the_sweeps_options(self, capsys, sweep):
+        code, out, err = run(capsys, ["lemma", sweep, "--help"])
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: goodpants lemma {sweep}")
+        assert set(re.findall(r"--[\w-]+", out)) == {"--help", *LEMMA[sweep]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["homology", "--complex", ""], ["lemma", "angle-change", "--complex", "",
+                                         "--samples", "10", "--seed", "0"]],
+        ids=["homology", "angle-change"],
+    )
+    def test_empty_complex_path_is_read(self, capsys, argv):
+        # an empty path is a path, not a missing option
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert error_of(err) == (
+            "invalid-config", "cannot read : [Errno 2] No such file or directory: ''"
+        )
+
+    @pytest.mark.parametrize("dest", ["", "missing/x"], ids=["empty", "missing-dir"])
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_unwritable_out(self, small_complex, tmp_path, capsys, command, dest):
+        path = str(tmp_path / dest) if dest else ""
+        argv = [a.format(complex=small_complex) for a in WRITERS[command]]
+        code, out, err = run(capsys, [*argv, "--out", path])
+        assert code == 2 and out == ""
+        kind, message = error_of(err)
+        assert kind == "invalid-config"
+        if command in LEMMA and not dest:
+            assert message == "--out needs a file name prefix, got ''"
+        else:
+            written = path + ".json" if command in LEMMA else path
+            assert message.startswith(f"cannot write {written}: [Errno 2]"), message
 
 
 class TestOneRuleForInput:
@@ -896,17 +1019,21 @@ VALUES = {
     "--delta": ["1e-4", "1e-3", "0.5", "nan"],
     "--eps": ["0.01", "0.05", "0.5", "nan"],
     "--complex": ["{complex}", "{complex}", "{missing}"],
+    "--out": ["{out}", "{out}", "", "{missing}/x"],
 }
 HEXAGON_R = ["10,20", "", ",", "10,inf", "1", "1e6", "abc"]
 OPTIONS = {
-    "build": ["--genus", "--p", "--R", "--tau", "--L", "--seed"],
-    "verify": ["--complex", "--R", "--p", "--tau", "--samples", "--seed", "--words"],
-    "homology": ["--g", "--p"],
-    "lemma": ["--delta", "--R", "--eps", "--p", "--complex", "--samples", "--seed"],
+    "build": ["--genus", "--p", "--R", "--tau", "--L", "--seed", "--out"],
+    "verify": ["--complex", "--R", "--p", "--tau", "--samples", "--seed", "--words", "--out"],
+    "homology": ["--g", "--p", "--out"],
+    **{f"lemma {sweep}": options for sweep, options in LEMMA.items()},
 }
 SIZES = {"--L", "--samples", "--words"}
 # left out only now and then, as a command without them is refused early
-NEEDED = {("verify", "--complex"), ("verify", "--seed"), ("lemma", "--seed")}
+NEEDED = {
+    ("verify", "--complex"), ("verify", "--seed"), ("lemma delta", "--seed"),
+    ("lemma two-planes", "--seed"), ("lemma angle-change", "--seed"),
+}
 # group files for homology --free-product, the first one valid
 GROUPS = [{"rank": 1, "torsion": [2]}, [1, 2], "x", {"torsion": "x"}, {"rank": -1}, {"rank": 1.5}]
 # values a mutation writes into a complex file
@@ -956,14 +1083,15 @@ def complex_texts(draw):
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from([*OPTIONS, *OPTIONS, "frob", None]))
+    commands = ["build", "verify", "homology", "lemma"]
+    command = draw(st.sampled_from([*commands, *commands, "frob", None]))
     if command is None:
         return draw(st.sampled_from([[], ["--version"]]))
-    argv = [command]
     if command == "lemma":
-        argv.append(draw(st.sampled_from(["delta", "hexagon", "two-planes", "angle-change", "x"])))
+        command += " " + draw(st.sampled_from([*LEMMA, "x"]))
+    argv = command.split()
     for option in OPTIONS.get(command, []):
-        values = HEXAGON_R if argv[1:] == ["hexagon"] and option == "--R" else VALUES[option]
+        values = HEXAGON_R if command == "lemma hexagon" and option == "--R" else VALUES[option]
         if option in SIZES:
             given = True
         elif (command, option) in NEEDED:
@@ -1009,14 +1137,27 @@ class TestContract:
     )
     @example(argv=["homology", "--free-product", "{group1}", "{complex}"], text="{}")
     @example(argv=["lemma", "angle-change", "--samples", "5000", "--seed", "0"], text="{}")
+    @example(argv=["lemma", "hexagon", "--seed", "0"], text="{}")
+    @example(argv=["lemma", "delta", "--R", "40"], text="{}")
+    @example(argv=["homology", "--book", "--complex", "{complex}"], text="{}")
+    @example(argv=["lemma", "hexagon", "--R", "10,65", "--out", "{out}"], text="{}")
+    @example(argv=["build", "--L", "0", "--out", ""], text="{}")
     def test_exit_codes_and_errors(self, argv, text):
         with tempfile.TemporaryDirectory() as tmp:
-            paths = {"complex": Path(tmp, "x.json"), "missing": Path(tmp, "missing.json")}
+            paths = {
+                "complex": Path(tmp, "x.json"),
+                "missing": Path(tmp, "missing.json"),
+                "out": Path(tmp, "out"),
+            }
             paths["complex"].write_text(text)
             for i, group in enumerate(GROUPS):
                 paths[f"group{i}"] = Path(tmp, f"g{i}.json")
                 paths[f"group{i}"].write_text(json.dumps(group))
             code, out, err = invoke([a.format(**paths) for a in argv])
+            if code == 4 and "--out" in argv:
+                # the report went to the --out file; a sweep's prefix gains .json
+                dest = argv[argv.index("--out") + 1].format(**paths)
+                out = Path(dest + ".json" if argv[0] == "lemma" else dest).read_text()
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
         if code == 0:
@@ -1120,13 +1261,12 @@ class TestExports:
     NO_SAMPLING = {"numpy", "elementwise", "lemmalab"}
 
     @pytest.mark.parametrize(
-        "argv, unloaded",
+        "argv, unloaded, status",
         [
-            pytest.param(argv, unloaded, id=" ".join(argv[:2]))
+            pytest.param(argv, unloaded, 0, id=" ".join(argv[:2]))
             for argv, unloaded in [
                 (["--version"], NO_NUMPY),
                 (["--help"], NO_NUMPY),
-                (["frob"], NO_NUMPY),
                 (["homology", "--complex", "{complex}"], NO_NUMPY),
                 (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY),
                 (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
@@ -1137,9 +1277,19 @@ class TestExports:
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
                   "--words", "2"], NO_HOMOLOGY),
             ]
+        ]
+        + [
+            pytest.param(["frob"], NO_NUMPY, 2, id="frob"),
+            pytest.param(["lemma", "delta", "--help"], NO_NUMPY, 0, id="lemma delta --help"),
+            # options a command does not read are refused before any import
+            pytest.param(["lemma", "delta", "--R", "40"], NO_NUMPY, 2, id="lemma delta --R"),
+            pytest.param(
+                ["homology", "--book", "--complex", "x"], NO_NUMPY, 2,
+                id="homology --book --complex",
+            ),
         ],
     )
-    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, unloaded):
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, unloaded, status):
         # a fresh interpreter runs the command and lists what it loaded
         paths = {"complex": tmp_path / "x.json", "group": tmp_path / "g.json"}
         paths["complex"].write_text(build_xp(1, 3).to_json())
@@ -1160,7 +1310,7 @@ class TestExports:
             env=env, capture_output=True, text=True, check=True, cwd=tmp_path,
         ).stdout
         code, modules = json.loads(out)
-        assert code == (2 if argv == ["frob"] else 0)
+        assert code == status
         loaded = {
             m.removeprefix("goodpants.")
             for m in modules

@@ -456,11 +456,16 @@ class TestHexagonAsymptotics:
         assert slope == int(exact.p) / int(exact.q)
         assert slope == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12, abs=0.0)
 
-    def test_slope_is_nan_past_double_range(self):
-        # from R = 355 the chord between the height-R points reads nan
-        rep = hexagon_asymptotics_check([10.0, 355.0])
-        assert not rep.passed
-        assert math.isnan(dict(rep.stats)["log_residual_slope"])
+    @pytest.mark.parametrize("R", [177.5, 180.0, 355.0, 400.0, 720.0, 1e6])
+    def test_past_double_range_names_R(self, R):
+        # the chord's far end overflows from R = 177.5 and reads nan from
+        # R = 355; the sweep reports neither, and no slope is fitted to nan
+        with pytest.raises(OverflowError, match=f"^R = {R!r} is too large for double"):
+            hexagon_asymptotics_check([10.0, R])
+
+    def test_last_R_below_double_range(self):
+        rep = hexagon_asymptotics_check([10.0, 177.25])
+        assert math.isfinite(dict(rep.stats)["log_residual_slope"])
 
     def test_no_slope_without_two_distinct_R(self):
         for R_values in ([10.0], [10.0, 10.0]):
