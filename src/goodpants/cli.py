@@ -12,8 +12,10 @@ stderr.
 
 A command accepts only the options its handler reads: each ``lemma``
 sweep is a subcommand with its own options, and ``homology`` takes
-exactly one of ``--complex``, ``--book`` and ``--free-product``.  Any
-other option is a usage error, so it exits 2 instead of being ignored.
+exactly one of ``--complex``, ``--book`` and ``--free-product``, with
+``--g`` and ``--p`` only beside ``--book``.  Any other option is a usage
+error, so it exits 2 instead of being ignored.  So is a negative
+``--seed``, which no generator takes.
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel.  Each sample of a sampler
@@ -82,6 +84,18 @@ def _finite_R(value) -> float:
     if not math.isfinite(R):
         raise ConfigError(f"--R must be finite, got {R!r}")
     return R
+
+
+def _seed(value: str) -> int:
+    """--seed as a non-negative int; argparse names the option on refusal."""
+    try:
+        seed = int(value)
+    except ValueError:
+        # the words argparse uses for a type=int option
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
 
 
 def _development_options(args) -> float:
@@ -259,6 +273,11 @@ def cmd_homology(args) -> int:
     from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
     from .homology import mv_torsion_embedding, sigma
 
+    if args.book:
+        args.g = 1 if args.g is None else args.g
+        args.p = 3 if args.p is None else args.p
+    elif args.g is not None or args.p is not None:
+        raise ConfigError("--g and --p are read only with --book")
     # the parser lets exactly one mode through; an empty path is a mode too
     report = _report_header(args, "homology")
     if args.complex is not None:
@@ -368,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--R", type=float, default=20.0)
     b.add_argument("--tau", type=float, default=0.0)
     b.add_argument("--L", type=int, default=32, help="growth threshold (0 = no surgery)")
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=_seed, default=None)
     b.add_argument("--out", default=None, help="path for the complex JSON")
     b.set_defaults(func=cmd_build)
 
@@ -378,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--tau", type=float, default=0.0)
     v.add_argument("--samples", type=int, default=10000)
-    v.add_argument("--seed", type=int, required=True)
+    v.add_argument("--seed", type=_seed, required=True)
     v.add_argument("--words", type=int, default=6)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
@@ -388,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--complex", default=None)
     mode.add_argument("--book", action="store_true")
     mode.add_argument("--free-product", nargs="+", default=None)
-    h.add_argument("--g", type=int, default=1)
-    h.add_argument("--p", type=int, default=3)
+    h.add_argument("--g", type=int, default=None)
+    h.add_argument("--p", type=int, default=None)
     h.add_argument("--out", default=None)
     h.set_defaults(func=cmd_homology)
 
@@ -410,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     angle.add_argument("--complex", default=None)
     for sampled in (delta, two_planes, angle):
         sampled.add_argument("--samples", type=int, default=10000)
-        sampled.add_argument("--seed", type=int, required=True)
+        sampled.add_argument("--seed", type=_seed, required=True)
     for sweep in (delta, hexagon, two_planes, angle):
         sweep.add_argument("--out", default=None, help="report path prefix (.json/.csv)")
     return parser

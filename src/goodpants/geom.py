@@ -1,9 +1,9 @@
 """Upper half-space model of hyperbolic 3-space.
 
-Points are (horizontal complex coordinate, height > 0); the boundary
-sphere is C together with a distinguished point at infinity.  Isometries
-are 2x2 complex matrices of determinant 1 modulo sign.  All lengths and
-angles that pair up naturally are packed into a single complex number
+Interior points are (horizontal complex coordinate, height > 0); the
+boundary sphere is C together with a distinguished point at infinity.
+Isometries are 2x2 complex matrices of determinant 1 modulo sign.  A
+length and the angle that pairs up with it are one plain complex number
 (length + i * angle) with the angle reduced to (-pi, pi].
 """
 
@@ -16,9 +16,7 @@ from dataclasses import dataclass
 __all__ = [
     "INFINITY",
     "BoundaryPoint",
-    "ComplexDistance",
     "DegenerateError",
-    "HexagonData",
     "MoebiusMap",
     "NotLoxodromicError",
     "OrientedGeodesic",
@@ -72,36 +70,14 @@ def reduce_angle(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class ComplexDistance:
-    """A hyperbolic length together with a rotation angle.
-
-    The real part is a length in R, the imaginary part an angle reduced
-    to (-pi, pi].
-    """
-
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "value",
-            complex(self.value.real, reduce_angle(self.value.imag)),
-        )
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def __repr__(self):
-        return f"ComplexDistance({self.value!r})"
-
-
 class MoebiusMap:
     """An element of PSL(2, C): a unit-determinant matrix modulo sign.
 
     Construction normalizes the determinant to 1 and fixes the sign by
     making the first nonzero entry (in a, b, c, d order) have argument
-    in (-pi/2, pi/2], so equality tests are stable.
+    in (-pi/2, pi/2].  That sign is part of every product's entries, and
+    it picks the branch of each logarithm read from them: foot_of's
+    2 log a and complex_translation_length's eigenvalue.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -145,32 +121,8 @@ class MoebiusMap:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def __call__(self, z: BoundaryPoint) -> BoundaryPoint:
-        return mobius_apply(self, z)
-
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
-
-    def is_close_to(self, other: "MoebiusMap", tol: float = 1e-9) -> bool:
-        """Equality modulo sign within an absolute entrywise tolerance."""
-        plus = max(
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        )
-        minus = max(
-            abs(self.a + other.a),
-            abs(self.b + other.b),
-            abs(self.c + other.c),
-            abs(self.d + other.d),
-        )
-        return min(plus, minus) <= tol
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return self.is_close_to(other, tol=1e-12)
 
     def __repr__(self):
         return (
@@ -189,9 +141,6 @@ class OrientedGeodesic:
         if _same_boundary_point(self.source, self.target):
             raise ValueError("geodesic endpoints must be distinct")
 
-    def reversed(self) -> "OrientedGeodesic":
-        return OrientedGeodesic(self.target, self.source)
-
     def apply(self, m: MoebiusMap) -> "OrientedGeodesic":
         return OrientedGeodesic(mobius_apply(m, self.source), mobius_apply(m, self.target))
 
@@ -206,18 +155,6 @@ class Point:
     def __post_init__(self):
         if not self.height > 0:
             raise ValueError("interior points need positive height")
-
-
-@dataclass(frozen=True)
-class HexagonData:
-    """Alternating side lengths of a right-angled skew hexagon.
-
-    ``sides`` are the three prescribed sides; ``duals[i]`` is the side
-    opposite ``sides[i]`` (joining the other two).
-    """
-
-    sides: tuple[complex, complex, complex]
-    duals: tuple[complex, complex, complex]
 
 
 def _same_boundary_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = 0.0) -> bool:
@@ -263,7 +200,7 @@ def normalize_to_axis(g: OrientedGeodesic) -> MoebiusMap:
     return MoebiusMap(1, -s, 1, -t)
 
 
-def complex_translation_length(m: MoebiusMap) -> ComplexDistance:
+def complex_translation_length(m: MoebiusMap) -> complex:
     """Complex length of a loxodromic: translation distance + i * rotation.
 
     The trace satisfies tr = +/- 2 cosh(l / 2); we extract l from the
@@ -280,13 +217,15 @@ def complex_translation_length(m: MoebiusMap) -> ComplexDistance:
     lam1 = (tr + disc) / 2.0
     lam2 = (tr - disc) / 2.0
     lam = lam1 if abs(lam1) >= abs(lam2) else lam2
-    return ComplexDistance(2.0 * cmath.log(lam))
+    v = 2.0 * cmath.log(lam)
+    return complex(v.real, reduce_angle(v.imag))
 
 
-def hexagon_solve(a: complex, b: complex, c: complex) -> HexagonData:
+def hexagon_solve(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
     """Solve a right-angled skew hexagon with alternating sides a, b, c.
 
-    Returns the dual sides via the hexagonal cosine law
+    Returns the dual sides, the i-th one opposite the i-th side (joining
+    the other two), via the hexagonal cosine law
     cosh sigma_c = (cosh c + cosh a cosh b) / (sinh a sinh b)
     and its cyclic permutations.  Raises OverflowError when a product
     sinh a sinh b leaves double range.
@@ -316,7 +255,7 @@ def hexagon_solve(a: complex, b: complex, c: complex) -> HexagonData:
         if sigma.real < 0:
             sigma = -sigma
         duals.append(complex(sigma.real, reduce_angle(sigma.imag)))
-    return HexagonData(sides=sides, duals=tuple(duals))
+    return tuple(duals)
 
 
 def _screw(d: complex) -> MoebiusMap:
@@ -333,7 +272,7 @@ _FLIP = MoebiusMap(0, 1j, 1j, 0)
 _HALF_TURN = MoebiusMap(1j, 0, 0, -1j)
 
 
-def translate_along(g: OrientedGeodesic, d: ComplexDistance | complex) -> MoebiusMap:
+def translate_along(g: OrientedGeodesic, d: complex) -> MoebiusMap:
     """The loxodromic with axis g and complex translation length d."""
     d = complex(d)
     if not d.real > 0:
@@ -353,9 +292,3 @@ def point_to_geodesic_distance(p: Point, g: OrientedGeodesic) -> float:
     m = normalize_to_axis(g)
     q = apply_to_point(m, p)
     return math.asinh(abs(q.horizontal) / q.height)
-
-
-def half_turn(g: OrientedGeodesic) -> MoebiusMap:
-    """Rotation by pi about a geodesic."""
-    m = normalize_to_axis(g)
-    return m.inverse() * _HALF_TURN * m

@@ -24,7 +24,8 @@ from .geom import (
     _FLIP,
     _screw,
 )
-from .pants import PantsRep, build_pants_rep, cuff_frame, foot_of, measured_halflength, shear
+from .pants import HalfNormalCoordinate, PantsRep, build_pants_rep, foot_of, measured_halflength
+from .pants import shear
 
 __all__ = [
     "QiReport",
@@ -82,8 +83,8 @@ class ViableRep:
     """A pants complex developed in hyperbolic 3-space.
 
     base_reps[i] is pants i built in its own normalized position, and
-    conjugators[i] places it: the placed pants is
-    base_reps[i].conjugated(conjugators[i]), which nothing stores.
+    conjugators[i] places it: the placed pants' generators are
+    conjugators[i] * gen * conjugators[i]^-1, which nothing stores.
     measure_frames[c] holds, for each regular circle, one frame per side,
     in the order of complex.attachments_of(c); each takes that side's
     base_reps copy to the circle's axis on (0, infinity), the right
@@ -100,7 +101,7 @@ class ViableRep:
     measure_frames: dict
     singular_base: dict
 
-    def halflength_at(self, pants: int, slot: int):
+    def halflength_at(self, pants: int, slot: int) -> complex:
         """Half-length of a cuff read back from the holonomy.
 
         Measured on the unconjugated copy; the placed copy carries the
@@ -108,7 +109,7 @@ class ViableRep:
         """
         return measured_halflength(self.base_reps[pants], slot)
 
-    def singular_length(self, c: int):
+    def singular_length(self, c: int) -> complex:
         """Complex translation length of a singular circle's root.
 
         Measured on the base-frame copy for the same reason as
@@ -159,10 +160,10 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             # matrices are too large to read anything back from.  The
             # per-side measuring frames collapse to cancellation-free
             # products: the shared frame times the side's conjugator is
-            # cuff_frame(base) on the placed side and
-            # Screw(delta) * cuff_frame(base) on the new side.
-            G0 = cuff_frame(base[u], su)
-            B = cuff_frame(base[v], sv)
+            # the base frame on the placed side and
+            # Screw(delta) * the base frame on the new side.
+            G0 = base[u].frames[su]
+            B = base[v].frames[sv]
             frame_v = _screw(delta) * B
             measure_frames[c] = (G0, frame_v) if u_is_left else (frame_v, G0)
             if v not in visited:
@@ -182,7 +183,7 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         d = x.circles[c].d
         k = x.circles[c].k
         (pi, slot) = x.attachments_of(c)[0]
-        F = cuff_frame(base[pi], slot)
+        F = base[pi].frames[slot]
         root_length = (2.0 * params.halflength(c) + 2.0 * k * math.pi * 1j) / d
         singular_base[c] = F.inverse() * _screw(root_length) * F
     return ViableRep(
@@ -208,7 +209,8 @@ def development_residual(rho: ViableRep) -> float:
     """Largest gap between the requested and the developed parameters.
 
     Compares the half-length of every pants slot and the shear of every
-    regular circle with rho.params; singular root lengths are not read.
+    regular circle with rho.params, shears as the canonical lattice
+    representatives that shear returns; singular root lengths are not read.
     """
     x, params = rho.complex, rho.params
     residual = 0.0
@@ -216,10 +218,11 @@ def development_residual(rho: ViableRep) -> float:
         for slot, c in enumerate(pants.slots):
             residual = max(
                 residual,
-                abs(complex(rho.halflength_at(i, slot)) - params.halflength(c)),
+                abs(rho.halflength_at(i, slot) - params.halflength(c)),
             )
     for c in x.regular_circles():
-        residual = max(residual, abs(measured_shear(rho, c) - params.shear_of(c)))
+        requested = HalfNormalCoordinate(params.shear_of(c), params.halflength(c)).value
+        residual = max(residual, abs(measured_shear(rho, c) - requested))
     return residual
 
 
@@ -235,14 +238,10 @@ def check_p_separated(rho: ViableRep, p: int) -> bool:
         atts = x.attachments_of(c)
         # frame from the first attachment; its own foot angle is 0
         first, slot = atts[0]
-        F = cuff_frame(rho.base_reps[first], slot) * rho.conjugators[first].inverse()
+        F = rho.base_reps[first].frames[slot] * rho.conjugators[first].inverse()
         thetas = []
         for pi, slot in atts:
-            frame = (
-                cuff_frame(rho.base_reps[pi], slot)
-                if pi == first
-                else F * rho.conjugators[pi]
-            )
+            frame = rho.base_reps[pi].frames[slot] if pi == first else F * rho.conjugators[pi]
             thetas.append(foot_of(rho.base_reps[pi], slot, frame=frame).value.imag)
         if not _feet_separated(thetas, x.circles[c].d, p):
             return False
@@ -460,9 +459,9 @@ def _scan_alphabet(rho: ViableRep) -> list[MoebiusMap]:
             break
     gens = []
     for i in chosen:
-        placed = rho.base_reps[i].conjugated(rho.conjugators[i])
-        gens.append(placed.gen1)
-        gens.append(placed.gen2)
+        g, g_inv = rho.conjugators[i], rho.conjugators[i].inverse()
+        gens.append(g * rho.base_reps[i].gen1 * g_inv)
+        gens.append(g * rho.base_reps[i].gen2 * g_inv)
     return gens
 
 

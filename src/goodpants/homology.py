@@ -116,12 +116,6 @@ class AbelianGroup:
             if b % a != 0:
                 raise ValueError("torsion coefficients must form a divisor chain")
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.rank:
-            return None
-        return math.prod(self.torsion)
-
     def describe(self) -> str:
         parts = []
         if self.rank:

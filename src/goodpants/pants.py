@@ -6,12 +6,12 @@ the three seams (common perpendiculars of the cuff axes) carry half-turns
 whose pairwise products are the cuff elements, and the complex distance
 between the two seam feet on a cuff is its half-length.
 
-The construction reaches every seam from one base seam through known
-screw motions, and it keeps those products: each cuff's canonical frame
-is stored with the pants, and a seam foot is the parameter of a screw
-between two frames.  Nothing here reads a seam or an axis back from
-matrix fixed points, whose boundary endpoints collapse once the seams
-are exponentially short (large R).
+Half-lengths and shears are plain complex numbers.  The construction
+reaches every seam from one base seam through known screw motions and
+keeps those products as each cuff's canonical frame; a seam foot, a
+point of C/(hl*Z + 2*pi*i*Z), is the parameter of a screw between two
+frames.  Nothing is read back from matrix fixed points, whose boundary
+endpoints collapse once the seams are exponentially short (large R).
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .geom import (
-    ComplexDistance,
     DegenerateError,
     MoebiusMap,
     OrientedGeodesic,
     complex_translation_length,
-    half_turn,
     hexagon_solve,
     normalize_to_axis,
+    reduce_angle,
     _FLIP,
     _HALF_TURN,
     _screw,
@@ -39,7 +38,6 @@ __all__ = [
     "LatticeMismatchError",
     "PantsRep",
     "build_pants_rep",
-    "cuff_frame",
     "foot_of",
     "halflength_tolerance",
     "measured_halflength",
@@ -86,15 +84,16 @@ class PantsRep:
     """Holonomy of a skew pair of pants.
 
     gen1 and gen2 are the first two cuff elements; the third cuff is
-    (gen1 * gen2)^-1.  halflengths stores the requested complex
-    half-lengths of the three cuffs, and frames[i] the canonical frame
-    of cuff i (see cuff_frame), both as the hexagon construction made
-    them.
+    (gen1 * gen2)^-1.  halflengths holds the requested complex
+    half-lengths, angles reduced to (-pi, pi].  frames[i] maps cuff i's
+    axis to (0, infinity) with the foot of the preceding seam at height
+    1 pointing at +1, so feet measured in it are conjugation invariant;
+    build_pants_rep made it as a product of screws.
     """
 
     gen1: MoebiusMap
     gen2: MoebiusMap
-    halflengths: tuple[ComplexDistance, ComplexDistance, ComplexDistance]
+    halflengths: tuple[complex, complex, complex]
     frames: tuple[MoebiusMap, MoebiusMap, MoebiusMap]
 
     def cuff(self, i: int) -> MoebiusMap:
@@ -105,15 +104,6 @@ class PantsRep:
         if i == 2:
             return (self.gen1 * self.gen2).inverse()
         raise IndexError(f"cuff index {i} out of range")
-
-    def conjugated(self, g: MoebiusMap) -> "PantsRep":
-        g_inv = g.inverse()
-        return PantsRep(
-            g * self.gen1 * g_inv,
-            g * self.gen2 * g_inv,
-            self.halflengths,
-            tuple(frame * g_inv for frame in self.frames),
-        )
 
 
 def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
@@ -126,8 +116,7 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     for h in hl:
         if not h.real > 0:
             raise DegenerateError("half-lengths must have positive real part")
-    hx = hexagon_solve(hl[0], hl[1], hl[2])
-    sigma = hx.duals  # sigma[i] is the seam length opposite halflength i
+    sigma = hexagon_solve(hl[0], hl[1], hl[2])  # sigma[i] is opposite halflength i
     if any(cmath.exp(s / 2.0) == 1.0 for s in sigma):
         # the screw along a seam rounds to the identity: all three cuffs
         # would land on one axis
@@ -139,7 +128,7 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     # collapse when the seams are exponentially short).
     eta3 = OrientedGeodesic(-1 + 0j, 1 + 0j)
     to_eta3 = normalize_to_axis(eta3).inverse()
-    rho3 = half_turn(eta3)
+    rho3 = to_eta3 * _HALF_TURN * to_eta3.inverse()
     # gen1 = rho2 * rho3 with eta2 at complex distance hl1 up the cuff;
     # the product collapses to the pure screw by 2 hl1 along (0, inf).
     gen1 = _screw(2.0 * hl[0])
@@ -163,12 +152,8 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
         _screw(hl[1]) * _HALF_TURN * _FLIP * along_eta3.inverse(),
         _HALF_TURN * _FLIP * along_eta2.inverse(),
     )
-    return PantsRep(
-        gen1,
-        gen2,
-        (ComplexDistance(hl[0]), ComplexDistance(hl[1]), ComplexDistance(hl[2])),
-        frames,
-    )
+    halflengths = tuple(complex(h.real, reduce_angle(h.imag)) for h in hl)
+    return PantsRep(gen1, gen2, halflengths, frames)
 
 
 def halflength_tolerance(hl1, hl2, hl3) -> float:
@@ -180,14 +165,14 @@ def halflength_tolerance(hl1, hl2, hl3) -> float:
     the matrices are produced.  Returns 1e-9 plus that forced loss, so a
     round-trip check can tell a construction bug from conditioning.
     """
-    hx = hexagon_solve(complex(hl1), complex(hl2), complex(hl3))
-    amp = math.exp(min(350.0, hx.duals[2].real + complex(hl2).real / 2))
+    sigma = hexagon_solve(complex(hl1), complex(hl2), complex(hl3))
+    amp = math.exp(min(350.0, sigma[2].real + complex(hl2).real / 2))
     g1 = math.exp(min(350.0, complex(hl1).real))
     least = min(complex(h).real for h in (hl1, hl2, hl3))
     return 1e-9 + 1e-15 * amp * amp * max(1.0, g1) / max(1.0, math.sinh(least))
 
 
-def measured_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
+def measured_halflength(p: PantsRep, cuff: int) -> complex:
     """Half-length of a cuff read off the holonomy.
 
     Half the complex translation length of the cuff element.  The trace
@@ -196,47 +181,31 @@ def measured_halflength(p: PantsRep, cuff: int) -> ComplexDistance:
     the cuff's rotation per half-length stays under a quarter turn (all
     good pants do).
     """
-    half = complex(complex_translation_length(p.cuff(cuff))) / 2.0
+    half = complex_translation_length(p.cuff(cuff)) / 2.0
     if half.imag > math.pi / 2:
         half -= math.pi * 1j
     elif half.imag <= -math.pi / 2:
         half += math.pi * 1j
-    return ComplexDistance(half)
+    return half
 
 
-def cuff_frame(p: PantsRep, cuff: int) -> MoebiusMap:
-    """The pants' canonical frame on a cuff axis.
-
-    Maps the axis to (0, infinity) with the foot of the cuff's preceding
-    seam at height 1 pointing in the +1 direction, so that foot
-    coordinates measured in this frame are conjugation invariant.  The
-    frame is the product of screws that build_pants_rep followed to
-    reach the seam, carried along by conjugation; no axis or seam is
-    read back from the matrices.
-    """
-    return p.frames[cuff]
-
-
-def foot_of(p: PantsRep, cuff: int, frame: MoebiusMap | None = None) -> HalfNormalCoordinate:
+def foot_of(p: PantsRep, cuff: int, frame: MoebiusMap) -> HalfNormalCoordinate:
     """The foot of the pants on a cuff, as a half normal bundle point.
 
     The two seam feet on the cuff differ by exactly the half-length, so
     they define one point of C/(hl*Z + 2*pi*i*Z), with hl the half-length
     the pants were built with.  A frame taking the cuff axis to
     (0, infinity) differs from the canonical one by a screw,
-    frame * cuff_frame^-1 = diag(a, 1/a); the foot is its parameter
-    2 log a.  With the default (canonical) frame it is 0; pass another
-    frame to compare feet of different pants glued along one circle.
-    Raises DegenerateError when the frame does not keep the axis on
+    frame * p.frames[cuff]^-1 = diag(a, 1/a); the foot is its parameter
+    2 log a: 0 in the canonical frame, and comparable between pants
+    glued along one circle when measured in one shared frame.  Raises
+    DegenerateError when the frame does not keep the axis on
     (0, infinity): |b| or |c| above 1e-6 * max(|a|, |d|).
     """
-    hl = complex(p.halflengths[cuff])
-    if frame is None:
-        return HalfNormalCoordinate(0j, hl)
     a, b, c, d = (frame * p.frames[cuff].inverse()).entries()
     if max(abs(b), abs(c)) > 1e-6 * max(abs(a), abs(d)):
         raise DegenerateError("frame does not map the cuff axis to (0, infinity)")
-    return HalfNormalCoordinate(2.0 * cmath.log(a), hl)
+    return HalfNormalCoordinate(2.0 * cmath.log(a), p.halflengths[cuff])
 
 
 def shear(foot_left: HalfNormalCoordinate, foot_right: HalfNormalCoordinate) -> complex:

@@ -112,8 +112,7 @@ def _least_squares_slope(xs, ys) -> float:
 
 def _hexagon_residuals(R: float) -> tuple[float, float, float]:
     """The d1-identity, d2-identity and chord residuals at one R."""
-    hexd = hexagon_solve(R / 2.0, R / 2.0, R / 2.0)
-    d1 = hexd.duals[0].real
+    d1 = hexagon_solve(R / 2.0, R / 2.0, R / 2.0)[0].real
     target1 = math.cosh(R / 2.0) / (math.cosh(R / 2.0) - 1.0)
     res1 = abs(math.cosh(d1) - target1) / max(1.0, abs(target1))
 

@@ -1,7 +1,8 @@
 """Independent geometry oracles for the tests.
 
 Axes of loxodromics from their fixed points, common perpendiculars and
-complex distances between geodesics, all read from boundary endpoints.
+complex distances between geodesics, all read from boundary endpoints,
+and half-turns about geodesics as conjugated matrix products.
 The program never reads geometry back this way (the hexagon construction
 keeps its frames), but these routes are independent of it, so the tests
 check the construction against them where the endpoints are still
@@ -20,12 +21,13 @@ import numpy as np
 
 from goodpants.geom import (
     INFINITY,
-    ComplexDistance,
     MoebiusMap,
     OrientedGeodesic,
     complex_translation_length,
     mobius_apply,
     normalize_to_axis,
+    reduce_angle,
+    _HALF_TURN,
     _Infinity,
     _same_boundary_point,
 )
@@ -54,12 +56,25 @@ def _axis_coshd(g1: OrientedGeodesic, g2: OrientedGeodesic) -> complex:
     return complex(w.real + 0.0, w.imag + 0.0)
 
 
-def complex_distance(g1: OrientedGeodesic, g2: OrientedGeodesic) -> ComplexDistance:
+def maps_close(m: MoebiusMap, n: MoebiusMap, tol: float = 1e-9) -> bool:
+    """Whether two maps agree modulo sign within an absolute entrywise tolerance."""
+    plus = max(abs(x - y) for x, y in zip(m.entries(), n.entries()))
+    minus = max(abs(x + y) for x, y in zip(m.entries(), n.entries()))
+    return min(plus, minus) <= tol
+
+
+def half_turn(g: OrientedGeodesic) -> MoebiusMap:
+    """Rotation by pi about a geodesic."""
+    m = normalize_to_axis(g)
+    return m.inverse() * _HALF_TURN * m
+
+
+def complex_distance(g1: OrientedGeodesic, g2: OrientedGeodesic) -> complex:
     """Complex distance between oriented geodesics along their perpendicular.
 
     The real part is the hyperbolic distance (zero when they cross), the
-    imaginary part the oriented angle; reversing either orientation
-    shifts the angle by pi.
+    imaginary part the oriented angle in (-pi, pi]; reversing either
+    orientation shifts the angle by pi.
     """
     for a in (g1.source, g1.target):
         for b in (g2.source, g2.target):
@@ -69,7 +84,7 @@ def complex_distance(g1: OrientedGeodesic, g2: OrientedGeodesic) -> ComplexDista
     d = cmath.acosh(coshd)
     if d.real < 0:
         d = -d
-    return ComplexDistance(d)
+    return complex(d.real, reduce_angle(d.imag))
 
 
 def common_perpendicular(g1: OrientedGeodesic, g2: OrientedGeodesic) -> OrientedGeodesic:
@@ -101,7 +116,7 @@ def common_perpendicular(g1: OrientedGeodesic, g2: OrientedGeodesic) -> Oriented
     # the target endpoint should be the one on g2's side of the axis.
     mid = (u + v) / 2.0
     if abs(w - mid) > abs(-w - mid):
-        cand = cand.reversed()
+        cand = OrientedGeodesic(cand.target, cand.source)
     return cand
 
 
@@ -120,7 +135,6 @@ def axis_of(m: MoebiusMap) -> OrientedGeodesic:
     if abs(m.c * p1 + m.d) > 1.0:
         return OrientedGeodesic(p2, p1)
     return OrientedGeodesic(p1, p2)
-
 
 
 def quasigeodesic_on_full_net(z, t, delta: float) -> bool:

@@ -110,6 +110,17 @@ class TestBuild:
         assert code == 0, err
         assert json.loads(out)["max_residual"] < 1e-6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--R", "0.5"], ["--R", "1"], ["--R", "2"], ["--R", "2.05", "--tau", "1", "--seed", "3"]],
+    )
+    def test_develops_at_small_R(self, capsys, argv):
+        # the shear of about 1 lies past the half-length R/2; it was
+        # compared unreduced, and these read residuals of 1.0 and 0.985
+        code, out, err = run(capsys, ["build", "--L", "0", *argv])
+        assert code == 0 and err == ""
+        assert json.loads(out)["max_residual"] < 1e-12
+
     @pytest.mark.parametrize("R", ["100", "200"])
     def test_past_double_precision(self, capsys, R):
         # the seams are 3e-11 (R=100) and 4e-22 (R=200) long; the build
@@ -141,6 +152,67 @@ class TestBuild:
         code, out, err = run(capsys, ["build", "--L", "0"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "construction-failed"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedReports:
+    """Digests of reports that a rewrite of geom, pants or holonomy keeps."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ["build", "--L", "64", "--tau", "1", "--seed", "101"],
+                "98d79207a67a41a51f57a45469d7ba7d75fb527e00d4ff4a12063fb8ce1b698a",
+                id="build-L64-tau1",
+            ),
+            pytest.param(
+                ["lemma", "hexagon", "--R", "10,14,18,22,26,30,34"],
+                "ea76d0d1eb001c19933ca7034cd37fec4525bb8861aa90df8e8fdda14629b8ff",
+                id="hexagon-benchmark",
+            ),
+            pytest.param(
+                ["lemma", "hexagon", "--R", "2,5,10,40,60,100,170"],
+                "27e34cbaaa5cd15961bfae7106ce5b48ce92db357ff3fd0de6d50aaf18ccbd53",
+                id="hexagon-wide",
+            ),
+            pytest.param(
+                ["homology", "--book", "--g", "2", "--p", "4"],
+                "3fecc08477b995132c12f91d18c955fa27d379b2f30feb5552e2c0781a046697",
+                id="book-g2-p4",
+            ),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, argv, digest):
+        code, out, err = run(capsys, argv)
+        # the wide hexagon sweep fails its d2-identity rows at R = 100 and 170
+        assert code == (4 if argv[-1].startswith("2,") else 0) and err == ""
+        assert sha256(out) == digest
+
+    def test_pinned_build_verify(self, tmp_path, capsys, monkeypatch):
+        # a relative complex path, so the verify reports' configs are fixed
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["build", "--L", "16", "--seed", "3", "--out", "x"])
+        assert code == 0 and err == ""
+        assert sha256(out) == "891cc10d70e4859bbcee9c4c3d4910dc82f9a7e4fee89f99c2fdfd0dcd792184"
+        assert (
+            sha256((tmp_path / "x").read_text())
+            == "312a578a28c91f6b6adca7512ee16817bb1b36f30e790d3dd949d0f82fd81802"
+        )
+        verify = ["verify", "--complex", "x", "--words", "3", "--samples", "300", "--seed", "1"]
+        for extra, digest in [
+            ([], "2bea608a808d6d7397dd937b02108e0e69b680a38f4e9bbe3fbec20d647cfbea"),
+            (
+                ["--R", "40", "--tau", "1"],
+                "d840d7940d36b7ee5f99e011046e884505907e94a46872fe91f5ae1cd1b17559",
+            ),
+        ]:
+            code, out, err = run(capsys, verify + extra)
+            assert code == 0 and err == ""
+            assert sha256(out) == digest
 
 
 class TestVerify:
@@ -185,6 +257,7 @@ class TestVerify:
     def test_seed_required(self, small_complex, capsys):
         code, out, err = run(capsys, ["verify", "--complex", str(small_complex)])
         assert code == 2
+
 
     @pytest.mark.parametrize("samples", ["-3", "0"])
     def test_needs_a_sample(self, small_complex, capsys, samples):
@@ -279,6 +352,26 @@ class TestHomology:
         assert code == 0
         doc = json.loads(out)
         assert doc["h1"]["torsion"] == [6]
+
+    def test_book_defaults_stay_in_the_config(self, capsys):
+        code, out, err = run(capsys, ["homology", "--book"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"] == {"book": True, "command": "homology", "g": 1, "p": 3}
+
+    @pytest.mark.parametrize(
+        "mode", [["--complex", "{complex}"], ["--free-product", "{complex}"]],
+        ids=["complex", "free-product"],
+    )
+    @pytest.mark.parametrize("option", [["--g", "7"], ["--p", "9"], ["--g", "7", "--p", "9"]])
+    def test_book_options_refused_without_book(self, small_complex, capsys, mode, option):
+        argv = ["homology", *(a.format(complex=small_complex) for a in mode)]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        # --g and --p are not in the config: only --book reads them
+        assert set(json.loads(out)["config"]) == {"book", "command", mode[0][2:].replace("-", "_")}
+        code, out, err = run(capsys, argv + option)
+        assert code == 2 and out == ""
+        assert error_of(err) == ("invalid-config", "--g and --p are read only with --book")
 
     def test_exactly_one_mode(self, small_complex, capsys):
         code, out, err = run(
@@ -934,6 +1027,7 @@ class TestOneRuleForInput:
             ),
             ([], "goodpants: the following arguments are required: command"),
             (["build", "--nope"], "goodpants: unrecognized arguments: --nope"),
+            (["build", "--seed", "x"], "goodpants build: argument --seed: invalid int value: 'x'"),
         ],
     )
     def test_usage_error_is_json(self, capsys, argv, message):
@@ -941,6 +1035,29 @@ class TestOneRuleForInput:
         assert code == 2
         assert out == ""
         assert error_of(err) == ("invalid-config", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--L", "0"],
+            ["build", "--L", "0", "--tau", "1"],
+            ["verify", "--complex", "{complex}", "--samples", "10"],
+            ["lemma", "delta", "--samples", "10"],
+            ["lemma", "two-planes", "--samples", "10"],
+            ["lemma", "angle-change", "--samples", "10"],
+        ],
+        ids=["build", "build-tau", "verify", "delta", "two-planes", "angle-change"],
+    )
+    def test_negative_seed_refused(self, small_complex, capsys, argv):
+        # build took it without --tau and failed its construction with it;
+        # the others refused it only once numpy read it, naming no option
+        argv = [a.format(complex=small_complex) for a in argv] + ["--seed", "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        prog = " ".join(["goodpants", *argv[: 2 if argv[0] == "lemma" else 1]])
+        assert error_of(err) == (
+            "invalid-config", f"{prog}: argument --seed: must be non-negative, got -1"
+        )
 
     def test_help_still_exits_0(self, capsys):
         code, out, err = run(capsys, ["build", "--help"])
@@ -1142,6 +1259,9 @@ class TestContract:
     @example(argv=["homology", "--book", "--complex", "{complex}"], text="{}")
     @example(argv=["lemma", "hexagon", "--R", "10,65", "--out", "{out}"], text="{}")
     @example(argv=["build", "--L", "0", "--out", ""], text="{}")
+    @example(argv=["build", "--L", "0", "--seed", "-1"], text="{}")
+    @example(argv=["homology", "--g", "7", "--p", "9", "--complex", "{complex}"],
+             text=build_xp(1, 3).to_json())
     def test_exit_codes_and_errors(self, argv, text):
         with tempfile.TemporaryDirectory() as tmp:
             paths = {

@@ -23,6 +23,7 @@ from oracles import (
     axis_of,
     common_perpendicular,
     complex_distance,
+    maps_close,
 )
 
 
@@ -68,9 +69,12 @@ class TestMoebiusMap:
         assert abs(a * d - b * c - 1) < 1e-12
 
     def test_equality_modulo_sign(self):
+        # m and -m are one map, and the sign convention gives them one
+        # set of entries
         m = MoebiusMap(2, 1, 1, 1)
         n = MoebiusMap(-2, -1, -1, -1)
-        assert m == n
+        assert maps_close(m, n, tol=1e-12)
+        assert m.entries() == n.entries()
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
@@ -80,19 +84,19 @@ class TestMoebiusMap:
         rng = random.Random(0)
         for _ in range(50):
             m = random_moebius(rng)
-            assert (m * m.inverse()).is_close_to(MoebiusMap.identity(), 1e-9)
+            assert maps_close(m * m.inverse(), MoebiusMap.identity(), 1e-9)
 
 
 class TestComplexTranslationLength:
     def test_real_diagonal(self):
         m = MoebiusMap(math.e, 0, 0, 1 / math.e)
-        val = complex(complex_translation_length(m))
+        val = complex_translation_length(m)
         assert abs(val - 2) < 1e-12
 
     def test_complex_diagonal(self):
         half = cmath.exp((3 + math.pi * 1j) / 2)
         m = MoebiusMap(half, 0, 0, 1 / half)
-        val = complex(complex_translation_length(m))
+        val = complex_translation_length(m)
         assert abs(val - (3 + math.pi * 1j)) < 1e-9
 
     def test_elliptic_rejected(self):
@@ -115,10 +119,10 @@ class TestComplexTranslationLength:
             m = random_moebius(rng)
             g = random_moebius(rng)
             try:
-                l0 = complex(complex_translation_length(m))
+                l0 = complex_translation_length(m)
             except NotLoxodromicError:
                 continue
-            l1 = complex(complex_translation_length(g * m * g.inverse()))
+            l1 = complex_translation_length(g * m * g.inverse())
             assert abs(l0 - l1) < 1e-9
             count += 1
 
@@ -127,19 +131,19 @@ class TestComplexDistance:
     def test_orthogonal_intersection(self):
         g1 = OrientedGeodesic(0j, INFINITY)
         g2 = OrientedGeodesic(-1 + 0j, 1 + 0j)
-        val = complex(complex_distance(g1, g2))
+        val = complex_distance(g1, g2)
         assert abs(val - (math.pi / 2) * 1j) < 1e-12
 
     def test_disjoint_pair(self):
         g1 = OrientedGeodesic(0j, INFINITY)
         g2 = OrientedGeodesic(2 + 0j, 1 + 0j)
-        val = complex(complex_distance(g1, g2))
+        val = complex_distance(g1, g2)
         assert abs(val - math.acosh(3)) < 1e-12
 
     def test_orientation_reversal_adds_pi(self):
         g1 = OrientedGeodesic(0j, INFINITY)
         g2 = OrientedGeodesic(1 + 0j, 2 + 0j)
-        val = complex(complex_distance(g1, g2))
+        val = complex_distance(g1, g2)
         assert abs(val - (math.acosh(3) + math.pi * 1j)) < 1e-12
 
     def test_shared_endpoint_rejected(self):
@@ -155,9 +159,9 @@ class TestComplexDistance:
         while count < 1000:
             g1, g2 = random_geodesic(rng), random_geodesic(rng)
             try:
-                d = complex(complex_distance(g1, g2))
-                dr = complex(complex_distance(g1, g2.reversed()))
-                ds = complex(complex_distance(g2, g1))
+                d = complex_distance(g1, g2)
+                dr = complex_distance(g1, OrientedGeodesic(g2.target, g2.source))
+                ds = complex_distance(g2, g1)
             except SharedEndpointError:
                 continue
             count += 1
@@ -173,8 +177,8 @@ class TestComplexDistance:
             g1, g2 = random_geodesic(rng), random_geodesic(rng)
             g = random_moebius(rng)
             try:
-                d0 = complex(complex_distance(g1, g2))
-                d1 = complex(complex_distance(g1.apply(g), g2.apply(g)))
+                d0 = complex_distance(g1, g2)
+                d1 = complex_distance(g1.apply(g), g2.apply(g))
             except SharedEndpointError:
                 continue
             count += 1
@@ -208,76 +212,73 @@ class TestCommonPerpendicular:
         while count < 300:
             g1, g2 = random_geodesic(rng), random_geodesic(rng)
             try:
-                if complex(complex_distance(g1, g2)).real < 1e-3:
+                if complex_distance(g1, g2).real < 1e-3:
                     continue
                 perp = common_perpendicular(g1, g2)
             except (SharedEndpointError, IntersectingError):
                 continue
             count += 1
             for g in (g1, g2):
-                a = complex(complex_distance(perp, g))
+                a = complex_distance(perp, g)
                 assert abs(a.real) < 1e-9
                 assert abs(abs(a.imag) - math.pi / 2) < 1e-9
 
 
 class TestHexagonSolve:
     def test_unit_symmetric(self):
-        h = hexagon_solve(1, 1, 1)
         expect = math.acosh(math.cosh(1) / (math.cosh(1) - 1))
-        for d in h.duals:
+        for d in hexagon_solve(1, 1, 1):
             assert abs(d - expect) < 1e-9
 
     def test_long_symmetric_asymptotic(self):
         # dual side of the symmetric R/2 hexagon is about 2 e^{-R/4}
         h = hexagon_solve(10, 10, 10)
-        assert abs(h.duals[0].real - 2 * math.exp(-5)) / (2 * math.exp(-5)) < 0.05
+        assert abs(h[0].real - 2 * math.exp(-5)) / (2 * math.exp(-5)) < 0.05
 
     def test_sides_to_infinity(self):
-        assert hexagon_solve(40, 40, 40).duals[0].real < 1e-4
+        assert hexagon_solve(40, 40, 40)[0].real < 1e-4
 
     def test_sides_past_double_range(self):
         # sinh(350)^2 is still finite; sinh(400)^2 is not, and the dual
         # side would silently read 0
-        assert hexagon_solve(350, 350, 350).duals[0].real > 0
+        assert hexagon_solve(350, 350, 350)[0].real > 0
         with pytest.raises(OverflowError):
             hexagon_solve(400, 400, 400)
 
     def test_residuals_on_random_skew_data(self):
         rng = random.Random(2)
         for _ in range(200):
-            a, b, c = (
-                complex(rng.uniform(0.5, 6), rng.uniform(-0.5, 0.5)) for _ in range(3)
-            )
-            h = hexagon_solve(a, b, c)
+            sides = [complex(rng.uniform(0.5, 6), rng.uniform(-0.5, 0.5)) for _ in range(3)]
+            duals = hexagon_solve(*sides)
             for i in range(3):
                 j, k = (i + 1) % 3, (i + 2) % 3
-                lhs = cmath.cosh(h.duals[i])
+                lhs = cmath.cosh(duals[i])
                 rhs = (
-                    cmath.cosh(h.sides[i]) + cmath.cosh(h.sides[j]) * cmath.cosh(h.sides[k])
-                ) / (cmath.sinh(h.sides[j]) * cmath.sinh(h.sides[k]))
+                    cmath.cosh(sides[i]) + cmath.cosh(sides[j]) * cmath.cosh(sides[k])
+                ) / (cmath.sinh(sides[j]) * cmath.sinh(sides[k]))
                 assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
     def test_symmetric_closed_form_grid(self):
         for R in (2, 6, 10, 20, 40):
             h = hexagon_solve(R / 2, R / 2, R / 2)
             closed = math.acosh(math.cosh(R / 2) / (math.cosh(R / 2) - 1))
-            assert abs(h.duals[0].real - closed) < 1e-9
-            assert abs(h.duals[0].imag) < 1e-9
+            assert abs(h[0].real - closed) < 1e-9
+            assert abs(h[0].imag) < 1e-9
 
 
 class TestTranslateAlong:
     def test_vertical_axis_real_length(self):
         m = translate_along(OrientedGeodesic(0j, INFINITY), 2)
-        assert m.is_close_to(MoebiusMap(math.e, 0, 0, 1 / math.e))
+        assert maps_close(m, MoebiusMap(math.e, 0, 0, 1 / math.e))
 
     def test_vertical_axis_complex_length(self):
         d = 3 + math.pi * 1j
         m = translate_along(OrientedGeodesic(0j, INFINITY), d)
-        assert abs(complex(complex_translation_length(m)) - d) < 1e-9
+        assert abs(complex_translation_length(m) - d) < 1e-9
 
     def test_conjugated_axis_round_trip(self):
         m = translate_along(OrientedGeodesic(1 + 0j, -1 + 0j), 2)
-        assert abs(complex(complex_translation_length(m)) - 2) < 1e-9
+        assert abs(complex_translation_length(m) - 2) < 1e-9
         ax = axis_of(m)
         assert abs(ax.source - 1) < 1e-9
         assert abs(ax.target + 1) < 1e-9
@@ -290,7 +291,7 @@ class TestTranslateAlong:
             ax = OrientedGeodesic(mobius_apply(g, 0j), mobius_apply(g, INFINITY))
             m = translate_along(ax, d)
             want = complex(d.real, reduce_angle(d.imag))
-            assert abs(complex(complex_translation_length(m)) - want) < 1e-8
+            assert abs(complex_translation_length(m) - want) < 1e-8
             ax2 = axis_of(m)
             assert abs(ax2.source - ax.source) < 1e-6 * max(1.0, abs(ax.source))
             assert abs(ax2.target - ax.target) < 1e-6 * max(1.0, abs(ax.target))

