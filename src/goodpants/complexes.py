@@ -337,7 +337,7 @@ def surger(x: PantsComplex, edge: int, donor: PantsComplex) -> PantsComplex:
 
     growth = _Growth(x, donor)
     # the edges are in circle-id order
-    growth.surger(bisect.bisect_left(growth.edges, (edge,)))
+    growth.surger(bisect.bisect_left(growth.circle_ids, edge))
     return growth.freeze()
 
 

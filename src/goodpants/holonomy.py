@@ -20,6 +20,7 @@ from .complexes import PantsComplex, graph_of
 from .geom import (
     DegenerateError,
     MoebiusMap,
+    NotLoxodromicError,
     complex_translation_length,
     _FLIP,
     _screw,
@@ -130,10 +131,18 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     circles carry the d-th root loxodromic of the adjacent cuff
     (rotated by k extra turns), so its d-th power is the cuff holonomy.
 
-    graph_of refuses an invalid complex; DegenerateError refuses pants
-    that meet pants 0 only across singular circles, as none can be placed.
+    graph_of refuses an invalid complex; DegenerateError refuses a
+    circle whose half-length is not positive, and pants that meet pants 0
+    only across singular circles, as none can be placed.
     """
     graph_of(x)
+    for c in range(len(x.circles)):
+        # R/2 + tau*xi/R with |xi| < 0.1 can reach 0 below R of about 0.45
+        if not (hl := params.halflength(c).real) > 0:
+            raise DegenerateError(
+                f"circle {c} has half-length {hl!r} <= 0 at R = {params.R!r}:"
+                " the perturbation tau*xi/R outweighs R/2"
+            )
     base = [
         build_pants_rep(*(params.halflength(c) for c in p.slots)) for p in x.pants
     ]
@@ -142,10 +151,9 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     conj[0] = MoebiusMap.identity()
     measure_frames = {}
 
-    visited = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
+    # the placed pants in breadth-first order; the loop reads those it adds
+    order = [0]
+    for u in order:
         for su, c in enumerate(x.pants[u].slots):
             if not x.is_regular(c) or c in measure_frames:
                 continue
@@ -166,15 +174,14 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             B = base[v].frames[sv]
             frame_v = _screw(delta) * B
             measure_frames[c] = (G0, frame_v) if u_is_left else (frame_v, G0)
-            if v not in visited:
+            if conj[v] is None:
                 # v's cuff goes onto u's axis reversed, foot at delta
                 G = G0 * conj[u].inverse()
                 conj[v] = (_FLIP * G).inverse() * _screw(delta) * B
-                visited.add(v)
-                queue.append(v)
-    if len(visited) < n:
+                order.append(v)
+    if len(order) < n:
         raise DegenerateError(
-            f"{n - len(visited)} of {n} pants meet pants 0 only across singular"
+            f"{n - len(order)} of {n} pants meet pants 0 only across singular"
             " circles, so they cannot be placed"
         )
 
@@ -216,10 +223,14 @@ def development_residual(rho: ViableRep) -> float:
     residual = 0.0
     for i, pants in enumerate(x.pants):
         for slot, c in enumerate(pants.slots):
-            residual = max(
-                residual,
-                abs(rho.halflength_at(i, slot) - params.halflength(c)),
-            )
+            try:
+                measured = rho.halflength_at(i, slot)
+            except NotLoxodromicError as exc:
+                raise NotLoxodromicError(
+                    f"at R = {params.R!r} the cuff of pants {i} slot {slot} is too short"
+                    f" to measure: {exc}"
+                ) from exc
+            residual = max(residual, abs(measured - params.halflength(c)))
     for c in x.regular_circles():
         requested = HalfNormalCoordinate(params.shear_of(c), params.halflength(c)).value
         residual = max(residual, abs(measured_shear(rho, c) - requested))

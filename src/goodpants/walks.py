@@ -25,47 +25,48 @@ from .complexes import (
 
 
 def _dart_arrays(g: PantsGraph):
-    """(tail, head, marked mask) as arrays.
+    """(tail, marked mask) as arrays.
 
-    Darts 2e and 2e+1 are the two directions of edge e.
+    Darts 2e and 2e+1 are the two directions of edge e, so the head of
+    dart d is tail[d ^ 1].
     """
-    ends = np.array([(a, b) for _, a, b in g.edges], dtype=np.intp).reshape(-1, 2)
+    tail = np.array([v for _, a, b in g.edges for v in (a, b)], dtype=np.intp)
     marked = np.zeros(g.n_vertices, dtype=bool)
     marked[list(g.marked)] = True
-    return ends.ravel(), ends[:, ::-1].ravel(), marked
+    return tail, marked
 
 
 # float64 holds every integer below 2**53 exactly
 _EXACT = 2**53
 
 
-def _predecessors(tail, head, marked):
+def _predecessors(tail, marked, rows=1):
     """Padded table of the darts a walk may take just before each dart.
 
-    Column d lists the darts into tail[d] other than d ^ 1, or nothing
-    when tail[d] is marked (a walk may only continue past an unmarked
-    vertex).  Empty places hold the sentinel n_darts, which names an
-    extra row of the walk counts; the table has a sentinel column of its
-    own, so that row stays zero from layer to layer.
+    Column d lists the reverses of the other darts leaving tail[d] (the
+    darts into tail[d] other than d ^ 1), or nothing when tail[d] is
+    marked (a walk may only continue past an unmarked vertex).  Empty
+    places hold the sentinel n_darts, which names an extra row of the
+    walk counts; the table has a sentinel column of its own, so that row
+    stays zero from layer to layer.  It has at least `rows` rows.
     """
     n_darts = len(tail)
-    order = np.argsort(head, kind="stable")
-    first = np.searchsorted(head[order], tail)
-    n_in = np.searchsorted(head[order], tail, side="right") - first
-    width = int(n_in.max(initial=0))
-    reverse = np.arange(n_darts) ^ 1
-    table = np.full((max(width, 1), n_darts + 1), n_darts, dtype=np.intp)
+    order = np.argsort(tail, kind="stable")
+    first = np.searchsorted(tail[order], tail)
+    n_out = np.searchsorted(tail[order], tail, side="right") - first
+    width = int(n_out.max(initial=0))
+    table = np.full((max(width, rows), n_darts + 1), n_darts, dtype=np.intp)
     for j in range(width):
-        into = order[np.minimum(first + j, n_darts - 1)]
-        live = (j < n_in) & (into != reverse) & ~marked[tail]
-        table[j, :n_darts] = np.where(live, into, n_darts)
-    # sentinels sort last; every column lost d ^ 1, so at most width - 1
-    # live entries remain
+        out = order[np.minimum(first + j, n_darts - 1)]
+        live = (j < n_out) & (out != np.arange(n_darts)) & ~marked[tail]
+        table[j, :n_darts] = np.where(live, out ^ 1, n_darts)
+    # sentinels sort last; every column left out d itself, so at most
+    # width - 1 live entries remain
     table.sort(axis=0)
-    return table[: max(width - 1, 1)]
+    return table[: max(width - 1, rows)]
 
 
-def _walk_layers(tail, head, marked, dtype, pred=None):
+def _walk_layers(tail, marked, dtype, pred=None):
     """Non-backtracking walk counts, one layer per walk length.
 
     Seeds are the darts leaving marked vertices, in dart order.  Layer t
@@ -88,7 +89,7 @@ def _walk_layers(tail, head, marked, dtype, pred=None):
     n_darts = len(tail)
     seeds = np.flatnonzero(marked[tail])
     if pred is None:
-        pred = _predecessors(tail, head, marked)
+        pred = _predecessors(tail, marked)
     cur = np.zeros((n_darts + 1, len(seeds)), dtype=dtype)
     cur[seeds, np.arange(len(seeds))] = 1
     while True:
@@ -117,19 +118,19 @@ def _shortest_level(darts, pred=None, dtype=np.float64):
     middle dart.  n is a sum of layer entries that each count essential
     walks, so each is at most n.
     """
-    tail, head, marked = darts
+    tail, marked = darts
     if not marked.any():
         raise NoEssentialPathError("no marked vertices")
     starts = np.flatnonzero(marked[tail])
     if len(starts):
-        ends = np.flatnonzero(marked[head])
+        ends = np.sort(starts ^ 1)  # the darts into marked vertices
         # a walk ending with the reverse of its first dart is closed at
         # the start vertex and not cyclically reduced
         essential = np.ones((len(starts), len(ends)), dtype=bool)
         essential[np.arange(len(starts)), np.searchsorted(ends, starts ^ 1)] = False
         bound = 2 * (len(marked) + len(tail) // 2) + 1
         layers = {}
-        walks = _walk_layers(tail, head, marked, dtype, pred)
+        walks = _walk_layers(tail, marked, dtype, pred)
         for length, cur in zip(range(1, bound + 1), walks):
             layers[length] = cur
             # l >= length, so layers below ceil(length/2) are done
@@ -178,19 +179,20 @@ def _shortest_walks(darts, pred=None):
 class _Growth:
     """A complex under surgery, edited in place and frozen at the end.
 
-    It keeps what the walk needs: the pants and circles, the graph's
-    edges in circle-id order, the marked mask, the dart arrays with the
-    darts into each vertex, and the _predecessors table.  One surgery
-    changes only the pants and circles it touches, so it edits those
-    rows instead of rebuilding, re-validating and re-searching the whole
-    complex.  The start complex and the donor pass validate (through
-    graph_of), and the donor's graph is read once; cutting a regular
-    edge of a connected complex and pasting in a donor that circle 0
-    does not cut apart keeps the complex valid and connected, which
-    graph_of checks again when the frozen result is first used.
+    It keeps what the walk needs: the pants and circles, the regular
+    circles' ids in edge order, the darts' tails (dart d's head is the
+    tail of d ^ 1), the marked mask and the _predecessors table.  One
+    surgery changes only the pants and circles it touches, so it edits
+    those rows instead of rebuilding, re-validating and re-searching the
+    whole complex.  The start complex and the donor pass validate
+    (through graph_of), and the donor is read once into a template that
+    each surgery shifts by the ids in use; cutting a regular edge of a
+    connected complex and pasting in a donor that circle 0 does not cut
+    apart keeps it valid and connected, which graph_of checks again when
+    the frozen result is first used.
     """
 
-    # a pants has three slots, so at most three darts enter a vertex and
+    # a pants has three slots, so at most three darts leave a vertex and
     # a dart has at most two predecessors
     _PRED_ROWS = 2
 
@@ -202,81 +204,67 @@ class _Growth:
             raise ValueError("donor circle 0 must be regular")
         if _separates(donor, 0):
             raise DisconnectedResultError("donor circle separates the donor")
-        self.donor = donor
-        (_, self.da, self.db), *self.donor_edges = h.edges
         # circle 0's first attachment, the one that keeps the cut circle
+        self.da = h.edges[0][1]
         self.da_slot = donor.pants[self.da].slots.index(0)
-        self.donor_mask = _dart_arrays(h)[2]
+        self.donor_pants = donor.pants
+        self.donor_circles = (Circle(), *donor.circles[1:])
+        self.donor_ids = [j for j, _, _ in h.edges]
+        self.donor_tail, self.donor_mask = _dart_arrays(h)
         self.pants = list(x.pants)
         self.circles = list(x.circles)
-        self.edges = list(g.edges)
-        self.tail, self.head, self.mask = _dart_arrays(g)
-        self.into = [[] for _ in self.pants]
-        for d, v in enumerate(self.head.tolist()):
-            self.into[v].append(d)
-        n_darts = len(self.tail)
-        pred = _predecessors(self.tail, self.head, self.mask)
-        self.pred = np.full((self._PRED_ROWS, n_darts + 1), n_darts, dtype=np.intp)
-        self.pred[: len(pred)] = pred
+        self.circle_ids = [c for c, _, _ in g.edges]
+        self.tail, self.mask = _dart_arrays(g)
+        self.pred = _predecessors(self.tail, self.mask, self._PRED_ROWS)
 
     def walks(self) -> tuple[int, int, int, list[int]]:
         """_shortest_walks of the current graph."""
-        return _shortest_walks((self.tail, self.head, self.mask), self.pred)
+        return _shortest_walks((self.tail, self.mask), self.pred)
 
     def surger(self, e: int) -> None:
         """Cut the regular circle of edge e and paste the donor in."""
-        donor = self.donor
-        edge, xa, xb = self.edges[e]
-        # xb's attachment is the later one when xa == xb
+        edge = self.circle_ids[e]
+        xb = int(self.tail[2 * e + 1])
+        # xb's attachment is the later one when the edge is a loop
         xb_slot = 2 - self.pants[xb].slots[::-1].index(edge)
         n_pants, n_circles, n_darts = len(self.pants), len(self.circles), len(self.tail)
-        pa, pb = n_pants + self.da, n_pants + self.db
-        # x's first side keeps circle `edge` and joins the donor's first
-        # side; x's second side and the donor's second side share the
-        # fresh circle n_circles; donor circle j > 0 becomes n_circles + j
+        # donor pants q becomes n_pants + q and donor circle j becomes
+        # n_circles + j; x's first side keeps circle `edge` and joins the
+        # donor's first side, and x's second side and the donor's second
+        # side share the fresh circle n_circles, donor circle 0's place
         slots = list(self.pants[xb].slots)
         slots[xb_slot] = n_circles
         self.pants[xb] = Pants(slots=tuple(slots), orientations=self.pants[xb].orientations)
-        for qi, q in enumerate(donor.pants):
+        for qi, q in enumerate(self.donor_pants):
             slots = tuple(
                 edge if (qi, si) == (self.da, self.da_slot) else n_circles + c
                 for si, c in enumerate(q.slots)
             )
             self.pants.append(Pants(slots=slots, orientations=q.orientations))
-        self.circles += [Circle(), *donor.circles[1:]]
+        self.circles += self.donor_circles
 
-        new_edges = [(n_circles, xb, pb)] + [
-            (n_circles + j, n_pants + a, n_pants + b) for j, a, b in self.donor_edges
-        ]
+        # the cut circle's edge moves its second end in place, from xb to
+        # pa = n_pants + da: dart 2e + 1 now leaves pa; the donor's edges
+        # follow in circle-id order, the fresh circle's from xb, not pa
+        new_tail = self.donor_tail + n_pants
+        self.tail[2 * e + 1], new_tail[0] = new_tail[0], xb
+        self.tail = np.concatenate([self.tail, new_tail])
+        self.circle_ids += [n_circles + j for j in self.donor_ids]
         self.mask = np.append(self.mask, self.donor_mask)
-
-        # the cut circle's edge moves in place, from xa-xb to xa-pa: dart
-        # 2e now enters pa and dart 2e + 1 leaves it
-        self.edges[e] = (edge, xa, pa)
-        self.head[2 * e] = self.tail[2 * e + 1] = pa
-        self.into += [[] for _ in donor.pants]
-        self.into[xb].remove(2 * e)
-        self.into[pa].append(2 * e)
-        for f, (_, a, b) in enumerate(new_edges, start=len(self.edges)):
-            self.into[b].append(2 * f)
-            self.into[a].append(2 * f + 1)
-        self.edges += new_edges
-        ends = np.array([(a, b) for _, a, b in new_edges], dtype=np.intp)
-        self.tail = np.append(self.tail, ends.ravel())
-        self.head = np.append(self.head, ends[:, ::-1].ravel())
 
         # the sentinel names the row past the last dart, so it moves too
         n_new = len(self.tail)
         old = self.pred[:, :n_darts]
         self.pred = np.full((self._PRED_ROWS, n_new + 1), n_new, dtype=np.intp)
         self.pred[:, :n_darts] = np.where(old == n_darts, n_new, old)
-        # a column changes only when its dart's tail or the darts into
-        # that tail change: those are the darts leaving xa, xb and the
-        # donor's pants
-        for v in (xa, xb, *range(n_pants, len(self.pants))):
-            for i in self.into[v]:
-                live = [] if self.mask[v] else [j for j in self.into[v] if j != i]
-                self.pred[:, i ^ 1] = live + [n_new] * (self._PRED_ROWS - len(live))
+        # a column changes only when the darts leaving its dart's tail
+        # change: those are the darts leaving xb and the donor's pants
+        # (the edge's first end keeps dart 2e)
+        for v in (xb, *range(n_pants, len(self.pants))):
+            out = np.flatnonzero(self.tail == v).tolist()
+            for d in out:
+                live = [] if self.mask[v] else [o ^ 1 for o in out if o != d]
+                self.pred[:, d] = live + [n_new] * (self._PRED_ROWS - len(live))
 
     def freeze(self) -> PantsComplex:
         return PantsComplex(pants=tuple(self.pants), circles=tuple(self.circles))

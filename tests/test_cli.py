@@ -22,7 +22,7 @@ import goodpants
 import goodpants.cli as cli
 from goodpants import holonomy
 from goodpants.cli import main
-from goodpants.complexes import Circle, Pants, PantsComplex, build_xp
+from goodpants.complexes import Circle, Pants, PantsComplex, build_xp, grow_until
 
 
 def run(capsys, argv):
@@ -808,6 +808,33 @@ class TestNonFiniteR:
         assert json.loads(err)["error"]["message"] == "--R must be finite, got inf"
 
 
+class TestSmallR:
+    """A positive R too small to develop fails the construction and says so."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # cuffs of length R read back as parabolic
+            (["build", "--L", "0", "--R", "1e-6"],
+             r"at R = 1e-06 the cuff of pants 0 slot 0 is too short to measure:"
+             r" trace\^2 = .* lies in \[0, 4\]"),
+            # R/2 + tau*xi/R <= 0 for some |xi| < 0.1
+            (["build", "--L", "0", "--R", "0.3", "--tau", "1", "--seed", "0"],
+             r"circle 1 has half-length -0\.00347\d* <= 0 at R = 0\.3:"),
+            (["lemma", "angle-change", "--R", "1e-3", "--seed", "0"],
+             r"circle 1 has half-length -46\.04\d* <= 0 at R = 0\.001:"),
+        ],
+        ids=["build-parabolic", "build-perturbed", "angle-change-perturbed"],
+    )
+    def test_names_R(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        kind, text = error_of(err)
+        assert kind == "construction-failed"
+        assert re.match(message, text), text
+
+
 def two_chains(share_singular):
     """Two copies of build_xp(1, 3), disjoint or sharing singular circle 0.
 
@@ -1262,6 +1289,15 @@ class TestContract:
     @example(argv=["build", "--L", "0", "--seed", "-1"], text="{}")
     @example(argv=["homology", "--g", "7", "--p", "9", "--complex", "{complex}"],
              text=build_xp(1, 3).to_json())
+    # positive R too small to develop
+    @example(argv=["build", "--L", "0", "--R", "1e-6"], text="{}")
+    @example(argv=["build", "--L", "0", "--R", "0.3", "--tau", "1", "--seed", "0"], text="{}")
+    @example(argv=["lemma", "angle-change", "--R", "1e-3", "--seed", "0"], text="{}")
+    # benchmark sizes: the grow workload's build, and verify on a grown complex
+    @example(argv=["build", "--L", "64", "--tau", "1", "--seed", "3"], text="{}")
+    @example(argv=["verify", "--complex", "{complex}", "--seed", "0", "--words", "4",
+                   "--samples", "2000"],
+             text=grow_until(build_xp(1, 3), 16).to_json())
     def test_exit_codes_and_errors(self, argv, text):
         with tempfile.TemporaryDirectory() as tmp:
             paths = {

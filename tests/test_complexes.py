@@ -468,16 +468,17 @@ class TestWalkKernel:
         """The float64 kernel against the Python-int scatter oracle, equal
         wherever the exact entry is below 2**53; returns how many entries
         were not."""
-        tail, head, marked = _dart_arrays(g)
+        tail, marked = _dart_arrays(g)
+        flip = np.arange(len(tail)) ^ 1
+        head = tail[flip]
         starts = np.flatnonzero(marked[tail])
         ends = np.flatnonzero(marked[head])
         # backward row j (last dart ends[j]) is forward row i with
         # starts[i] = ends[j] ^ 1, read through the reversed darts
         rows = np.searchsorted(starts, ends ^ 1)
         assert np.array_equal(starts[rows], ends ^ 1)
-        flip = np.arange(len(tail)) ^ 1
         walks = zip(
-            _walk_layers(tail, head, marked, np.float64),
+            _walk_layers(tail, marked, np.float64),
             scatter_walk_layers(tail, head, marked, object, g.n_vertices),
             scatter_walk_layers(head, tail, marked, object, g.n_vertices),
         )
@@ -516,9 +517,9 @@ class TestWalkKernel:
         # the start's own reversed seed); the counts match the exact ones
         # in the test above
         g = graph_of(grown(128))
-        tail, head, marked = _dart_arrays(g)
+        tail, marked = _dart_arrays(g)
         l, k, counts = _middle_dart_counts(g)
-        layers = list(islice(_walk_layers(tail, head, marked, np.float64), l))
+        layers = list(islice(_walk_layers(tail, marked, np.float64), l))
         assert max(layer.max() for layer in layers) > 2**53
         assert max(counts) < 2**53
 
@@ -532,9 +533,9 @@ class TestWalkKernel:
         stops = [0, *range(2, m + 2)]
         path = [(7 + i, a, b) for i, (a, b) in enumerate(zip(stops, stops[1:]))]
         g = PantsGraph(n_vertices=m + 2, edges=tuple(loops + path), marked=frozenset({0, m + 1}))
-        tail, head, marked = _dart_arrays(g)
+        tail, marked = _dart_arrays(g)
         with np.errstate(over="ignore"):
-            layers = list(islice(_walk_layers(tail, head, marked, np.float64), m // 2))
+            layers = list(islice(_walk_layers(tail, marked, np.float64), m // 2))
         assert np.isinf(layers[-1]).any()
         l, k, counts = _middle_dart_counts(g)
         assert complexity(g) == (m, -1)
@@ -552,7 +553,7 @@ class TestChainCounts:
             assert complexity(g) == (2 * k + 1, -(2**k))
         # 2**(k + 1) ordered walks: from k = 52 on float64 cannot hold
         # them all, and the walk is counted again in Python integers
-        dtypes = [call.args[3] for call in walk.call_args_list]
+        dtypes = [call.args[2] for call in walk.call_args_list]
         assert dtypes == ([np.float64, object] if k >= 52 else [np.float64])
         l, _, counts = _middle_dart_counts(g)
         assert sum(counts) == 2 ** (k + 1)
@@ -594,17 +595,14 @@ class TestGrowthState:
         x = growth.freeze()
         assert validate(x) == []
         g = graph_of(x)
-        assert growth.edges == list(g.edges)
-        tail, head, marked = _dart_arrays(g)
+        assert growth.circle_ids == [c for c, _, _ in g.edges]
+        tail, marked = _dart_arrays(g)
         assert np.array_equal(growth.tail, tail)
-        assert np.array_equal(growth.head, head)
         assert np.array_equal(growth.mask, marked)
         # each column as a multiset, sentinels included
-        pred = _predecessors(tail, head, marked)
-        want = np.full_like(growth.pred, len(tail))
-        want[: len(pred)] = pred
-        assert np.array_equal(np.sort(growth.pred, axis=0), np.sort(want, axis=0))
-        assert walks == _shortest_walks((tail, head, marked))
+        pred = _predecessors(tail, marked, len(growth.pred))
+        assert np.array_equal(np.sort(growth.pred, axis=0), np.sort(pred, axis=0))
+        assert walks == _shortest_walks((tail, marked))
         return walks
 
     def test_every_step_to_l64_matches_the_rebuilt_complex(self):
@@ -624,7 +622,8 @@ class TestGrowthState:
         )
         growth = _Growth(x, make_donor())
         walks = self.walk_and_compare(growth)
-        assert walks[:2] == (1, 2) and growth.edges == [(1, 0, 0)]
+        assert walks[:2] == (1, 2) and growth.circle_ids == [1]
+        assert growth.tail.tolist() == [0, 0]
         growth.surger(0)
         assert growth.pants[0].slots == (0, 1, 2)
         while (walks := self.walk_and_compare(growth))[0] <= 12:
