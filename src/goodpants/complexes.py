@@ -370,23 +370,29 @@ def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
     """Surger along shortest-path middle edges until l(G) > threshold.
 
     Terminates because each step strictly increases (l, -n)
-    lexicographically and n is bounded for fixed l.
+    lexicographically and n is bounded for fixed l; a step that does not
+    raises ArithmeticError rather than looping.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     from .walks import _Growth
 
     growth = _Growth(x, make_donor())
-    while True:
-        walks = growth.walks()
-        if walks[0] > threshold:
-            x = growth.freeze()
-            # graph_of validates the result; its darts are the state's,
-            # so its cached walk is this one and is not walked again
-            graph_of(x).__dict__["_walks"] = walks
-            return x
+    walks = growth.walks()
+    while walks[0] <= threshold:
         # of the admissible mid-path darts, cut the one carried by the
         # most shortest walks: one surgery then retires a whole family;
         # index takes the first maximum, the smallest such dart
         counts = walks[3]
         growth.surger(counts.index(max(counts)) // 2)
+        before, walks = walks, growth.walks()
+        if (walks[0], -walks[1]) <= (before[0], -before[1]):
+            raise ArithmeticError(
+                f"a surgery took (l, n) from ({before[0]}, {before[1]}) to"
+                f" ({walks[0]}, {walks[1]}): (l, -n) did not rise, so growth would not end"
+            )
+    x = growth.freeze()
+    # graph_of validates the result; its darts are the state's, so its
+    # cached walk is this one and is not walked again
+    graph_of(x).__dict__["_walks"] = walks
+    return x

@@ -132,8 +132,9 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     (rotated by k extra turns), so its d-th power is the cuff holonomy.
 
     graph_of refuses an invalid complex; DegenerateError refuses a
-    circle whose half-length is not positive, and pants that meet pants 0
-    only across singular circles, as none can be placed.
+    circle whose half-length is not positive, a pants that
+    build_pants_rep cannot build (naming R and the pants), and pants that
+    meet pants 0 only across singular circles, as none can be placed.
     """
     graph_of(x)
     for c in range(len(x.circles)):
@@ -143,9 +144,12 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
                 f"circle {c} has half-length {hl!r} <= 0 at R = {params.R!r}:"
                 " the perturbation tau*xi/R outweighs R/2"
             )
-    base = [
-        build_pants_rep(*(params.halflength(c) for c in p.slots)) for p in x.pants
-    ]
+    base = []
+    for i, p in enumerate(x.pants):
+        try:
+            base.append(build_pants_rep(*(params.halflength(c) for c in p.slots)))
+        except DegenerateError as exc:
+            raise DegenerateError(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
     n = len(x.pants)
     conj: list[MoebiusMap | None] = [None] * n
     conj[0] = MoebiusMap.identity()

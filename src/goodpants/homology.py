@@ -338,32 +338,27 @@ def book_of_i_bundles_h1(genus: int, p: int) -> AbelianGroup:
     return cokernel([{n - 2: p, n - 1: -p}], n)
 
 
-def _boundary_lattice(genus: int, p: int) -> list[dict[int, int]]:
-    """Columns spanning the boundary image together with the relation.
-
-    On the basis e_1..e_2g, c1, c2: the classes e_i, p*c1, c1 + c2, and
-    the presentation relation p(c1 - c2).
-    """
-    n = 2 * genus + 2
-    cols = [{i: 1} for i in range(2 * genus)]
-    cols += [{n - 2: p}, {n - 2: 1, n - 1: 1}, {n - 2: p, n - 1: -p}]
-    return cols
-
-
 def sigma(p: int, genus: int = 1) -> int:
     """Order of the torsion surviving the boundary gluing.
 
+    The block is presented on e_1..e_2g, c1, c2, and the boundary image
+    is spanned by the page classes e_i, p*c1 and c1 + c2.  Each e_i is a
+    unit column that no other column names, so it quotients out its own
+    summand Z e_i and touches nothing else: the quotient, and so sigma,
+    does not depend on the genus, which is not read, and the two
+    cokernels run on c1, c2 alone (generators 0 and 1).
+
     The torsion of the block is generated by w = c1 - c2.  Its class in
     the quotient G by the boundary-image lattice has order k0 =
-    |Tor G| / |Tor(G / <w>)|, read from two cokernels; a rank drop
+    |Tor G| / |Tor(G / <w>)|, read from the two cokernels; a rank drop
     instead means w has infinite order.  The surviving quotient has
     order gcd(k0, p).  Comes out as p for odd p and p/2 for even p, but
     is computed, not special-cased.
     """
-    n = 2 * genus + 2
-    lattice = _boundary_lattice(genus, p)
-    before = cokernel(lattice, n)
-    after = cokernel(lattice + [{n - 2: 1, n - 1: -1}], n)
+    # p*c1, c1 + c2, and the presentation relation p(c1 - c2)
+    lattice = [{0: p}, {0: 1, 1: 1}, {0: p, 1: -p}]
+    before = cokernel(lattice, 2)
+    after = cokernel(lattice + [{0: 1, 1: -1}], 2)
     if after.rank < before.rank:
         raise ArithmeticError("torsion generator outside lattice span")
     k0 = math.prod(before.torsion) // math.prod(after.torsion)

@@ -11,11 +11,15 @@ accurate (small R).
 The quasigeodesic inequality is also checked here the direct way, on
 every vertex pair of a path, against which the program's log-height
 bound is tested.
+
+sigma is also computed here on the book's full presentation, page
+classes included, as the program computed it before it dropped them.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from goodpants.geom import (
     _Infinity,
     _same_boundary_point,
 )
+from goodpants.homology import cokernel
 from goodpants.lemmalab import _pair_distances
 
 
@@ -155,3 +160,22 @@ def quasigeodesic_on_full_net(z, t, delta: float) -> bool:
     lower_ok = np.all(dist >= gap / (1.0 + delta) - delta - 1e-12)
     upper_ok = np.all(dist <= (1.0 + delta) * gap + delta + 1e-12)
     return bool(lower_ok and upper_ok)
+
+
+def sigma_with_pages(p: int, genus: int) -> int:
+    """sigma on e_1..e_2g, c1, c2, with every page class in the lattice.
+
+    The boundary image is spanned by the unit columns e_i, p*c1 and
+    c1 + c2, and the presentation adds p(c1 - c2); the order of
+    w = c1 - c2 in the quotient is |Tor G| / |Tor(G / <w>)|, and sigma is
+    its gcd with p.  Both cokernels have 2g + 2 generators, so this costs
+    time and memory linear in the genus.
+    """
+    n = 2 * genus + 2
+    lattice = [{i: 1} for i in range(2 * genus)]
+    lattice += [{n - 2: p}, {n - 2: 1, n - 1: 1}, {n - 2: p, n - 1: -p}]
+    before = cokernel(lattice, n)
+    after = cokernel(lattice + [{n - 2: 1, n - 1: -1}], n)
+    if after.rank < before.rank:
+        raise ArithmeticError("torsion generator outside lattice span")
+    return math.gcd(math.prod(before.torsion) // math.prod(after.torsion), p)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import goodpants
 import goodpants.cli as cli
-from goodpants import holonomy
+from goodpants import holonomy, walks
 from goodpants.cli import main
 from goodpants.complexes import Circle, Pants, PantsComplex, build_xp, grow_until
 
@@ -152,6 +152,16 @@ class TestBuild:
         code, out, err = run(capsys, ["build", "--L", "0"])
         assert code == 3
         assert json.loads(err)["error"]["code"] == "construction-failed"
+
+    def test_stalled_growth_fails(self, capsys, monkeypatch):
+        # a surgery that changes nothing leaves (l, -n) where it was
+        monkeypatch.setattr(walks._Growth, "surger", lambda self, e: None)
+        code, out, err = run(capsys, ["build", "--L", "16"])
+        assert code == 3
+        assert out == ""
+        kind, text = error_of(err)
+        assert kind == "construction-failed"
+        assert "did not rise" in text
 
 
 def sha256(text):
@@ -326,16 +336,18 @@ class TestHomology:
         assert doc["surviving_torsion"]["torsion"] == [5]
 
     def test_large_book(self, capsys):
-        # --g is not bounded: the book's one relation goes through the
-        # sparse cokernel, which leaves a 2 x 1 remainder at any genus
+        # --g is not bounded: H1's one relation names only c1 and c2, so
+        # cokernel never touches the 2g page classes, and sigma leaves them
+        # out of its lattice, where each would only quotient out itself
         t0 = time.perf_counter()
-        code, out, _ = run(capsys, ["homology", "--book", "--g", "500", "--p", "4"])
+        code, out, _ = run(capsys, ["homology", "--book", "--g", "100000000", "--p", "4"])
         elapsed = time.perf_counter() - t0
         assert code == 0
         doc = json.loads(out)
         assert doc["sigma"] == 2
-        assert doc["h1"]["describe"] == "Z^1001 + Z/4"
-        assert elapsed < 5.0, f"took {elapsed:.2f}s"
+        assert doc["h1"]["describe"] == "Z^200000001 + Z/4"
+        assert doc["surviving_torsion"]["describe"] == "Z/2"
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
     def test_complex(self, small_complex, capsys):
         code, out, _ = run(capsys, ["homology", "--complex", str(small_complex)])
@@ -823,8 +835,14 @@ class TestSmallR:
              r"circle 1 has half-length -0\.00347\d* <= 0 at R = 0\.3:"),
             (["lemma", "angle-change", "--R", "1e-3", "--seed", "0"],
              r"circle 1 has half-length -46\.04\d* <= 0 at R = 0\.001:"),
+            # sinh(R/2) below the hexagon solver's floor
+            (["build", "--L", "0", "--R", "1e-13"],
+             r"at R = 1e-13 pants 0 cannot be built: vanishing sinh in hexagon data$"),
+            (["lemma", "angle-change", "--R", "1e-13", "--seed", "0", "--samples", "5"],
+             r"at R = 1e-13 pants 0 cannot be built: vanishing sinh in hexagon data$"),
         ],
-        ids=["build-parabolic", "build-perturbed", "angle-change-perturbed"],
+        ids=["build-parabolic", "build-perturbed", "angle-change-perturbed",
+             "build-vanishing-sinh", "angle-change-vanishing-sinh"],
     )
     def test_names_R(self, capsys, argv, message):
         code, out, err = run(capsys, argv)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -704,6 +705,14 @@ class TestGrowUntil:
             assert c > seen[-1]
             seen.append(c)
         assert len(seen) > 2
+
+    def test_stalled_growth_raises(self, monkeypatch):
+        # a surgery that changes nothing would otherwise loop for ever
+        monkeypatch.setattr(_Growth, "surger", lambda self, e: None)
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="did not rise"):
+            grow_until(build_xp(1, 3), 16)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_growth_is_byte_identical(self):
         # the complex the benchmark grows at L=16 (96 pants); a change in

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from goodpants.homology import (
     sigma,
     smith_normal_form,
 )
+from oracles import sigma_with_pages
 
 
 def dense_h1(x: PantsComplex) -> AbelianGroup:
@@ -318,16 +320,28 @@ class TestSigma:
     def test_closed_form(self, p):
         assert sigma(p) == (p if p % 2 else p // 2)
 
-    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genus", range(1, 51))
     def test_values_for_every_genus(self, genus):
-        # every genus gives the closed form; the Smith-transform formula
-        # gave these same 92 values
-        for p in range(2, 25):
-            assert sigma(p, genus) == (p if p % 2 else p // 2), (p, genus)
+        # every genus gives the closed form, and so does the computation
+        # that keeps the page classes in the lattice
+        for p in range(2, 31):
+            expected = sigma_with_pages(p, genus)
+            assert expected == (p if p % 2 else p // 2), (p, genus)
+            assert sigma(p, genus) == expected, (p, genus)
+            torsion = (expected,) if expected > 1 else ()
+            assert mv_torsion_embedding(p, genus) == AbelianGroup(0, torsion), (p, genus)
 
     def test_large_genus(self):
         assert sigma(4, 500) == 2
         assert sigma(9, 500) == 9
+        # no work grows with the genus
+        tracemalloc.start()
+        try:
+            assert sigma(3, 10**8) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_mv_embedding(self):
         assert mv_torsion_embedding(5) == AbelianGroup(rank=0, torsion=(5,))
