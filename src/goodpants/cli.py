@@ -19,9 +19,11 @@ error, so it exits 2 instead of being ignored.  So is a negative
 
 The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel.  Each sample of a sampler
-draws from its own seed, or from one stream in a fixed order (the
-angle-change sweep reads that stream's raw words and derives numpy's
-draws from them), and the samplers that evaluate slices of samples as
+draws from its own seed, or from one stream in a fixed order.  Every
+stream comes from ``goodpants.streams``, which computes the raw words
+of numpy's SeedSequence/PCG64 streams as array code, and the draws
+numpy's Generator makes from them, so no command loads
+``numpy.random``.  The samplers that evaluate slices of samples as
 arrays (the QI sampler, the two-planes and angle-change sweeps) get the
 bits of one-at-a-time evaluation, so reports never depend on its value.
 

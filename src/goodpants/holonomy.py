@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elementwise as ew
+from . import streams
 from .complexes import PantsComplex, graph_of
 from .geom import (
     DegenerateError,
@@ -69,13 +70,18 @@ class RepParams:
     def random(
         cls, x: PantsComplex, R: float, tau: float, seed: int, scale: float = 0.1
     ) -> "RepParams":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        """xi, then eta, uniform in [-scale, scale) from the stream of seed.
+
+        The draws are numpy's ``Generator.uniform(-scale, scale, n)``
+        twice on ``default_rng(SeedSequence(seed))``.
+        """
+        stream = streams.Stream(seed)
         n = len(x.circles)
         return cls(
             R=R,
             tau=tau,
-            xi=tuple(rng.uniform(-scale, scale, n)),
-            eta=tuple(rng.uniform(-scale, scale, n)),
+            xi=tuple(stream.uniform(-scale, scale, n).tolist()),
+            eta=tuple(stream.uniform(-scale, scale, n).tolist()),
         )
 
 
@@ -300,11 +306,13 @@ class QiReport:
 
 
 # Samples evaluated together as arrays by certify_qi.  A path has at most
-# five segments; one slice's draws, frames and temporaries peak at about
-# 370 KB (tracemalloc), whatever the number of samples.
+# five segments.  The peak is set by the 128-bit products of the slice's
+# streams, uint64 arrays of 512 x 14: about 680 KB for one slice and
+# 900 KB with the previous slice's draws still held (tracemalloc),
+# whatever the number of samples.
 _QI_SLICE = 512
 
-# most segments of a sampled path: n_seg = rng.integers(2, 6)
+# most segments of a sampled path: n_seg = Generator.integers(2, 6)
 _QI_MAX_SEG = 5
 
 # tilt(alpha), the rotation by alpha about the horizontal axis through
@@ -380,10 +388,12 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     in [2*pi/p, pi]; its chord must be at least half its length minus
     R/4 and at most its length.
 
-    Sample i draws from its own generator, child i of
+    Sample i draws from its own stream, numpy's PCG64 on child i of
     SeedSequence(seed): its segment count, then its lengths, bends and
-    spins in path order.  The samples are evaluated in slices of at most
-    _QI_SLICE as arrays (_path_chords), with the bits of one-at-a-time
+    spins in path order, as numpy's Generator draws them.  The samples
+    are evaluated in slices of at most _QI_SLICE as arrays: one
+    ``streams.spawned_words`` call gives a slice's streams, and
+    _path_chords its chords, with the bits of one-at-a-time
     evaluation.  The chords of long paths leave double range at large R
     (from R = 60 some are inf, which counts as a violation); where an
     entry overflows, OverflowError names R.
@@ -402,18 +412,18 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     max_ratio = -math.inf
     for start in range(0, samples, _QI_SLICE):
         count = min(_QI_SLICE, samples - start)
-        n_seg = np.empty(count, dtype=np.int64)
+        # words 1..14 of child start + row of SeedSequence(seed), for
+        # each row: numpy's integers(2, 6) is Lemire's method on the low
+        # half of word 1, which a range of 4 never rejects, and the
+        # unit draws are words 2.. as (w >> 11) * 2^-53
+        words = streams.spawned_words(seed, range(start, start + count), 3 * _QI_MAX_SEG - 1)
+        n_seg = 2 + ((words[:, 0] & np.uint64(0xFFFFFFFF)) >> np.uint64(30)).astype(np.int64)
         unit = np.zeros((count, 3 * _QI_MAX_SEG))
-        for row in range(count):
-            # child start + row of SeedSequence(seed).spawn(samples)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(start + row,))
-            )
-            n = int(rng.integers(2, 6))
-            n_seg[row] = n
-            unit[row, : 3 * n - 2] = rng.random(3 * n - 2)
-        # rng.uniform(low, high) is low + (high - low) * rng.random(), a
-        # double at a time; scaled here for the whole slice at once
+        unit[:, : 3 * _QI_MAX_SEG - 2] = (words[:, 1:] >> np.uint64(11)) * 2.0**-53
+        # a path of n segments reads 3n - 2 draws; the rest stay 0
+        unit[np.arange(3 * _QI_MAX_SEG) >= 3 * n_seg[:, None] - 2] = 0.0
+        # Generator.uniform(low, high) is low + (high - low) * random(),
+        # a double at a time; scaled here for the whole slice at once
         draws = low + (high - low) * unit
         try:
             chord, total = _path_chords(n_seg, draws)

@@ -14,8 +14,10 @@ The sampled sweeps evaluate their samples in slices of at most
 sample count.  Their kernels are built from ``elementwise``, which
 repeats the scalar geometry of ``geom`` bit for bit, so a sweep's
 report is the same as when it measured one sample at a time.
-angle-change reads its random stream through ``_RawDraws``, which
-re-derives the Generator's draws from its raw 64-bit words.
+Each sampled sweep reads one ``streams.Stream``: numpy's SeedSequence/PCG64
+words, with the draws numpy's Generator makes from them, and
+angle-change reads its stream through ``_RawDraws``, which makes
+``Generator.integers`` draws from the words too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .geom import (
     normalize_to_axis,
     _FLIP,
 )
+from .streams import Stream
 from .sweeps import SweepReport, SweepRow, hexagon_asymptotics_check
 
 __all__ = [
@@ -156,27 +159,27 @@ def quasigeodesic_stability_check(
     eta = 5.0 * delta**0.2
     h = 0.1
     base_amp = min(eta / 4.0, 0.5 * h * math.sqrt(delta))
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6C5)))
+    stream = Stream((seed, 0x6C5))
     n_points = 0
     rejected = 0
     measured = 0.0
     while n_points < samples:
-        span = float(rng.uniform(12.0, 20.0))
+        span = stream.uniform(12.0, 20.0)
         n = int(span / h)
         s = np.arange(n + 1) * h
-        draw = float(rng.uniform(0.0, 1.0))
+        draw = stream.uniform(0.0, 1.0)
         # stress bias: mostly maximal amplitude, a few tame or straight
         if draw < 0.05:
             scale = 0.0
         elif draw < 0.25:
-            scale = float(rng.uniform(0.0, 1.0))
+            scale = stream.uniform(0.0, 1.0)
         else:
             scale = 1.0
         amp = base_amp * scale
         psi = (
-            float(rng.uniform(0.0, 2.0 * math.pi))
+            stream.uniform(0.0, 2.0 * math.pi)
             + np.arange(n + 1) * math.pi
-            + rng.uniform(-0.3, 0.3, n + 1)
+            + stream.uniform(-0.3, 0.3, n + 1)
         )
         for _ in range(60):
             u = np.full(n + 1, amp)
@@ -269,15 +272,15 @@ def two_planes_angle_check(
         raise ValueError("R must be at least 10")
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x2B1)))
+    stream = Stream((seed, 0x2B1))
     xi_max = 4.0 * eps / R * math.exp(-R / 4.0)
-    # each sample draws uniform b, d, xi in turn, as rows of rng.random
+    # each sample draws uniform b, d, xi in turn, as rows of Generator.random
     low = np.array([math.exp(-R / 4.0), 1.0, -xi_max])
     width = np.array([2.0, R, xi_max]) - low
     max_psi = 0.0
     max_disagreement = 0.0
     for done in range(0, samples, _SLICE):
-        u = rng.random((min(_SLICE, samples - done), 3))
+        u = stream.random(3 * min(_SLICE, samples - done)).reshape(-1, 3)
         b, d, xi = (low + width * u).T
         try:
             _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
@@ -325,16 +328,6 @@ def _word_images(word_mats, word):
     return row
 
 
-# raw 64-bit words that _RawDraws takes from its bit generator at a time
-_RAW_CHUNK = 4096
-
-
-def _raw_words(bit_generator):
-    """The bit generator's raw 64-bit words, read _RAW_CHUNK at a time."""
-    while True:
-        yield from bit_generator.random_raw(_RAW_CHUNK).tolist()
-
-
 class _RawDraws:
     """A numpy Generator's uniform and integers draws, from its raw words.
 
@@ -343,16 +336,14 @@ class _RawDraws:
     ``Generator.integers(lo, hi)``, on a range of at most 2^32 values, is
     Lemire's multiply-and-reject on 32-bit draws: the low half of a new
     word, then its high half, which the bit generator carries to its next
-    32-bit draw; whole-word draws leave the carried half alone.  Reading
-    the words in chunks from ``random_raw`` gives the same numbers, from
-    the state the generator is in, without one numpy call per draw.
-    Nothing else may draw from the bit generator meanwhile.
+    32-bit draw; whole-word draws leave the carried half alone.  ``words``
+    iterates over the raw words of a fresh stream, as iterating over a
+    ``streams.Stream`` does, so no half is carried at the start.
     """
 
-    def __init__(self, bit_generator):
-        state = bit_generator.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        self._word = _raw_words(bit_generator).__next__
+    def __init__(self, words):
+        self._half = None
+        self._word = words.__next__
 
     def _uint32(self) -> int:
         if self._half is None:
@@ -500,8 +491,7 @@ def angle_change_check(
     # representations as (real, imag, height) * 2
     words = {}
     ends = []
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x3A7)))
-    draws = _RawDraws(rng.bit_generator)
+    draws = _RawDraws(iter(Stream((seed, 0x3A7))))
     maxima = (0.0, 0.0, 0.0)
     accepted = 0
     rejected = 0

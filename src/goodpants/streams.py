@@ -1,0 +1,245 @@
+"""numpy's seeded PCG64 streams, computed as array code.
+
+Every sampler draws from the stream that ``numpy.random.PCG64(
+numpy.random.SeedSequence(entropy, spawn_key=...))`` would produce, and
+this module computes that stream's raw 64-bit words bit for bit without
+importing ``numpy.random``: SeedSequence's hash mixing on uint32 arrays,
+PCG64's seeding, and its output (XSL-RR: the two halves of the 128-bit
+state xored, rotated right by the state's top six bits).  A 128-bit
+number is a pair of uint64 arrays (high, low).
+
+PCG64 steps its state by s -> a*s + inc mod 2^128, so m steps take s to
+A_m*s + G_m*inc with A_m = a^m and G_m = 1 + a + ... + a^(m-1).  Seeding
+sets the state to a*(seed + inc) + inc, so word j of a stream is the
+output of A_j*s_0 + G_j*inc, where s_0 = a*(seed + inc) + inc.  One
+table of (A_m, G_m) for m up to _CHUNK gives the next _CHUNK words of
+many streams at once (``spawned_words``) or of one (``Stream``).
+
+The draws that numpy's Generator derives from a word w are, for
+``random`` and ``uniform(lo, hi)``, (w >> 11) * 2^-53 and
+lo + (hi - lo) * (w >> 11) * 2^-53.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+__all__ = ["Stream", "spawned_words"]
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+
+# SeedSequence's pool size and hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's multiplier a
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# the words computed at a time, and so the steps m = 1, ..., _CHUNK that
+# the jump table holds
+_CHUNK = 4096
+
+
+def _entropy_words(value) -> list[int]:
+    """SeedSequence's uint32 words of an int or a nested sequence of ints."""
+    if isinstance(value, int):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [w for v in value for w in _entropy_words(v)]
+
+
+def _hash(value, const: int, mult: int):
+    """SeedSequence's hash of uint32 values, and its next constant."""
+    after = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(after)
+    return value ^ (value >> np.uint32(16)), after
+
+
+def _mix(x, y):
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _pool(entropy):
+    """SeedSequence's mixed pool of each row of ``entropy`` (uint32, (n, m))."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value, const = _hash(value, const, _MULT_A)
+        return value
+
+    n, m = entropy.shape
+    pool = [
+        hashmix(entropy[:, i] if i < m else np.zeros(n, dtype=np.uint32))
+        for i in range(_POOL_SIZE)
+    ]
+    # every pool word into every other, then the entropy past the pool
+    # into each pool word
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, m):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    return pool
+
+
+def _seeded(entropy):
+    """PCG64's state after seeding, and its increment, for each row of ``entropy``.
+
+    ``generate_state(4, uint64)`` reads the pool cyclically into eight
+    uint32 words, which pair up little-endian into four uint64 words:
+    the seed is the first two (high word first), and the increment is
+    the last two shifted left by one, with its low bit set.  Seeding
+    steps from 0, adds the seed and steps again, which leaves the state
+    a * (seed + inc) + inc.  Both are 128-bit pairs of columns (n, 1).
+    """
+    pool = _pool(entropy)
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
+        state.append(value.astype(np.uint64)[:, None])
+    v = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
+    inc = ((v[2] << np.uint64(1)) | (v[3] >> np.uint64(63)), (v[3] << np.uint64(1)) | np.uint64(1))
+    return _add(_mul(_pair(_MULT), _add((v[0], v[1]), inc)), inc), inc
+
+
+def _mul64(x, y):
+    """The full 128-bit products of uint64 arrays, from their 32-bit halves."""
+    x0, x1 = x & np.uint64(_MASK32), x >> np.uint64(32)
+    y0, y1 = y & np.uint64(_MASK32), y >> np.uint64(32)
+    low, cross0, cross1 = x0 * y0, x0 * y1, x1 * y0
+    # below 3 * 2^32, so it does not wrap
+    mid = (low >> np.uint64(32)) + (cross0 & np.uint64(_MASK32)) + (cross1 & np.uint64(_MASK32))
+    high = x1 * y1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, (mid << np.uint64(32)) | (low & np.uint64(_MASK32))
+
+
+def _mul(x, y):
+    """x * y mod 2^128 for 128-bit pairs."""
+    high, low = _mul64(x[1], y[1])
+    return high + x[0] * y[1] + x[1] * y[0], low
+
+
+def _add(x, y):
+    """x + y mod 2^128 for 128-bit pairs."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]), low
+
+
+def _pair(value: int):
+    """A 128-bit Python int as a pair of one-element uint64 arrays."""
+    return np.array([value >> 64], dtype=np.uint64), np.array([value & _MASK64], dtype=np.uint64)
+
+
+@functools.cache
+def _jumps():
+    """(A_m, G_m) for m = 1, ..., _CHUNK, as 128-bit pairs of arrays.
+
+    Built by doubling: A_(m+s) = A_s * A_m and G_(m+s) = G_s + A_s * G_m.
+    """
+    a, g = _pair(_MULT), _pair(1)
+    while len(a[1]) < _CHUNK:
+        a_s, g_s = (a[0][-1:], a[1][-1:]), (g[0][-1:], g[1][-1:])
+        a_next, g_next = _mul(a_s, a), _add(g_s, _mul(a_s, g))
+        a = tuple(np.concatenate(h) for h in zip(a, a_next))
+        g = tuple(np.concatenate(h) for h in zip(g, g_next))
+    return a, g
+
+
+def _run(state, inc, k: int):
+    """The next k words from each state, and the states after them.
+
+    ``state`` and ``inc`` are 128-bit pairs of columns (n, 1); the words
+    come as one row of k per state.  Up to _CHUNK steps are jumped to at
+    once, and the state after a chunk is its last column.
+    """
+    a, g = _jumps()
+    out = []
+    for done in range(0, k, _CHUNK):
+        m = min(_CHUNK, k - done)
+        high, low = _add(_mul((a[0][:m], a[1][:m]), state), _mul((g[0][:m], g[1][:m]), inc))
+        x = high ^ low
+        rot = high >> np.uint64(58)
+        # numpy shifts by 64 to 0, so a rotation by 0 leaves x
+        out.append((x >> rot) | (x << (np.uint64(64) - rot)))
+        state = high[:, -1:], low[:, -1:]
+    return np.concatenate(out, axis=1), state
+
+
+def spawned_words(entropy, keys, k: int) -> np.ndarray:
+    """Words 1..k of numpy's stream for each child key, one row per key.
+
+    Row i holds ``PCG64(SeedSequence(entropy, spawn_key=(keys[i],)))
+    .random_raw(k)``: the words of child keys[i] of SeedSequence(entropy),
+    as ``SeedSequence(entropy).spawn`` makes them.  A child's entropy is
+    the parent's, padded with zeros to the pool size, then its key's
+    uint32 words, so keys from 2^32 on mix in one more word.
+    """
+    run = _entropy_words(entropy)
+    run += [0] * (_POOL_SIZE - len(run))
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((len(keys), k), dtype=np.uint64)
+    # keys below 2^32 are one uint32 word, the others two
+    wide = keys > np.uint64(_MASK32)
+    for rows, key_words in (
+        (~wide, [keys]),
+        (wide, [keys & np.uint64(_MASK32), keys >> np.uint64(32)]),
+    ):
+        if rows.any():
+            columns = [np.full(int(rows.sum()), w, dtype=np.uint32) for w in run]
+            columns += [w[rows].astype(np.uint32) for w in key_words]
+            out[rows] = _run(*_seeded(np.stack(columns, axis=1)), k)[0]
+    return out
+
+
+class Stream:
+    """The words of ``PCG64(SeedSequence(entropy))``, read in order.
+
+    ``words`` computes _CHUNK words at a time from the state that the
+    chunk starts at and hands them out in order.  Iterating hands out the
+    same words one at a time, as Python ints, but takes _CHUNK at a time
+    from ``words``, so a caller reads the stream either way, not both.
+    """
+
+    def __init__(self, entropy):
+        self._state, self._inc = _seeded(np.array([_entropy_words(entropy)], dtype=np.uint32))
+        self._ahead = np.empty(0, dtype=np.uint64)
+
+    def _chunk(self) -> np.ndarray:
+        words, self._state = _run(self._state, self._inc, _CHUNK)
+        return words[0]
+
+    def words(self, k: int) -> np.ndarray:
+        """The next k raw words, as uint64."""
+        while len(self._ahead) < k:
+            self._ahead = np.concatenate((self._ahead, self._chunk()))
+        out, self._ahead = self._ahead[:k], self._ahead[k:]
+        return out
+
+    def __iter__(self):
+        while True:
+            yield from self.words(_CHUNK).tolist()
+
+    def random(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1), as ``Generator.random(n)`` draws them."""
+        return (self.words(n) >> np.uint64(11)) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float, n: int | None = None):
+        """``Generator.uniform(lo, hi, n)``: a float, or n of them as an array."""
+        if n is None:
+            return lo + (hi - lo) * ((int(self.words(1)[0]) >> 11) * 2.0**-53)
+        return lo + (hi - lo) * self.random(n)

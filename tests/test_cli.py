@@ -1433,6 +1433,8 @@ class TestExports:
     NO_COMPLEXES = {"complexes", "holonomy", "homology", "pants"}
     NO_HOMOLOGY = {"homology", "lemmalab"}
     NO_SAMPLING = {"numpy", "elementwise", "lemmalab"}
+    # every stream comes from goodpants.streams, with numpy's bits
+    NO_NUMPY_RANDOM = {"numpy.random"}
 
     @pytest.mark.parametrize(
         "argv, unloaded, status",
@@ -1445,14 +1447,22 @@ class TestExports:
                 (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY),
                 (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
                 (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING),
-                (["lemma", "delta", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
-                (["lemma", "two-planes", "--samples", "20", "--seed", "0"], NO_COMPLEXES),
-                (["build", "--L", "4"], NO_HOMOLOGY),
+                (["lemma", "delta", "--samples", "20", "--seed", "0"],
+                 NO_COMPLEXES | NO_NUMPY_RANDOM),
+                (["lemma", "two-planes", "--samples", "20", "--seed", "0"],
+                 NO_COMPLEXES | NO_NUMPY_RANDOM),
+                (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
+                 {"homology"} | NO_NUMPY_RANDOM),
+                (["build", "--L", "4"], NO_HOMOLOGY | NO_NUMPY_RANDOM),
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
-                  "--words", "2"], NO_HOMOLOGY),
+                  "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM),
             ]
         ]
         + [
+            pytest.param(
+                ["build", "--L", "4", "--tau", "1", "--seed", "0"], NO_HOMOLOGY | NO_NUMPY_RANDOM, 0,
+                id="build --L --tau",
+            ),
             pytest.param(["frob"], NO_NUMPY, 2, id="frob"),
             pytest.param(["lemma", "delta", "--help"], NO_NUMPY, 0, id="lemma delta --help"),
             # options a command does not read are refused before any import

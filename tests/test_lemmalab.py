@@ -32,6 +32,7 @@ from goodpants.lemmalab import (
     quasigeodesic_stability_check,
     two_planes_angle_check,
 )
+from goodpants.streams import Stream
 from oracles import quasigeodesic_on_full_net
 
 AXIS = OrientedGeodesic(0j, INFINITY)
@@ -534,18 +535,6 @@ class TestAngleChange:
             angle_change_check((self.rho0, other), p=3, samples=10, seed=0)
 
 
-class _PlantedBits:
-    """A bit generator stand-in that hands out planted raw words."""
-
-    def __init__(self, words):
-        self.state = {"has_uint32": 0, "uinteger": 0}
-        self.words = list(words)
-
-    def random_raw(self, n):
-        out, self.words = self.words[:n], self.words[n:]
-        return np.array(out, dtype=np.uint64)
-
-
 class TestRawDraws:
     """The angle-change sweep's reader against numpy's Generator."""
 
@@ -571,9 +560,9 @@ class TestRawDraws:
         for seed in seeds:
             sequence = np.random.SeedSequence((seed, 0x3A7))
             generator = np.random.default_rng(sequence)
-            # the sweep's generator starts without a carried half word
+            # a fresh generator, like the sweep's stream, carries no half word
             assert generator.bit_generator.state["has_uint32"] == 0
-            draws = lemmalab._RawDraws(np.random.default_rng(sequence).bit_generator)
+            draws = lemmalab._RawDraws(iter(Stream((seed, 0x3A7))))
             script = random.Random(seed)
             for _ in range(n_calls):
                 name, args = self.calls(script)
@@ -581,22 +570,11 @@ class TestRawDraws:
                 assert type(got) is (float if name == "uniform" else int)
                 assert got == want, (seed, name, args)
 
-    def test_continues_from_a_carried_half_word(self):
-        sequence = np.random.SeedSequence(5)
-        generator, other = np.random.default_rng(sequence), np.random.default_rng(sequence)
-        generator.integers(0, 8)
-        other.integers(0, 8)
-        assert other.bit_generator.state["has_uint32"] == 1
-        draws = lemmalab._RawDraws(other.bit_generator)
-        for _ in range(50):
-            assert draws.integers(0, 8) == generator.integers(0, 8)
-            assert draws.uniform() == generator.uniform()
-
     def test_lemire_rejects_the_lowest_products(self):
         # integers(1, 4) multiplies a 32-bit draw x by 3 and rejects the
         # products whose low word is below 2^32 mod 3 = 1: only x = 0
-        bits = _PlantedBits([0, 0xFFFFFFFF, 0xABCDEF0123456789, 7 << 11])
-        draws = lemmalab._RawDraws(bits)
+        words = iter([0, 0xFFFFFFFF, 0xABCDEF0123456789, 7 << 11])
+        draws = lemmalab._RawDraws(words)
         # halves 0 and 0 of the first word are rejected; 0xFFFFFFFF * 3
         # has high word 2
         assert draws.integers(1, 4) == 3
@@ -606,7 +584,7 @@ class TestRawDraws:
         # a whole word for a double, and the carried half is spent
         assert draws.uniform() == (0xABCDEF0123456789 >> 11) * 2.0**-53
         assert draws.uniform(2.0, 4.0) == 2.0 + 2.0 * 7 * 2.0**-53
-        assert bits.words == []
+        assert next(words, None) is None
 
 
 class TestArrayKernels:
