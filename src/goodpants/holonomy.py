@@ -89,9 +89,10 @@ class RepParams:
 class ViableRep:
     """A pants complex developed in hyperbolic 3-space.
 
-    base_reps[i] is pants i built in its own normalized position, and
-    conjugators[i] places it: the placed pants' generators are
-    conjugators[i] * gen * conjugators[i]^-1, which nothing stores.
+    base_reps[i] is pants i built in its own normalized position (pants
+    with equal half-lengths share one), and conjugators[i] places it:
+    the placed pants' generators are conjugators[i] * gen *
+    conjugators[i]^-1, which nothing stores.
     measure_frames[c] holds, for each regular circle, one frame per side,
     in the order of complex.attachments_of(c); each takes that side's
     base_reps copy to the circle's axis on (0, infinity), the right
@@ -150,12 +151,20 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
                 f"circle {c} has half-length {hl!r} <= 0 at R = {params.R!r}:"
                 " the perturbation tau*xi/R outweighs R/2"
             )
+    # pants with one half-length triple share one immutable PantsRep: at
+    # tau = 0 every pants reads (R/2, R/2, R/2), so one build serves all.
+    # Half-lengths have positive real part and zero imaginary part, so
+    # equal keys have equal bits.
     base = []
+    built: dict[tuple[complex, ...], PantsRep] = {}
     for i, p in enumerate(x.pants):
-        try:
-            base.append(build_pants_rep(*(params.halflength(c) for c in p.slots)))
-        except DegenerateError as exc:
-            raise DegenerateError(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
+        hl = tuple(params.halflength(c) for c in p.slots)
+        if hl not in built:
+            try:
+                built[hl] = build_pants_rep(*hl)
+            except DegenerateError as exc:
+                raise DegenerateError(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
+        base.append(built[hl])
     n = len(x.pants)
     conj: list[MoebiusMap | None] = [None] * n
     conj[0] = MoebiusMap.identity()

@@ -106,6 +106,16 @@ class PantsRep:
         raise IndexError(f"cuff index {i} out of range")
 
 
+# All half-turn axes are reached from the base seam eta3 = (-1, 1) by
+# screw motions: its frame, the frame's inverse and its half-turn rho3;
+# and the products that every pants shares
+_TO_ETA3 = normalize_to_axis(OrientedGeodesic(-1 + 0j, 1 + 0j)).inverse()
+_FROM_ETA3 = _TO_ETA3.inverse()
+_RHO3 = _TO_ETA3 * _HALF_TURN * _FROM_ETA3
+_IDENTITY = MoebiusMap.identity()
+_TURN_FLIP = _HALF_TURN * _FLIP
+
+
 def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     """Construct the skew pants with the given complex half-lengths.
 
@@ -122,23 +132,21 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
         # would land on one axis
         raise DegenerateError("seam length is below double precision; the pants collapse")
 
-    # All half-turn axes are reached from the base seam eta3 = (-1, 1) by
-    # screw motions, so the generators and the cuff frames are plain
-    # matrix products; no boundary endpoints are ever extracted (those
+    # The generators and the cuff frames are plain matrix products from
+    # the base seam; no boundary endpoints are ever extracted (those
     # collapse when the seams are exponentially short).
-    eta3 = OrientedGeodesic(-1 + 0j, 1 + 0j)
-    to_eta3 = normalize_to_axis(eta3).inverse()
-    rho3 = to_eta3 * _HALF_TURN * to_eta3.inverse()
     # gen1 = rho2 * rho3 with eta2 at complex distance hl1 up the cuff;
     # the product collapses to the pure screw by 2 hl1 along (0, inf).
     gen1 = _screw(2.0 * hl[0])
     # Cuff 2 is the image of (0, inf) under the screw by sigma[2] along
     # eta3; the seam eta1 sits at complex distance hl2 along it from the
     # foot of eta3, so rho1 is a conjugated half-turn of eta3.
-    along_eta3 = to_eta3 * _screw(sigma[2]) * to_eta3.inverse()
-    along_cuff2 = along_eta3 * _screw(hl[1]) * along_eta3.inverse()
-    rho1 = along_cuff2 * rho3 * along_cuff2.inverse()
-    gen2 = rho3 * rho1
+    along_eta3 = _TO_ETA3 * _screw(sigma[2]) * _FROM_ETA3
+    back_eta3 = along_eta3.inverse()
+    screw_hl2 = _screw(hl[1])
+    along_cuff2 = along_eta3 * screw_hl2 * back_eta3
+    rho1 = along_cuff2 * _RHO3 * along_cuff2.inverse()
+    gen2 = _RHO3 * rho1
     # Each cuff's frame puts its preceding seam on (-1, 1), pointing at
     # +1; for cuff 1 that seam is eta3 itself.  Cuff 2 is brought back
     # along eta3 onto (0, inf), reversed and turned so that eta3 points
@@ -146,11 +154,13 @@ def build_pants_rep(hl1, hl2, hl3) -> PantsRep:
     # to height 1.  Cuff 3 is reached up cuff 1 by hl1 to eta2 and then
     # along eta2 by sigma[1]; undoing that, reversing and turning puts
     # eta2 on (-1, 1).
-    along_eta2 = _screw(hl[0]) * to_eta3 * _screw(sigma[1]) * to_eta3.inverse()
+    along_eta2 = _screw(hl[0]) * _TO_ETA3 * _screw(sigma[1]) * _FROM_ETA3
     frames = (
-        MoebiusMap.identity(),
-        _screw(hl[1]) * _HALF_TURN * _FLIP * along_eta3.inverse(),
-        _HALF_TURN * _FLIP * along_eta2.inverse(),
+        _IDENTITY,
+        # products run left to right, so _TURN_FLIP here would round
+        # differently
+        screw_hl2 * _HALF_TURN * _FLIP * back_eta3,
+        _TURN_FLIP * along_eta2.inverse(),
     )
     halflengths = tuple(complex(h.real, reduce_angle(h.imag)) for h in hl)
     return PantsRep(gen1, gen2, halflengths, frames)

@@ -209,37 +209,54 @@ def spawned_words(entropy, keys, k: int) -> np.ndarray:
 class Stream:
     """The words of ``PCG64(SeedSequence(entropy))``, read in order.
 
-    ``words`` computes _CHUNK words at a time from the state that the
-    chunk starts at and hands them out in order.  Iterating hands out the
-    same words one at a time, as Python ints, but takes _CHUNK at a time
-    from ``words``, so a caller reads the stream either way, not both.
+    Words are computed _CHUNK at a time from the state that the chunk
+    starts at, together with their unit doubles (w >> 11) * 2^-53, and
+    ``words``, ``random`` and ``uniform`` each take the next ones from one
+    position, so those reads mix in stream order.
     """
 
     def __init__(self, entropy):
         self._state, self._inc = _seeded(np.array([_entropy_words(entropy)], dtype=np.uint32))
-        self._ahead = np.empty(0, dtype=np.uint64)
+        self._words = np.empty(0, dtype=np.uint64)
+        self._units = np.empty(0)
+        self._pos = 0
 
-    def _chunk(self) -> np.ndarray:
-        words, self._state = _run(self._state, self._inc, _CHUNK)
-        return words[0]
+    def _next(self, k: int) -> slice:
+        """Where the next k words lie in the buffers, past which the stream moves."""
+        start = self._pos
+        if start + k > len(self._words):
+            pieces = [self._words[start:]]
+            for _ in range(-((len(pieces[0]) - k) // _CHUNK)):
+                words, self._state = _run(self._state, self._inc, _CHUNK)
+                pieces.append(words[0])
+            self._words = np.concatenate(pieces)
+            self._units = (self._words >> np.uint64(11)) * 2.0**-53
+            start = 0
+        self._pos = start + k
+        return slice(start, self._pos)
 
     def words(self, k: int) -> np.ndarray:
         """The next k raw words, as uint64."""
-        while len(self._ahead) < k:
-            self._ahead = np.concatenate((self._ahead, self._chunk()))
-        out, self._ahead = self._ahead[:k], self._ahead[k:]
-        return out
+        at = self._next(k)
+        return self._words[at]
 
     def __iter__(self):
+        """The words one at a time, as Python ints.
+
+        They are taken _CHUNK at a time from ``words``, so a caller reads
+        the stream either by iteration or by the other reads, not both.
+        """
         while True:
             yield from self.words(_CHUNK).tolist()
 
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), as ``Generator.random(n)`` draws them."""
-        return (self.words(n) >> np.uint64(11)) * 2.0**-53
+        at = self._next(n)
+        return self._units[at]
 
     def uniform(self, lo: float, hi: float, n: int | None = None):
         """``Generator.uniform(lo, hi, n)``: a float, or n of them as an array."""
         if n is None:
-            return lo + (hi - lo) * ((int(self.words(1)[0]) >> 11) * 2.0**-53)
+            at = self._next(1).start
+            return lo + (hi - lo) * float(self._units[at])
         return lo + (hi - lo) * self.random(n)

@@ -90,13 +90,16 @@ def _walk_layers(tail, marked, dtype, pred=None):
     seeds = np.flatnonzero(marked[tail])
     if pred is None:
         pred = _predecessors(tail, marked)
+    # one gather per row of the table, with the ndarray method, which
+    # skips np.take's Python wrapper
+    first, *rest = pred
     cur = np.zeros((n_darts + 1, len(seeds)), dtype=dtype)
     cur[seeds, np.arange(len(seeds))] = 1
     while True:
         yield cur[:n_darts].T
-        nxt = np.take(cur, pred[0], axis=0)
-        for slot in pred[1:]:
-            nxt += np.take(cur, slot, axis=0)
+        nxt = cur.take(first, axis=0)
+        for row in rest:
+            nxt += cur.take(row, axis=0)
         cur = nxt
 
 
@@ -123,11 +126,14 @@ def _shortest_level(darts, pred=None, dtype=np.float64):
         raise NoEssentialPathError("no marked vertices")
     starts = np.flatnonzero(marked[tail])
     if len(starts):
-        ends = np.sort(starts ^ 1)  # the darts into marked vertices
-        # a walk ending with the reverse of its first dart is closed at
-        # the start vertex and not cyclically reduced
-        essential = np.ones((len(starts), len(ends)), dtype=bool)
-        essential[np.arange(len(starts)), np.searchsorted(ends, starts ^ 1)] = False
+        # the essential (seed i, end dart e) pairs, seed-major, as flat
+        # indices e * n + i into a layer's dart-major storage layer.T:
+        # the ends are the darts into marked vertices, and a walk ending
+        # with the reverse of its first dart is closed at the start
+        # vertex and not cyclically reduced
+        ends = np.sort(starts ^ 1)
+        seed_rows = np.arange(len(starts))[:, None]
+        flat = (ends * len(starts) + seed_rows)[ends != starts[:, None] ^ 1]
         bound = 2 * (len(marked) + len(tail) // 2) + 1
         layers = {}
         walks = _walk_layers(tail, marked, dtype, pred)
@@ -135,7 +141,8 @@ def _shortest_level(darts, pred=None, dtype=np.float64):
             layers[length] = cur
             # l >= length, so layers below ceil(length/2) are done
             layers.pop((length - 1) // 2, None)
-            total = cur[:, ends][essential].sum()
+            # np.add.reduce is .sum() without its Python wrapper
+            total = np.add.reduce(cur.T.take(flat))
             if total:
                 return length, total, layers
     raise NoEssentialPathError("no essential marked path")
@@ -161,14 +168,19 @@ def _shortest_walks(darts, pred=None):
         # reversed walks).  Glued at position k, a pair i != j is a
         # shortest essential walk, and i == j a closed non-reduced one.
         fwd = layers[k]
-        back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
+        back = layers[l - k + 1].T[np.arange(fwd.shape[1]) ^ 1].T
         # counts = sum over i of fwd[i] * others[i], others[i] the sum of
-        # back[j] over j != i, from sums before and after row i; where
-        # both factors are non-zero the product counts essential walks,
-        # so it is at most n, and elsewhere it is 0 (a factor may be inf)
-        zero = np.zeros_like(back[:1])
-        others = np.cumsum(np.concatenate([zero, back[:-1]]), axis=0)
-        others += np.cumsum(np.concatenate([zero, back[:0:-1]]), axis=0)[::-1]
+        # back[j] over j != i, from sums before and after row i (a few
+        # rows, one seed each, so a loop over them); where both factors
+        # are non-zero the product counts essential walks, so it is at
+        # most n, and elsewhere it is 0 (a factor may be inf)
+        others = np.zeros_like(back)
+        for i in range(1, len(back)):
+            others[i] = others[i - 1] + back[i - 1]
+        after = np.zeros_like(back[0])
+        for i in range(len(back) - 1, 0, -1):
+            after = after + back[i]
+            others[i - 1] += after
         both = (fwd != 0) & (others != 0)
         counts = np.multiply(fwd, others, out=np.zeros_like(fwd), where=both).sum(axis=0)
     if total < _EXACT:  # so is every count, exactly

@@ -14,6 +14,10 @@ bound is tested.
 
 sigma is also computed here on the book's full presentation, page
 classes included, as the program computed it before it dropped them.
+
+MoebiusMap's sign rule is also applied here the plain way: every entry
+through complex(), and cmath.phase of the first entry above 1e-14
+compared with +-math.pi / 2 computed in place.
 """
 
 from __future__ import annotations
@@ -179,3 +183,18 @@ def sigma_with_pages(p: int, genus: int) -> int:
     if after.rank < before.rank:
         raise ArithmeticError("torsion generator outside lattice span")
     return math.gcd(math.prod(before.torsion) // math.prod(after.torsion), p)
+
+
+def moebius_entries_by_phase(a, b, c, d, unit_det=False):
+    """MoebiusMap's entries, its sign chosen by cmath.phase on every entry."""
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    if not unit_det:
+        s = cmath.sqrt(a * d - b * c)
+        a, b, c, d = a / s, b / s, c / s, d / s
+    for entry in (a, b, c, d):
+        if abs(entry) > 1e-14:
+            arg = cmath.phase(entry)
+            if arg <= -math.pi / 2 or arg > math.pi / 2:
+                a, b, c, d = -a, -b, -c, -d
+            break
+    return a, b, c, d

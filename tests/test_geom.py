@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from goodpants.geom import (
     INFINITY,
@@ -24,6 +26,7 @@ from oracles import (
     common_perpendicular,
     complex_distance,
     maps_close,
+    moebius_entries_by_phase,
 )
 
 
@@ -35,6 +38,33 @@ def random_moebius(rng):
             )
         except ValueError:
             pass
+
+
+parts = st.floats(min_value=-1e6, max_value=1e6)
+signs = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def sign_entries(draw):
+    """Four entries whose first above 1e-14 lies on, near or away from
+    the imaginary axis, with |imag|/|real| at and either side of 2^40
+    (a phase about 2^-40 from +-pi/2); entries before it lie below
+    1e-14, and the others are anything, ints and floats included."""
+    imag = draw(st.floats(min_value=1e-12, max_value=1e6)) * draw(signs)
+    kind = draw(st.sampled_from(["axis", "ratio", "near", "any"]))
+    if kind == "axis":
+        first = complex(draw(st.sampled_from([0.0, -0.0])), imag)
+    elif kind == "ratio":
+        ratio = 2.0**40 * draw(st.sampled_from([1 - 2**-40, 1 - 2**-52, 1.0, 1 + 2**-52, 1 + 2**-40]))
+        first = complex(draw(signs) * abs(imag) / ratio, imag)
+    elif kind == "near":
+        first = complex(draw(signs) * abs(imag) * 2.0 ** -draw(st.floats(20, 60)), imag)
+    else:
+        first = complex(draw(parts), draw(parts))
+    tiny = st.builds(complex, parts, parts).map(lambda z: z * 1e-21)
+    before = draw(st.lists(tiny, max_size=3))
+    rest = st.one_of(st.builds(complex, parts, parts), st.integers(-3, 3), parts)
+    return before + [first] + draw(st.lists(rest, min_size=3 - len(before), max_size=3 - len(before)))
 
 
 def random_geodesic(rng):
@@ -79,6 +109,17 @@ class TestMoebiusMap:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             MoebiusMap(1, 1, 1, 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(entries=sign_entries(), unit_det=st.booleans())
+    def test_sign_rule_matches_the_phase_loop(self, entries, unit_det):
+        # the same bits, signed zeros included, as choosing the sign by
+        # cmath.phase on the first entry above 1e-14
+        try:
+            m = MoebiusMap(*entries, _unit_det=unit_det)
+        except ValueError:
+            assume(False)
+        assert repr(m.entries()) == repr(moebius_entries_by_phase(*entries, unit_det=unit_det))
 
     def test_inverse(self):
         rng = random.Random(0)

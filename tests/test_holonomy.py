@@ -124,6 +124,29 @@ class TestBuildRho:
         for rep, base in zip(built, rho.base_reps):
             assert rep is base
 
+    def test_equal_halflengths_share_one_build(self):
+        # at tau = 0 every pants reads (R/2, R/2, R/2): one build serves
+        # them all, with the bits that building each pants alone gives
+        x = grow_until(build_xp(1, 3), 16)
+        calls = []
+
+        def record(*hls):
+            calls.append(hls)
+            return pants.build_pants_rep(*hls)
+
+        with mock.patch.object(holonomy, "build_pants_rep", record):
+            rho = build_rho(x, RepParams.zero(x, R=20.0))
+        assert calls == [(10 + 0j,) * 3]
+        assert all(rep is rho.base_reps[0] for rep in rho.base_reps)
+        alone = pants.build_pants_rep(10.0, 10.0, 10.0)
+        assert repr(rho.base_reps[0]) == repr(alone)
+        # at tau = 1 every circle has its own half-length
+        params = RepParams.random(x, R=20.0, tau=1.0, seed=5)
+        calls.clear()
+        with mock.patch.object(holonomy, "build_pants_rep", record):
+            build_rho(x, params)
+        assert len(calls) == len(set(calls)) == len(x.pants)
+
     def test_disconnected_input_rejected(self):
         from goodpants.complexes import Circle, Pants, PantsComplex
 

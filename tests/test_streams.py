@@ -64,6 +64,19 @@ def test_uniform_and_random_match_the_generator(entropy):
     assert stream.random(5000).tolist() == generator.random(5000).tolist()
 
 
+@pytest.mark.parametrize("entropy", [0, (7, 0x6C5)])
+def test_mixed_reads_keep_one_position(entropy):
+    # raw words, uniform and random draws in turn, across chunk ends,
+    # read what one numpy Generator and its bit generator do
+    stream, generator = streams.Stream(entropy), np.random.default_rng(np.random.SeedSequence(entropy))
+    raw = generator.bit_generator.random_raw
+    for k in (1, 4094, 3, 1, 4096, 2, 5000, 1, 7):
+        assert stream.words(k).tolist() == raw(k).tolist()
+        assert stream.uniform(-0.3, 0.3) == generator.uniform(-0.3, 0.3)
+        assert stream.uniform(-0.3, 0.3, k).tolist() == generator.uniform(-0.3, 0.3, k).tolist()
+        assert stream.random(k).tolist() == generator.random(k).tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11, 2**40])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 2.5])
 def test_rep_params_random_matches_the_generator(seed, scale):
