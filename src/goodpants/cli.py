@@ -271,7 +271,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    from .complexes import _integer
     from .homology import AbelianGroup, book_of_i_bundles_h1, free_product_h1, h1_of_complex
     from .homology import mv_torsion_embedding, sigma
 
@@ -307,6 +306,8 @@ def cmd_homology(args) -> int:
             # a group file names Z^rank + Z/t_1 + Z/t_2 + ... with orders
             # t_i > 1 in any order; each summand joins the free product as
             # a factor, and free_product_h1 gives the invariant factors
+            from .complexes import _integer
+
             try:
                 groups.append(AbelianGroup(rank=_integer(obj.get("rank"), "rank")))
                 orders = obj.get("torsion", [])

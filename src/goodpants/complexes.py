@@ -17,8 +17,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class NoEssentialPathError(ValueError):
@@ -33,8 +33,7 @@ class DisconnectedResultError(ValueError):
     """Raised when cut-and-paste surgery would disconnect the complex."""
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     """A circle of the complex with its rotation degree.
 
     k is the rotation numerator for singular circles; validate refuses
@@ -46,18 +45,50 @@ class Circle:
     k: int = 1
 
 
-@dataclass(frozen=True)
-class Pants:
+class Pants(NamedTuple):
     """Three boundary slots, each attached to a circle with a sign."""
 
     slots: tuple[int, int, int]
     orientations: tuple[int, int, int] = (1, 1, 1)
 
 
-@dataclass(frozen=True)
-class PantsComplex:
-    pants: tuple[Pants, ...]
-    circles: tuple[Circle, ...]
+class _Frozen:
+    """Equality, hash, repr and immutability from the fields in _fields.
+
+    The records of the package are NamedTuples; a complex and its graph
+    are not, because their cached properties need an instance dict.
+    cached_property writes that dict directly, so it is not refused.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PantsComplex(_Frozen):
+    _fields = ("pants", "circles")
+
+    def __init__(self, pants: tuple[Pants, ...], circles: tuple[Circle, ...]):
+        self.__dict__.update(pants=pants, circles=circles)
 
     @cached_property
     def _incidence(self) -> dict[int, list[tuple[int, int]]]:
@@ -236,13 +267,18 @@ def build_xp(genus: int, p: int) -> PantsComplex:
     return PantsComplex(pants=tuple(pants), circles=tuple(circles))
 
 
-@dataclass(frozen=True)
-class PantsGraph:
+class PantsGraph(_Frozen):
     """Pants as vertices, regular circles as (multi-)edges."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, int], ...]  # (circle id, vertex, vertex)
-    marked: frozenset[int]
+    _fields = ("n_vertices", "edges", "marked")
+
+    def __init__(
+        self,
+        n_vertices: int,
+        edges: tuple[tuple[int, int, int], ...],  # (circle id, vertex, vertex)
+        marked: frozenset[int],
+    ):
+        self.__dict__.update(n_vertices=n_vertices, edges=edges, marked=marked)
 
     @cached_property
     def _walks(self) -> tuple[int, int, int, list[int]]:

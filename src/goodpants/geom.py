@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "INFINITY",
@@ -134,31 +134,39 @@ class MoebiusMap:
         )
 
 
-@dataclass(frozen=True)
-class OrientedGeodesic:
-    """A geodesic of H^3 given by its ordered endpoints on the boundary."""
-
+class _OrientedGeodesic(NamedTuple):
     source: BoundaryPoint
     target: BoundaryPoint
 
-    def __post_init__(self):
-        if _same_boundary_point(self.source, self.target):
+
+class OrientedGeodesic(_OrientedGeodesic):
+    """A geodesic of H^3 given by its ordered endpoints on the boundary."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: BoundaryPoint, target: BoundaryPoint):
+        if _same_boundary_point(source, target):
             raise ValueError("geodesic endpoints must be distinct")
+        return tuple.__new__(cls, (source, target))
 
     def apply(self, m: MoebiusMap) -> "OrientedGeodesic":
         return OrientedGeodesic(mobius_apply(m, self.source), mobius_apply(m, self.target))
 
 
-@dataclass(frozen=True)
-class Point:
-    """An interior point of H^3: horizontal complex coordinate plus height."""
-
+class _Point(NamedTuple):
     horizontal: complex
     height: float
 
-    def __post_init__(self):
-        if not self.height > 0:
+
+class Point(_Point):
+    """An interior point of H^3: horizontal complex coordinate plus height."""
+
+    __slots__ = ()
+
+    def __new__(cls, horizontal: complex, height: float):
+        if not height > 0:
             raise ValueError("interior points need positive height")
+        return tuple.__new__(cls, (horizontal, height))
 
 
 def _same_boundary_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = 0.0) -> bool:

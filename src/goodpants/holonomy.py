@@ -11,11 +11,10 @@ at tau = 1 the per-circle offsets (xi, eta) are fully switched on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import elementwise as ew
 from . import streams
 from .complexes import PantsComplex, graph_of
 from .geom import (
@@ -42,8 +41,7 @@ __all__ = [
     "nontriviality_scan",
 ]
 
-@dataclass(frozen=True)
-class RepParams:
+class RepParams(NamedTuple):
     """Perturbation data for a representation of a pants complex.
 
     Circle c gets half-length R/2 + tau*xi[c]/R and shear
@@ -85,8 +83,7 @@ class RepParams:
         )
 
 
-@dataclass(frozen=True)
-class ViableRep:
+class ViableRep(NamedTuple):
     """A pants complex developed in hyperbolic 3-space.
 
     base_reps[i] is pants i built in its own normalized position (pants
@@ -240,16 +237,24 @@ def development_residual(rho: ViableRep) -> float:
     """
     x, params = rho.complex, rho.params
     residual = 0.0
-    for i, pants in enumerate(x.pants):
+    # pants with one half-length triple share one PantsRep, so each
+    # distinct rep's cuffs are measured once; a rep is the same object
+    # for every pants that shares it, and base_reps keeps it alive
+    measured_of: dict[int, list[complex]] = {}
+    for i, (pants, rep) in enumerate(zip(x.pants, rho.base_reps)):
+        measured = measured_of.get(id(rep))
+        if measured is None:
+            measured = measured_of[id(rep)] = []
+            for slot in range(3):
+                try:
+                    measured.append(measured_halflength(rep, slot))
+                except NotLoxodromicError as exc:
+                    raise NotLoxodromicError(
+                        f"at R = {params.R!r} the cuff of pants {i} slot {slot} is too short"
+                        f" to measure: {exc}"
+                    ) from exc
         for slot, c in enumerate(pants.slots):
-            try:
-                measured = rho.halflength_at(i, slot)
-            except NotLoxodromicError as exc:
-                raise NotLoxodromicError(
-                    f"at R = {params.R!r} the cuff of pants {i} slot {slot} is too short"
-                    f" to measure: {exc}"
-                ) from exc
-            residual = max(residual, abs(measured - params.halflength(c)))
+            residual = max(residual, abs(measured[slot] - params.halflength(c)))
     for c in x.regular_circles():
         requested = HalfNormalCoordinate(params.shear_of(c), params.halflength(c)).value
         residual = max(residual, abs(measured_shear(rho, c) - requested))
@@ -296,8 +301,7 @@ def _feet_separated(thetas, d: int, p: int) -> bool:
     return not min(gaps) < 2.0 * math.pi / p - tol
 
 
-@dataclass(frozen=True)
-class QiReport:
+class QiReport(NamedTuple):
     """Outcome of the broken-path chord-length certification."""
 
     R: float
@@ -330,7 +334,6 @@ _SQRT_HALF = 1 / math.sqrt(2.0)
 _TO_HORIZONTAL = MoebiusMap(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
 
 
-@ew.python_floats
 def _path_chords(n_seg, draws):
     """Chord and length of broken paths from the base point (0, 1).
 
@@ -340,35 +343,42 @@ def _path_chords(n_seg, draws):
     not count (a path that has ended keeps its frame).  The path leaves
     the base point up the axis (0, infinity); at each vertex it spins by
     its spin about the incoming segment and turns by pi - bend, so a
-    bend of pi goes straight on and a bend of 0 backtracks.  The products are the scalar ones (frame * Screw(length),
-    then * Screw(i spin) * tilt(pi - bend)) made elementwise, so each
-    chord has the bits of the scalar evaluation.  Raises OverflowError or
-    ZeroDivisionError where an entry leaves double range.
+    bend of pi goes straight on and a bend of 0 backtracks.  The products
+    are the scalar ones (frame * Screw(length), then * Screw(i spin) *
+    tilt(pi - bend)) made elementwise, so each chord has the bits of the
+    scalar evaluation.  Raises OverflowError or ZeroDivisionError where
+    an entry leaves double range.
     """
-    ones, zeros = np.ones(len(n_seg)), np.zeros(len(n_seg))
-    frame = ((ones, zeros), (zeros, zeros), (zeros, zeros), (ones, zeros))
-    total = np.zeros(len(n_seg))
-    to_horizontal = ew.pairs(_TO_HORIZONTAL)
-    from_horizontal = ew.pairs(_TO_HORIZONTAL.inverse())
-    for j in range(int(np.max(n_seg))):
-        active = j < n_seg
-        length = draws[:, 3 * j]
-        total += np.where(active, length, 0.0)
-        step = ew.matmul(frame, ew.screw((length, 0.0)))
-        if j + 1 < _QI_MAX_SEG:
-            bend, spin = draws[:, 3 * j + 1], draws[:, 3 * j + 2]
-            tilt = ew.matmul(
-                ew.matmul(from_horizontal, ew.screw(ew.scale((0.0, 1.0), math.pi - bend))),
-                to_horizontal,
-            )
-            turned = ew.matmul(ew.matmul(step, ew.screw(ew.scale((0.0, 1.0), spin))), tilt)
-            step = _select(j + 1 < n_seg, turned, step)
-        frame = _select(active, step, frame)
-    z, t = ew.apply_to_point(frame, (0.0, 0.0), 1.0)
-    if not np.all(t > 0.0):
-        # Point refuses the height: the frame's entries left double range
-        raise OverflowError("interior points need positive height")
-    return ew.point_distance((0.0, 0.0), 1.0, z, t), total
+    # elementwise loads only where the QI sampler runs: build never does
+    from . import elementwise as ew
+
+    # ew.python_floats, entered afresh: one errstate object cannot be
+    # entered twice, and a caller may already be inside it
+    with np.errstate(over="ignore", invalid="ignore"):
+        ones, zeros = np.ones(len(n_seg)), np.zeros(len(n_seg))
+        frame = ((ones, zeros), (zeros, zeros), (zeros, zeros), (ones, zeros))
+        total = np.zeros(len(n_seg))
+        to_horizontal = ew.pairs(_TO_HORIZONTAL)
+        from_horizontal = ew.pairs(_TO_HORIZONTAL.inverse())
+        for j in range(int(np.max(n_seg))):
+            active = j < n_seg
+            length = draws[:, 3 * j]
+            total += np.where(active, length, 0.0)
+            step = ew.matmul(frame, ew.screw((length, 0.0)))
+            if j + 1 < _QI_MAX_SEG:
+                bend, spin = draws[:, 3 * j + 1], draws[:, 3 * j + 2]
+                tilt = ew.matmul(
+                    ew.matmul(from_horizontal, ew.screw(ew.scale((0.0, 1.0), math.pi - bend))),
+                    to_horizontal,
+                )
+                turned = ew.matmul(ew.matmul(step, ew.screw(ew.scale((0.0, 1.0), spin))), tilt)
+                step = _select(j + 1 < n_seg, turned, step)
+            frame = _select(active, step, frame)
+        z, t = ew.apply_to_point(frame, (0.0, 0.0), 1.0)
+        if not np.all(t > 0.0):
+            # Point refuses the height: the frame's entries left double range
+            raise OverflowError("interior points need positive height")
+        return ew.point_distance((0.0, 0.0), 1.0, z, t), total
 
 
 def _select(keep, new, old):
@@ -460,8 +470,7 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     )
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of the near-identity word scan."""
 
     max_length: int

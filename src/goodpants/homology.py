@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .complexes import PantsComplex, graph_of
+if TYPE_CHECKING:
+    from .complexes import PantsComplex
 
 __all__ = [
     "AbelianGroup",
@@ -29,15 +30,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class _IntegerMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.entries:
-            w = len(self.entries[0])
-            if any(len(r) != w for r in self.entries):
+
+class IntegerMatrix(_IntegerMatrix):
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]):
+        if entries:
+            w = len(entries[0])
+            if any(len(r) != w for r in entries):
                 raise ValueError("ragged rows")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def rows(self) -> int:
@@ -96,25 +101,29 @@ class IntegerMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _AbelianGroup(NamedTuple):
+    rank: int
+    torsion: tuple[int, ...] = ()
+
+
+class AbelianGroup(_AbelianGroup):
     """A finitely generated abelian group Z^rank + sum Z_{t_i}.
 
     The rank is non-negative, and the torsion coefficients form a divisor
     chain t_1 | t_2 | ... with every t_i > 1.
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        if any(t <= 1 for t in self.torsion):
+    def __new__(cls, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
+        if any(t <= 1 for t in torsion):
             raise ValueError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion coefficients must form a divisor chain")
+        return tuple.__new__(cls, (rank, torsion))
 
     def describe(self) -> str:
         parts = []
@@ -310,6 +319,8 @@ def h1_of_complex(x: PantsComplex) -> AbelianGroup:
     adds to the rank, which holds for a connected complex only; graph_of
     refuses any other.
     """
+    from .complexes import graph_of
+
     graph_of(x)
     n_p = len(x.pants)
     n_c = len(x.circles)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import (
     DegenerateError,
@@ -49,8 +49,12 @@ class LatticeMismatchError(ValueError):
     """Raised when two half normal coordinates live on different lattices."""
 
 
-@dataclass(frozen=True)
-class HalfNormalCoordinate:
+class _HalfNormalCoordinate(NamedTuple):
+    value: complex
+    hl: complex
+
+
+class HalfNormalCoordinate(_HalfNormalCoordinate):
     """A point of the half normal bundle of a cuff.
 
     The coordinate lives in C modulo the lattice hl*Z + 2*pi*i*Z; the
@@ -58,29 +62,27 @@ class HalfNormalCoordinate:
     [0, Re(hl)) and imaginary part in [0, 2*pi).
     """
 
-    value: complex
-    hl: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.hl.real > 0:
+    def __new__(cls, value: complex, hl: complex):
+        if not hl.real > 0:
             raise ValueError("half-length must have positive real part")
-        z = self.value
-        k = math.floor(z.real / self.hl.real)
-        z = z - k * self.hl
+        z = value
+        k = math.floor(z.real / hl.real)
+        z = z - k * hl
         # Snap lattice-boundary roundoff so representatives are stable.
-        if z.real >= self.hl.real - 1e-9:
-            z -= self.hl
+        if z.real >= hl.real - 1e-9:
+            z -= hl
         elif z.real < -1e-9:
-            z += self.hl
+            z += hl
         re = 0.0 if abs(z.real) < 1e-9 else z.real
         im = z.imag % (2.0 * math.pi)
         if im > 2.0 * math.pi - 1e-9 or im < 1e-9:
             im = 0.0
-        object.__setattr__(self, "value", complex(re, im))
+        return tuple.__new__(cls, (complex(re, im), hl))
 
 
-@dataclass(frozen=True)
-class PantsRep:
+class PantsRep(NamedTuple):
     """Holonomy of a skew pair of pants.
 
     gen1 and gen2 are the first two cuff elements; the third cuff is

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import (
     INFINITY,
@@ -29,8 +29,7 @@ from .geom import (
 __all__ = ["SweepReport", "SweepRow", "hexagon_asymptotics_check"]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point of a sweep: parameters, worst measurement, bound."""
 
     params: tuple[tuple[str, object], ...]
@@ -42,8 +41,7 @@ class SweepRow:
         return self.measured <= self.bound
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of one sweep; passes when every row does."""
 
     name: str

@@ -1428,8 +1428,11 @@ class TestExports:
 
     # modules a command must not load: homology, --version, --help and
     # usage errors start without numpy, and each command leaves out the
-    # layers it does not run
-    NO_NUMPY = {"numpy", "holonomy", "pants", "geom", "elementwise"}
+    # layers it does not run.  The records are NamedTuples, so no command
+    # loads dataclasses; inspect comes with numpy, and only with it
+    NO_DATACLASSES = {"dataclasses"}
+    NO_INSPECT = {"dataclasses", "inspect"}
+    NO_NUMPY = {"numpy", "holonomy", "pants", "geom", "elementwise"} | NO_INSPECT
     NO_COMPLEXES = {"complexes", "holonomy", "homology", "pants"}
     NO_HOMOLOGY = {"homology", "lemmalab"}
     NO_SAMPLING = {"numpy", "elementwise", "lemmalab"}
@@ -1444,23 +1447,26 @@ class TestExports:
                 (["--version"], NO_NUMPY),
                 (["--help"], NO_NUMPY),
                 (["homology", "--complex", "{complex}"], NO_NUMPY),
-                (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY),
+                (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY | {"complexes"}),
                 (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
-                (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING),
+                (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING | NO_INSPECT),
                 (["lemma", "delta", "--samples", "20", "--seed", "0"],
-                 NO_COMPLEXES | NO_NUMPY_RANDOM),
+                 NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 (["lemma", "two-planes", "--samples", "20", "--seed", "0"],
-                 NO_COMPLEXES | NO_NUMPY_RANDOM),
+                 NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
-                 {"homology"} | NO_NUMPY_RANDOM),
-                (["build", "--L", "4"], NO_HOMOLOGY | NO_NUMPY_RANDOM),
+                 {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES),
+                # the QI sampler alone uses elementwise
+                (["build", "--L", "4"],
+                 NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | {"elementwise"}),
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
-                  "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM),
+                  "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES),
             ]
         ]
         + [
             pytest.param(
-                ["build", "--L", "4", "--tau", "1", "--seed", "0"], NO_HOMOLOGY | NO_NUMPY_RANDOM, 0,
+                ["build", "--L", "4", "--tau", "1", "--seed", "0"],
+                NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | {"elementwise"}, 0,
                 id="build --L --tau",
             ),
             pytest.param(["frob"], NO_NUMPY, 2, id="frob"),
@@ -1498,6 +1504,6 @@ class TestExports:
         loaded = {
             m.removeprefix("goodpants.")
             for m in modules
-            if m.split(".")[0] in ("goodpants", "numpy")
+            if m.split(".")[0] in ("goodpants", "numpy", "dataclasses", "inspect")
         }
         assert not loaded & unloaded, sorted(loaded & unloaded)

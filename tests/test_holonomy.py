@@ -147,6 +147,39 @@ class TestBuildRho:
             build_rho(x, params)
         assert len(calls) == len(set(calls)) == len(x.pants)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_residual_measures_each_shared_rep_once(self, tau):
+        # the residual of every slot read afresh, as one loop over the
+        # pants slots and one over the regular circles
+        def per_slot_residual(rho):
+            x, params = rho.complex, rho.params
+            residual = 0.0
+            for i, p in enumerate(x.pants):
+                for slot, c in enumerate(p.slots):
+                    measured = rho.halflength_at(i, slot)
+                    residual = max(residual, abs(measured - params.halflength(c)))
+            for c in x.regular_circles():
+                requested = pants.HalfNormalCoordinate(
+                    params.shear_of(c), params.halflength(c)
+                ).value
+                residual = max(residual, abs(measured_shear(rho, c) - requested))
+            return residual
+
+        x = grow_until(build_xp(1, 3), 16)
+        rho = build_rho(x, RepParams.random(x, R=20.0, tau=tau, seed=5))
+        calls = []
+
+        def record(rep, cuff):
+            calls.append((id(rep), cuff))
+            return pants.measured_halflength(rep, cuff)
+
+        with mock.patch.object(holonomy, "measured_halflength", record):
+            residual = development_residual(rho)
+        assert residual.hex() == per_slot_residual(rho).hex()
+        distinct = {id(rep) for rep in rho.base_reps}
+        assert len(distinct) == (1 if tau == 0.0 else len(x.pants))
+        assert sorted(calls) == sorted((r, cuff) for r in distinct for cuff in range(3))
+
     def test_disconnected_input_rejected(self):
         from goodpants.complexes import Circle, Pants, PantsComplex
 
