@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import streams
 from .complexes import PantsComplex, graph_of
 from .geom import (
     DegenerateError,
@@ -73,7 +72,11 @@ class RepParams(NamedTuple):
         The draws are numpy's ``Generator.uniform(-scale, scale, n)``
         twice on ``default_rng(SeedSequence(seed))``.
         """
-        stream = streams.Stream(seed)
+        # streams loads only where random parameters are drawn: build at
+        # tau = 0 never does
+        from .streams import Stream
+
+        stream = Stream(seed)
         n = len(x.circles)
         return cls(
             R=R,
@@ -421,6 +424,8 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
         raise ValueError("need p >= 3 for admissible bends")
     if not 0.0 < R < math.inf:
         raise ValueError("need a finite R > 0")
+    from .streams import first_integers, spawned_words, unit_doubles
+
     # bounds of the draws in path order: length, then bend and spin
     # before each further segment
     low = np.tile([R / 2.0, 2.0 * math.pi / p, 0.0], _QI_MAX_SEG)
@@ -432,13 +437,12 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     for start in range(0, samples, _QI_SLICE):
         count = min(_QI_SLICE, samples - start)
         # words 1..14 of child start + row of SeedSequence(seed), for
-        # each row: numpy's integers(2, 6) is Lemire's method on the low
-        # half of word 1, which a range of 4 never rejects, and the
-        # unit draws are words 2.. as (w >> 11) * 2^-53
-        words = streams.spawned_words(seed, range(start, start + count), 3 * _QI_MAX_SEG - 1)
-        n_seg = 2 + ((words[:, 0] & np.uint64(0xFFFFFFFF)) >> np.uint64(30)).astype(np.int64)
+        # each row: numpy's integers(2, 6) takes word 1, and the unit
+        # draws take words 2..
+        words = spawned_words(seed, range(start, start + count), 3 * _QI_MAX_SEG - 1)
+        n_seg = first_integers(words[:, 0], 2, _QI_MAX_SEG + 1)
         unit = np.zeros((count, 3 * _QI_MAX_SEG))
-        unit[:, : 3 * _QI_MAX_SEG - 2] = (words[:, 1:] >> np.uint64(11)) * 2.0**-53
+        unit[:, : 3 * _QI_MAX_SEG - 2] = unit_doubles(words[:, 1:])
         # a path of n segments reads 3n - 2 draws; the rest stay 0
         unit[np.arange(3 * _QI_MAX_SEG) >= 3 * n_seg[:, None] - 2] = 0.0
         # Generator.uniform(low, high) is low + (high - low) * random(),

@@ -60,43 +60,6 @@ class IntegerMatrix(_IntegerMatrix):
     def from_rows(cls, rows) -> "IntegerMatrix":
         return cls(tuple(tuple(int(x) for x in r) for r in rows))
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries))
-        return IntegerMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -364,10 +327,12 @@ def sigma(p: int, genus: int = 1) -> int:
     |Tor G| / |Tor(G / <w>)|, read from the two cokernels; a rank drop
     instead means w has infinite order.  The surviving quotient has
     order gcd(k0, p).  Comes out as p for odd p and p/2 for even p, but
-    is computed, not special-cased.
+    is computed, not special-cased.  The block's presentation relation
+    p(c1 - c2) = 2 * (p*c1) - p * (c1 + c2) lies in the span of the other
+    two columns, so it is left out.
     """
-    # p*c1, c1 + c2, and the presentation relation p(c1 - c2)
-    lattice = [{0: p}, {0: 1, 1: 1}, {0: p, 1: -p}]
+    # p*c1 and c1 + c2
+    lattice = [{0: p}, {0: 1, 1: 1}]
     before = cokernel(lattice, 2)
     after = cokernel(lattice + [{0: 1, 1: -1}], 2)
     if after.rank < before.rank:

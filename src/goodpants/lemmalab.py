@@ -15,9 +15,7 @@ sample count.  Their kernels are built from ``elementwise``, which
 repeats the scalar geometry of ``geom`` bit for bit, so a sweep's
 report is the same as when it measured one sample at a time.
 Each sampled sweep reads one ``streams.Stream``: numpy's SeedSequence/PCG64
-words, with the draws numpy's Generator makes from them, and
-angle-change reads its stream through ``_RawDraws``, which makes
-``Generator.integers`` draws from the words too.
+words, with the draws numpy's Generator makes from them.
 """
 
 from __future__ import annotations
@@ -328,60 +326,19 @@ def _word_images(word_mats, word):
     return row
 
 
-class _RawDraws:
-    """A numpy Generator's uniform and integers draws, from its raw words.
-
-    With a PCG64 bit generator, ``Generator.uniform(lo, hi)`` is
-    lo + (hi - lo) * (w >> 11) * 2^-53 for the next 64-bit word w, and
-    ``Generator.integers(lo, hi)``, on a range of at most 2^32 values, is
-    Lemire's multiply-and-reject on 32-bit draws: the low half of a new
-    word, then its high half, which the bit generator carries to its next
-    32-bit draw; whole-word draws leave the carried half alone.  ``words``
-    iterates over the raw words of a fresh stream, as iterating over a
-    ``streams.Stream`` does, so no half is carried at the start.
-    """
-
-    def __init__(self, words):
-        self._half = None
-        self._word = words.__next__
-
-    def _uint32(self) -> int:
-        if self._half is None:
-            word = self._word()
-            self._half = word >> 32
-            return word & 0xFFFFFFFF
-        half, self._half = self._half, None
-        return half
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * ((self._word() >> 11) * 2.0**-53)
-
-    def integers(self, lo: int, hi: int) -> int:
-        """A draw from range(lo, hi), for 2 <= hi - lo <= 2^32."""
-        n = hi - lo
-        m = self._uint32() * n
-        if (m & 0xFFFFFFFF) < n:
-            # the lowest 2^32 mod n products are rejected, so that every
-            # value is equally likely
-            threshold = (1 << 32) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._uint32() * n
-        return lo + (m >> 32)
-
-
-def _draw_attempts(draws, k, cutoff, R, n_letters):
+def _draw_attempts(stream, k, cutoff, R, n_letters):
     """The next k attempts' axis heights and reduced words.
 
     An attempt draws t in (cutoff, R) and a sign, for the axis point at
     height e^(sign t); then a length from 1 to 3 and that many letters,
     each drawn again while it would cancel the letter before it.
     """
-    uniform, integers = draws.uniform, draws.integers
+    uniform, integers = stream.uniform, stream.integers
     heights = []
     words = []
     for _ in range(k):
         t = uniform(cutoff, R)
-        sign = 1.0 if uniform() < 0.5 else -1.0
+        sign = 1.0 if uniform(0.0, 1.0) < 0.5 else -1.0
         heights.append(math.exp(sign * t))
         word = []
         for _ in range(integers(1, 4)):
@@ -446,13 +403,13 @@ def angle_change_check(
     OverflowError names R when a word image lies too far out for the
     rejection test to measure (as at R = 130).
 
-    The attempts come from one stream, read through _RawDraws.  Each
-    slice of up to _SLICE accepted samples is filled in rounds that draw
-    as many attempts as the slice still lacks and test them as arrays,
-    so no attempt is drawn past the one that completes the sample count,
-    and an error is raised at the attempt where testing one attempt at a
-    time raises it: a new word's images first, then that attempt's
-    rejection test, then RuntimeError after 50 * samples attempts.
+    The attempts come from one stream.  Each slice of up to _SLICE
+    accepted samples is filled in rounds that draw as many attempts as
+    the slice still lacks and test them as arrays, so no attempt is
+    drawn past the one that completes the sample count, and an error is
+    raised at the attempt where testing one attempt at a time raises it:
+    a new word's images first, then that attempt's rejection test, then
+    RuntimeError after 50 * samples attempts.
     """
     rho0, rho1 = rep_pair
     if rho0.complex != rho1.complex:
@@ -491,7 +448,7 @@ def angle_change_check(
     # representations as (real, imag, height) * 2
     words = {}
     ends = []
-    draws = _RawDraws(iter(Stream((seed, 0x3A7))))
+    stream = Stream((seed, 0x3A7))
     maxima = (0.0, 0.0, 0.0)
     accepted = 0
     rejected = 0
@@ -507,7 +464,7 @@ def angle_change_check(
             if k == 0:
                 raise RuntimeError("could not draw enough admissible samples")
             budget -= k
-            xt, drawn = _draw_attempts(draws, k, cutoff, R, n_letters)
+            xt, drawn = _draw_attempts(stream, k, cutoff, R, n_letters)
             # rows of the attempts' words, up to a new word whose images
             # fail; the attempts before it are still tested, in order
             rows = []

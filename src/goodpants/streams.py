@@ -15,9 +15,13 @@ output of A_j*s_0 + G_j*inc, where s_0 = a*(seed + inc) + inc.  One
 table of (A_m, G_m) for m up to _CHUNK gives the next _CHUNK words of
 many streams at once (``spawned_words``) or of one (``Stream``).
 
-The draws that numpy's Generator derives from a word w are, for
-``random`` and ``uniform(lo, hi)``, (w >> 11) * 2^-53 and
-lo + (hi - lo) * (w >> 11) * 2^-53.
+The rules by which numpy's Generator turns words into draws live here
+alone.  ``random`` is (w >> 11) * 2^-53 of a word w, and
+``uniform(lo, hi)`` is lo + (hi - lo) times that.  ``integers(lo, hi)``
+on n <= 2^32 values is Lemire's multiply-and-reject (ACM TOMACS 2019)
+on 32-bit draws x: lo + (x * n >> 32), redrawn while x * n mod 2^32 <
+2^32 mod n.  A 32-bit draw is a new word's low half, then its high
+half, which is carried past whole-word draws (numpy's ``has_uint32``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["Stream", "spawned_words"]
+__all__ = ["Stream", "first_integers", "spawned_words", "unit_doubles"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -206,48 +210,82 @@ def spawned_words(entropy, keys, k: int) -> np.ndarray:
     return out
 
 
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random``'s doubles from uint64 words: (w >> 11) * 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def first_integers(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The first ``Generator.integers(lo, hi)`` of fresh streams, from their first words.
+
+    hi - lo must be a power of two up to 2^32, which Lemire's method
+    never rejects, so the draw comes from the word's low half alone.
+    """
+    n = hi - lo
+    if n < 2 or n > 1 << 32 or n & (n - 1):
+        raise ValueError("need hi - lo a power of two from 2 to 2^32")
+    x = words & np.uint64(_MASK32)
+    return lo + ((x * np.uint64(n)) >> np.uint64(32)).astype(np.int64)
+
+
 class Stream:
-    """The words of ``PCG64(SeedSequence(entropy))``, read in order.
+    """``Generator(PCG64(SeedSequence(entropy)))``'s draws, in stream order.
 
     Words are computed _CHUNK at a time from the state that the chunk
-    starts at, together with their unit doubles (w >> 11) * 2^-53, and
-    ``words``, ``random`` and ``uniform`` each take the next ones from one
-    position, so those reads mix in stream order.
+    starts at, together with their unit doubles.  Every read takes the
+    next words from one position, so ``words``, ``random``, ``uniform``
+    and ``integers`` mix in stream order, as calls on one numpy Generator
+    do.  Scalar reads index a chunk that they filled as a list of Python
+    ints in place, with no call per word: a sampler may make tens of
+    thousands.
     """
 
     def __init__(self, entropy):
         self._state, self._inc = _seeded(np.array([_entropy_words(entropy)], dtype=np.uint32))
         self._words = np.empty(0, dtype=np.uint64)
         self._units = np.empty(0)
+        # the buffer as Python ints, or [] (see _scalar)
+        self._list = []
+        self._pos = 0
+        # the high half that the last 32-bit draw left, if any
+        self._half = None
+
+    def _fill(self, k: int) -> None:
+        """Put at least k words past the position in the buffer, from its start."""
+        pieces = [self._words[self._pos :]]
+        for _ in range(-((len(pieces[0]) - k) // _CHUNK)):
+            words, self._state = _run(self._state, self._inc, _CHUNK)
+            pieces.append(words[0])
+        self._words = np.concatenate(pieces)
+        self._units = unit_doubles(self._words)
+        self._list = []
         self._pos = 0
 
     def _next(self, k: int) -> slice:
-        """Where the next k words lie in the buffers, past which the stream moves."""
+        """Where the next k words lie in the buffer, past which the stream moves."""
+        if self._pos + k > len(self._words):
+            self._fill(k)
         start = self._pos
-        if start + k > len(self._words):
-            pieces = [self._words[start:]]
-            for _ in range(-((len(pieces[0]) - k) // _CHUNK)):
-                words, self._state = _run(self._state, self._inc, _CHUNK)
-                pieces.append(words[0])
-            self._words = np.concatenate(pieces)
-            self._units = (self._words >> np.uint64(11)) * 2.0**-53
-            start = 0
         self._pos = start + k
         return slice(start, self._pos)
+
+    def _scalar(self) -> int:
+        """The next word, for a scalar read past the end of the list.
+
+        A buffer that a scalar read fills is listed for the scalar reads
+        after it.  One that an array read filled is read a word at a
+        time, so a few scalar reads among array reads list no chunk.
+        """
+        if self._pos == len(self._words):
+            self._fill(1)
+            self._list = self._words.tolist()
+        self._pos += 1
+        return self._words.item(self._pos - 1)
 
     def words(self, k: int) -> np.ndarray:
         """The next k raw words, as uint64."""
         at = self._next(k)
         return self._words[at]
-
-    def __iter__(self):
-        """The words one at a time, as Python ints.
-
-        They are taken _CHUNK at a time from ``words``, so a caller reads
-        the stream either by iteration or by the other reads, not both.
-        """
-        while True:
-            yield from self.words(_CHUNK).tolist()
 
     def random(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), as ``Generator.random(n)`` draws them."""
@@ -256,7 +294,40 @@ class Stream:
 
     def uniform(self, lo: float, hi: float, n: int | None = None):
         """``Generator.uniform(lo, hi, n)``: a float, or n of them as an array."""
-        if n is None:
-            at = self._next(1).start
-            return lo + (hi - lo) * float(self._units[at])
-        return lo + (hi - lo) * self.random(n)
+        if n is not None:
+            return lo + (hi - lo) * self.random(n)
+        pos, words = self._pos, self._list
+        if pos < len(words):
+            self._pos = pos + 1
+            word = words[pos]
+        else:
+            word = self._scalar()
+        return lo + (hi - lo) * ((word >> 11) * 2.0**-53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``Generator.integers(lo, hi)``, for 2 <= hi - lo <= 2^32."""
+        n = hi - lo
+        while True:
+            half = self._half
+            if half is None:
+                pos, words = self._pos, self._list
+                if pos < len(words):
+                    self._pos = pos + 1
+                    word = words[pos]
+                else:
+                    word = self._scalar()
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            if (m & 0xFFFFFFFF) >= n > 1:
+                return lo + (m >> 32)
+            # every product lands here when hi - lo is below 2 (numpy
+            # draws nothing for one value) or above 2^32
+            if not 1 < n <= 1 << 32:
+                raise ValueError("integers needs 2 <= hi - lo <= 2^32")
+            # the lowest 2^32 mod n products, all below n, are rejected so
+            # that every value is equally likely
+            if (m & 0xFFFFFFFF) >= (1 << 32) % n:
+                return lo + (m >> 32)

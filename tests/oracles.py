@@ -18,6 +18,9 @@ classes included, as the program computed it before it dropped them.
 MoebiusMap's sign rule is also applied here the plain way: every entry
 through complex(), and cmath.phase of the first entry above 1e-14
 compared with +-math.pi / 2 computed in place.
+
+The Smith normal form's unimodular certificates are checked with the
+exact integer product and determinant here; the program needs neither.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from goodpants.geom import (
     _Infinity,
     _same_boundary_point,
 )
-from goodpants.homology import cokernel
+from goodpants.homology import IntegerMatrix, cokernel
 from goodpants.lemmalab import _pair_distances
 
 
@@ -183,6 +186,43 @@ def sigma_with_pages(p: int, genus: int) -> int:
     if after.rank < before.rank:
         raise ArithmeticError("torsion generator outside lattice span")
     return math.gcd(math.prod(before.torsion) // math.prod(after.torsion), p)
+
+
+def integer_matmul(m: IntegerMatrix, n: IntegerMatrix) -> IntegerMatrix:
+    """The exact product m @ n."""
+    if m.cols != n.rows:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*n.entries))
+    return IntegerMatrix(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in m.entries)
+    )
+
+
+def integer_determinant(m: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def moebius_entries_by_phase(a, b, c, d, unit_det=False):

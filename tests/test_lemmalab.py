@@ -32,7 +32,6 @@ from goodpants.lemmalab import (
     quasigeodesic_stability_check,
     two_planes_angle_check,
 )
-from goodpants.streams import Stream
 from oracles import quasigeodesic_on_full_net
 
 AXIS = OrientedGeodesic(0j, INFINITY)
@@ -533,58 +532,6 @@ class TestAngleChange:
         other = build_rho(y, RepParams.zero(y, R=20.0, tau=1.0))
         with pytest.raises(ValueError):
             angle_change_check((self.rho0, other), p=3, samples=10, seed=0)
-
-
-class TestRawDraws:
-    """The angle-change sweep's reader against numpy's Generator."""
-
-    @staticmethod
-    def calls(script):
-        """One call of a Generator method, chosen by the script."""
-        op = script.randrange(5)
-        if op == 0:
-            lo = script.uniform(-5.0, 5.0)
-            return "uniform", (lo, lo + script.uniform(0.0, 30.0))
-        if op == 1:
-            return "uniform", ()
-        if op == 2:
-            return "integers", (1, 4)
-        if op == 3:
-            return "integers", (0, 8)
-        # about 30% of 32-bit draws are rejected on this range
-        return "integers", (0, 3_000_000_000)
-
-    @pytest.mark.parametrize("seeds, n_calls", [(range(200), 300), (range(200, 204), 12000)])
-    def test_same_draws_as_the_generator(self, seeds, n_calls):
-        # the longer runs cross a chunk of raw words
-        for seed in seeds:
-            sequence = np.random.SeedSequence((seed, 0x3A7))
-            generator = np.random.default_rng(sequence)
-            # a fresh generator, like the sweep's stream, carries no half word
-            assert generator.bit_generator.state["has_uint32"] == 0
-            draws = lemmalab._RawDraws(iter(Stream((seed, 0x3A7))))
-            script = random.Random(seed)
-            for _ in range(n_calls):
-                name, args = self.calls(script)
-                got, want = getattr(draws, name)(*args), getattr(generator, name)(*args)
-                assert type(got) is (float if name == "uniform" else int)
-                assert got == want, (seed, name, args)
-
-    def test_lemire_rejects_the_lowest_products(self):
-        # integers(1, 4) multiplies a 32-bit draw x by 3 and rejects the
-        # products whose low word is below 2^32 mod 3 = 1: only x = 0
-        words = iter([0, 0xFFFFFFFF, 0xABCDEF0123456789, 7 << 11])
-        draws = lemmalab._RawDraws(words)
-        # halves 0 and 0 of the first word are rejected; 0xFFFFFFFF * 3
-        # has high word 2
-        assert draws.integers(1, 4) == 3
-        # the second word's high half, 0, is carried; on eight values
-        # 2^32 mod 8 = 0, so a product of 0 is kept
-        assert draws.integers(0, 8) == 0
-        # a whole word for a double, and the carried half is spent
-        assert draws.uniform() == (0xABCDEF0123456789 >> 11) * 2.0**-53
-        assert draws.uniform(2.0, 4.0) == 2.0 + 2.0 * 7 * 2.0**-53
-        assert next(words, None) is None
 
 
 class TestArrayKernels:

@@ -217,3 +217,34 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def _spelled(node):
+    """The number a node spells, bare, negated or wrapped as np.uint64(n)."""
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        node = node.args[0]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _spelled(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def test_only_streams_knows_numpy_draw_rules():
+    # numpy's draw constants, the >> 11 and 2**-53 of a unit double and
+    # the 32-bit mask of Lemire's method, are written in streams alone
+    package = Path(goodpants.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "streams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and (
+                (isinstance(node.op, ast.RShift) and _spelled(node.right) == 11)
+                or (isinstance(node.op, ast.Pow) and _spelled(node.right) == -53)
+            ):
+                found.append((path.name, node.lineno))
+            elif isinstance(node, ast.Constant) and node.value == 0xFFFFFFFF:
+                found.append((path.name, node.lineno))
+    assert found == []

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,9 @@ def test_stream_reads_in_pieces_and_by_iteration(entropy):
     stream = streams.Stream(entropy)
     pieces = [stream.words(k).tolist() for k in (1, 4095, 1, 4097, 3 * 4096 + 10 - 8194)]
     assert sum(pieces, []) == want
-    words = iter(streams.Stream(entropy))
-    got = [next(words) for _ in want]
-    assert got == want
-    assert all(type(w) is int for w in got)
+    # a word at a time, across every chunk end
+    stream = streams.Stream(entropy)
+    assert [int(stream.words(1)[0]) for _ in want] == want
 
 
 @pytest.mark.parametrize("entropy", ENTROPIES + [(5, 0x3A7)])
@@ -77,6 +78,90 @@ def test_mixed_reads_keep_one_position(entropy):
         assert stream.random(k).tolist() == generator.random(k).tolist()
 
 
+@pytest.mark.parametrize("entropy", [0, (7, 0x3A7)])
+def test_integers_mix_with_whole_word_reads(entropy):
+    # integers, scalar and array uniform, random and raw words in turn,
+    # across chunk ends: a whole-word read between two integers draws
+    # leaves the carried high half for the second, as numpy does
+    stream, generator = streams.Stream(entropy), np.random.default_rng(np.random.SeedSequence(entropy))
+    raw = generator.bit_generator.random_raw
+    for k in (1, 4093, 2, 1, 4096, 3, 5000, 1, 7):
+        for lo, hi in ((1, 4), (0, 3_000_000_000), (-5, 2**32 - 5)):
+            assert stream.integers(lo, hi) == generator.integers(lo, hi)
+            assert stream.uniform(-0.3, 0.3) == generator.uniform(-0.3, 0.3)
+        assert stream.uniform(2.0, 5.0, k).tolist() == generator.uniform(2.0, 5.0, k).tolist()
+        assert stream.integers(0, 8) == generator.integers(0, 8)
+        assert stream.random(k).tolist() == generator.random(k).tolist()
+        assert stream.integers(0, 8) == generator.integers(0, 8)
+        assert stream.words(k).tolist() == raw(k).tolist()
+
+
+def _generator_call(script):
+    """One call of a Generator method, chosen by the script."""
+    op = script.randrange(5)
+    if op == 0:
+        lo = script.uniform(-5.0, 5.0)
+        return "uniform", (lo, lo + script.uniform(0.0, 30.0))
+    if op == 1:
+        return "uniform", (0.0, 1.0)
+    if op == 2:
+        return "integers", (1, 4)
+    if op == 3:
+        return "integers", (0, 8)
+    # about 30% of 32-bit draws are rejected on this range
+    return "integers", (0, 3_000_000_000)
+
+
+@pytest.mark.parametrize("seeds, n_calls", [(range(200), 300), (range(200, 204), 12000)])
+def test_same_draws_as_the_generator(seeds, n_calls):
+    # angle-change's scalar draws; the longer runs cross a chunk of words
+    for seed in seeds:
+        sequence = np.random.SeedSequence((seed, 0x3A7))
+        generator = np.random.default_rng(sequence)
+        # a fresh generator, like a fresh Stream, carries no half word
+        assert generator.bit_generator.state["has_uint32"] == 0
+        stream = streams.Stream((seed, 0x3A7))
+        script = random.Random(seed)
+        for _ in range(n_calls):
+            name, args = _generator_call(script)
+            got, want = getattr(stream, name)(*args), getattr(generator, name)(*args)
+            assert type(got) is (float if name == "uniform" else int)
+            assert got == want, (seed, name, args)
+
+
+def planted(words):
+    """A Stream whose next words are ``words``."""
+    stream = streams.Stream(0)
+    stream._words = np.array(words, dtype=np.uint64)
+    return stream
+
+
+def test_lemire_rejects_the_lowest_products():
+    # integers(1, 4) multiplies a 32-bit draw x by 3 and rejects the
+    # products whose low word is below 2^32 mod 3 = 1: only x = 0
+    stream = planted([0, 0xFFFFFFFF, 0xABCDEF0123456789, 7 << 11, 5 << 32 | 1])
+    # halves 0 and 0 of the first word are rejected; 0xFFFFFFFF * 3
+    # has high word 2
+    assert stream.integers(1, 4) == 3
+    # a whole word for a double leaves the second word's high half, 0,
+    # carried; on eight values 2^32 mod 8 = 0, so a product of 0 is kept
+    assert stream.uniform(0.0, 1.0) == (0xABCDEF0123456789 >> 11) * 2.0**-53
+    assert stream.integers(0, 8) == 0
+    assert stream.uniform(2.0, 4.0) == 2.0 + 2.0 * 7 * 2.0**-53
+    # 2^32 values take x itself: the low half, then the high half
+    assert stream.integers(0, 2**32) == 1
+    assert stream.integers(10, 10 + 2**32) == 15
+    assert stream._pos == 5
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 3), (5, 6), (0, 2**32 + 1)])
+def test_integers_refuse_ranges_outside_2_to_2_32(lo, hi):
+    # numpy refuses hi <= lo and draws nothing for one value; past 2^32
+    # values every product would be rejected, so the draw would never end
+    with pytest.raises(ValueError):
+        streams.Stream(0).integers(lo, hi)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11, 2**40])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 2.5])
 def test_rep_params_random_matches_the_generator(seed, scale):
@@ -92,13 +177,31 @@ def test_rep_params_random_matches_the_generator(seed, scale):
 def test_qi_sampler_reads_numpy_children():
     # certify_qi's sample i: numpy's integers(2, 6), then 3n - 2 doubles,
     # on the generator of child i
-    for i in (0, 1, 511, 512, 4096):
+    keys = [0, 1, 511, 512, 4096]
+    words = streams.spawned_words(4, keys, 3 * holonomy._QI_MAX_SEG - 1)
+    n_seg = streams.first_integers(words[:, 0], 2, holonomy._QI_MAX_SEG + 1)
+    assert n_seg.dtype == np.int64
+    for i, row, n in zip(keys, words, n_seg.tolist()):
         generator = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(i,)))
-        n = int(generator.integers(2, 6))
-        words = streams.spawned_words(4, [i], 3 * holonomy._QI_MAX_SEG - 1)[0]
-        assert 2 + ((int(words[0]) & 0xFFFFFFFF) >> 30) == n
-        want = generator.random(3 * n - 2).tolist()
-        assert ((words[1 : 3 * n - 1] >> np.uint64(11)) * 2.0**-53).tolist() == want
+        assert n == generator.integers(2, 6)
+        assert streams.unit_doubles(row[1 : 3 * n - 1]).tolist() == generator.random(3 * n - 2).tolist()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2), (-3, 5), (7, 7 + 2**32)])
+def test_first_integers_match_the_generator(lo, hi):
+    words = streams.spawned_words(9, range(64), 1)[:, 0]
+    got = streams.first_integers(words, lo, hi).tolist()
+    want = [
+        np.random.default_rng(np.random.SeedSequence(9, spawn_key=(i,))).integers(lo, hi)
+        for i in range(64)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 3), (0, 6), (0, 2**33)])
+def test_first_integers_refuse_ranges_that_can_reject(lo, hi):
+    with pytest.raises(ValueError):
+        streams.first_integers(np.zeros(2, dtype=np.uint64), lo, hi)
 
 
 def test_negative_entropy_is_refused():
