@@ -512,9 +512,10 @@ def _scan_alphabet(rho: ViableRep) -> list[MoebiusMap]:
     return gens
 
 
-# Words per slice of the depth-first scan.  Each level on the stack
-# holds the children of one slice, at most letters * _SCAN_CHUNK words,
-# whatever the word length; per-letter temporaries stay at 64 KiB.
+# Words per slice of the depth-first scan.  A slice's children are
+# visited whenever _SCAN_CHUNK of them are waiting, so each level on the
+# stack holds fewer than 2 * _SCAN_CHUNK words, whatever the alphabet
+# size; per-letter temporaries stay at 64 KiB.
 _SCAN_CHUNK = 4096
 
 
@@ -556,12 +557,13 @@ def _scan_words(
 
     def extend(words, a, b, c, d):
         # words (m, k) of one length k < max_length with their matrices:
-        # classify every reduced one-letter extension and return them,
-        # or None when they are as long as the scan goes
+        # classify every reduced one-letter extension and, below the last
+        # length, gather them letter by letter and visit them whenever
+        # _SCAN_CHUNK are waiting and after the last letter
         nonlocal total
         last = words[:, -1]
         leaf = words.shape[1] + 1 == max_length
-        children = []
+        children, waiting = [], 0
         for l in range(n_letters):
             keep = last != inverse[l]
             total += int(np.count_nonzero(keep))
@@ -582,21 +584,24 @@ def _scan_words(
                 d2 = cr * lb[l] + dr * ld[l]
             for i in _near_identity(a2, b2, c2, d2, threshold):
                 violations.append((*words[rows[i]].tolist(), l))
-            if not leaf:
-                child = np.empty((len(rows), words.shape[1] + 1), dtype=words.dtype)
-                child[:, :-1] = words[rows]
-                child[:, -1] = l
-                children.append((child, a2, b2, c2, d2))
-        if leaf:
-            return None
-        return [np.concatenate(parts) for parts in zip(*children)]
+            if leaf:
+                continue
+            child = np.empty((len(rows), words.shape[1] + 1), dtype=words.dtype)
+            child[:, :-1] = words[rows]
+            child[:, -1] = l
+            children.append((child, a2, b2, c2, d2))
+            waiting += len(rows)
+            if waiting >= _SCAN_CHUNK or l == n_letters - 1:
+                batch = [np.concatenate(parts) for parts in zip(*children)]
+                children, waiting = [], 0
+                # hold only the batch while its words are extended
+                del ar, br, cr, dr, a2, b2, c2, d2, child
+                visit(*batch)
 
     def visit(words, a, b, c, d):
         for s in range(0, len(words), _SCAN_CHUNK):
             part = slice(s, s + _SCAN_CHUNK)
-            children = extend(words[part], a[part], b[part], c[part], d[part])
-            if children is not None:
-                visit(*children)
+            extend(words[part], a[part], b[part], c[part], d[part])
 
     if max_length > 1:
         words = np.arange(n_letters, dtype=np.int16).reshape(-1, 1)
@@ -615,9 +620,10 @@ def nontriviality_scan(rho: ViableRep, max_length: int = 6) -> ScanReport:
     length and then by the word read backwards.
 
     The words are enumerated depth-first: a slice of at most _SCAN_CHUNK
-    words is extended by every letter, and the scan recurses on slices
-    of the children.  Live memory is bounded by about max_length x
-    letters x _SCAN_CHUNK words, not by the number of words.  Each
+    words is extended letter by letter, and the scan recurses on the
+    children whenever _SCAN_CHUNK of them are waiting and after the last
+    letter.  Live memory is bounded by about 2 x max_length x _SCAN_CHUNK
+    words, not by the number of words or of letters.  Each
     product is kept as four complex arrays and multiplied by a letter
     on the right with elementwise arithmetic; no BLAS call is made on
     this path, so the products may differ from a matmul in the last

@@ -458,17 +458,20 @@ class TestCertifyQi:
 
 class TestNontrivialityScan:
     def test_memory_does_not_hold_a_word_length(self):
+        # each depth holds fewer than 2 * _SCAN_CHUNK words, so one more
+        # letter, with 15x the words, stays under the same bound
         x = grow_until(build_xp(1, 3), 16)
         rho = build_rho(x, RepParams.zero(x, R=20.0))
-        tracemalloc.start()
-        try:
-            report = nontriviality_scan(rho, max_length=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.total_words == 867856
-        assert report.passed
-        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        for max_length, total_words in [(5, 867856), (6, 13017856)]:
+            tracemalloc.start()
+            try:
+                report = nontriviality_scan(rho, max_length=max_length)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.total_words == total_words
+            assert report.passed
+            assert peak < 4 * 2**20, f"{max_length} letters: peak {peak / 2**20:.1f} MiB"
 
     def test_model_complex_clean(self):
         x = build_xp(1, 3)
@@ -604,15 +607,31 @@ def _every_plant(seed):
     )
 
 
+def _eight_generators(seed):
+    """Eight generators, as many as the scan's alphabet has: six random
+    ones, a duplicate and a product."""
+    rng = np.random.default_rng(seed)
+    gens = [random_sl2(rng) for _ in range(6)]
+    return planted_alphabet(gens, [("duplicate", 4, 0), ("product", 2, 5)])
+
+
 class TestScanWords:
     @settings(max_examples=60, deadline=None)
     @given(
         case=planted_alphabets(),
         max_length=st.integers(1, 5),
-        chunk=st.sampled_from([3, 64, holonomy._SCAN_CHUNK]),
+        chunk=st.sampled_from([1, 3, 5, 64, holonomy._SCAN_CHUNK]),
     )
     @example(case=_every_plant(1), max_length=3, chunk=3)
     @example(case=_every_plant(2), max_length=4, chunk=holonomy._SCAN_CHUNK)
+    # one-word slices: the word of the second-last letter has no child by
+    # the last letter, so that letter keeps no rows with nothing waiting
+    @example(case=_every_plant(3), max_length=3, chunk=1)
+    @example(case=_eight_generators(4), max_length=4, chunk=5)
+    # a slice of words that all end in the second-last letter: the last
+    # letter keeps no rows while the other letters' children wait
+    @example(case=_eight_generators(5), max_length=4, chunk=64)
+    @example(case=_eight_generators(6), max_length=4, chunk=holonomy._SCAN_CHUNK)
     def test_matches_breadth_first_oracle(self, case, max_length, chunk):
         letters, planted = case
         with mock.patch.object(holonomy, "_SCAN_CHUNK", chunk):
