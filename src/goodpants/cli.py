@@ -6,9 +6,8 @@ it; ``verify`` runs the certification checks on a stored complex;
 sampling sweeps.  All reports are canonical JSON (sorted keys); sweep
 commands also write CSV.  Exit codes: 0 success; 2 refused input, usage
 errors, disconnected complexes and unwritable ``--out`` paths included; 3
-construction failure, such as pants that meet only across singular
-circles; 4 a failed check.  Exits 2 and 3 print one JSON error line on
-stderr.
+construction failure, such as numbers past double precision; 4 a failed
+check.  Exits 2 and 3 print one JSON error line on stderr.
 
 A command accepts only the options its handler reads: each ``lemma``
 sweep is a subcommand with its own options, and ``homology`` takes

@@ -36,9 +36,10 @@ class DisconnectedResultError(ValueError):
 class Circle(NamedTuple):
     """A circle of the complex with its rotation degree.
 
-    k is the rotation numerator for singular circles; validate refuses
-    a circle with d > 1 and k not coprime to d.  It is carried through
-    to the holonomy builder and ignored when d = 1.
+    k is the rotation numerator; validate refuses a circle with d > 1
+    and k not coprime to d.  holonomy.build_rho reads it on every
+    singular circle, d = 1 included; JSON omits it where d = 1, so it
+    reads back as 1 there.
     """
 
     d: int = 1

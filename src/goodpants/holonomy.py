@@ -93,13 +93,12 @@ class ViableRep(NamedTuple):
     with equal half-lengths share one), and conjugators[i] places it:
     the placed pants' generators are conjugators[i] * gen *
     conjugators[i]^-1, which nothing stores.
-    measure_frames[c] holds, for each regular circle, one frame per side,
-    in the order of complex.attachments_of(c); each takes that side's
-    base_reps copy to the circle's axis on (0, infinity), the right
-    side's with the axis reversed.  singular_base[c] is the root
-    holonomy of a singular circle next to the base_reps copy of its
-    first attachment's pants; as for the pants, nothing stores the
-    placed root.
+    measure_frames[c] holds, for every circle, one frame per attachment,
+    in attachments_of(c) order; each takes that attachment's base_reps
+    copy to the circle's axis on (0, infinity), reversed if flipped.
+    singular_base[c] is the root holonomy of a singular circle next to
+    the base_reps copy of its first attachment's pants; as for the
+    pants, nothing stores the placed root.
     """
 
     complex: PantsComplex
@@ -130,18 +129,25 @@ class ViableRep(NamedTuple):
 def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     """Develop the complex: glue pants along circles by shear-and-paste.
 
-    A breadth-first spanning tree of the graph is traversed from pants
-    0.  Each tree circle places the pants on its far side: that pants'
-    cuff goes onto the circle's axis, reversed, with its foot at the
-    circle's shear from the near side's foot.  Every regular circle,
-    in the tree or not, records its two measuring frames.  Singular
-    circles carry the d-th root loxodromic of the adjacent cuff
-    (rotated by k extra turns), so its d-th power is the cuff holonomy.
+    A breadth-first walk from pants 0 takes each circle the first time
+    it reaches it, from pants u through slot su.  It records one
+    measuring frame per attachment, in attachments_of(c) order, and
+    places a pants not yet placed from its frame.  u's frame is its base
+    frame.  A regular circle's far side goes onto the axis reversed, its
+    foot at -/+(shear + pi*i).  Attachment j of a singular circle has its
+    foot at (j - j_u) * (2*hl + 2*pi*i*k) / D, D = degree_sum(c); it is
+    reversed, its foot negated, where its slot orientation differs from
+    u's, so its placed cuff is u's to the power o_u * o_v.  Regular
+    circles are reversed whatever their orientations: grown complexes
+    have equal ones on some regular circles (20 of 143 at L = 16), as
+    walks._Growth.surger pastes the donor's orientations unchanged, and
+    reading them would develop those complexes differently.  Singular
+    circles carry the d-th root loxodromic of the adjacent cuff (rotated
+    by k extra turns), so its d-th power is the cuff holonomy.
 
     graph_of refuses an invalid complex; DegenerateError refuses a
-    circle whose half-length is not positive, a pants that
-    build_pants_rep cannot build (naming R and the pants), and pants that
-    meet pants 0 only across singular circles, as none can be placed.
+    circle whose half-length is not positive and a pants that
+    build_pants_rep cannot build (naming R and the pants).
     """
     graph_of(x)
     for c in range(len(x.circles)):
@@ -165,53 +171,43 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
             except DegenerateError as exc:
                 raise DegenerateError(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
         base.append(built[hl])
-    n = len(x.pants)
-    conj: list[MoebiusMap | None] = [None] * n
+    conj: list[MoebiusMap | None] = [None] * len(x.pants)
     conj[0] = MoebiusMap.identity()
-    measure_frames = {}
+    measure_frames, singular_base = {}, {}
 
     # the placed pants in breadth-first order; the loop reads those it adds
     order = [0]
     for u in order:
         for su, c in enumerate(x.pants[u].slots):
-            if not x.is_regular(c) or c in measure_frames:
+            if c in measure_frames:
                 continue
-            (pa, sa), (pb, sb) = x.attachments_of(c)
-            u_is_left = (pa, sa) == (u, su)
-            v, sv = (pb, sb) if u_is_left else (pa, sa)
-            s = params.shear_of(c) + math.pi * 1j
-            delta = -s if u_is_left else s
-            # frames of the placed copy are the base frames transported
-            # by the conjugator, so only the base copies' frames are read:
-            # build_pants_rep made them as screw products, and the placed
-            # matrices are too large to read anything back from.  The
-            # per-side measuring frames collapse to cancellation-free
-            # products: the shared frame times the side's conjugator is
-            # the base frame on the placed side and
-            # Screw(delta) * the base frame on the new side.
+            atts = x.attachments_of(c)
+            j_u = atts.index((u, su))
+            regular = x.is_regular(c)
+            if regular:
+                step = params.shear_of(c) + math.pi * 1j
+            else:
+                circle = x.circles[c]
+                root = 2.0 * params.halflength(c) + 2.0 * circle.k * math.pi * 1j
+                step = root / x.degree_sum(c)
+                F = base[atts[0][0]].frames[atts[0][1]]
+                singular_base[c] = F.inverse() * _screw(root / circle.d) * F
+            # only base frames are read, as the placed matrices are too
+            # large to read back.  The shared frame (reversed for a flipped
+            # side) times a side's conjugator is G0 on u's side and
+            # Screw(delta) * B on the others
             G0 = base[u].frames[su]
-            B = base[v].frames[sv]
-            frame_v = _screw(delta) * B
-            measure_frames[c] = (G0, frame_v) if u_is_left else (frame_v, G0)
-            if conj[v] is None:
-                # v's cuff goes onto u's axis reversed, foot at delta
-                G = G0 * conj[u].inverse()
-                conj[v] = (_FLIP * G).inverse() * _screw(delta) * B
-                order.append(v)
-    if len(order) < n:
-        raise DegenerateError(
-            f"{n - len(order)} of {n} pants meet pants 0 only across singular"
-            " circles, so they cannot be placed"
-        )
-
-    singular_base = {}
-    for c in x.singular_circles():
-        d = x.circles[c].d
-        k = x.circles[c].k
-        (pi, slot) = x.attachments_of(c)[0]
-        F = base[pi].frames[slot]
-        root_length = (2.0 * params.halflength(c) + 2.0 * k * math.pi * 1j) / d
-        singular_base[c] = F.inverse() * _screw(root_length) * F
+            frames = []
+            for j, (v, sv) in enumerate(atts):
+                flip = regular or x.pants[v].orientations[sv] != x.pants[u].orientations[su]
+                delta = -(j - j_u) * step if flip else (j - j_u) * step
+                B = base[v].frames[sv]
+                frames.append(G0 if j == j_u else _screw(delta) * B)
+                if conj[v] is None:
+                    G = G0 * conj[u].inverse()
+                    conj[v] = ((_FLIP * G) if flip else G).inverse() * _screw(delta) * B
+                    order.append(v)
+            measure_frames[c] = tuple(frames)
     return ViableRep(
         complex=x,
         params=params,
@@ -267,20 +263,19 @@ def development_residual(rho: ViableRep) -> float:
 def check_p_separated(rho: ViableRep, p: int) -> bool:
     """Whether the feet on every singular circle are 2*pi/p separated.
 
+    Foot j is the angle of attachment j's foot in its measuring frame
+    times its slot orientation, which undoes a flipped foot's negation.
     The d-fold rotational symmetry spreads each foot into d copies; the
     circle passes iff all circular gaps between copies are at least
     2*pi/p and no two feet coincide, both up to a tolerance of 1e-9.
     """
     x = rho.complex
     for c in x.singular_circles():
-        atts = x.attachments_of(c)
-        # frame from the first attachment; its own foot angle is 0
-        first, slot = atts[0]
-        F = rho.base_reps[first].frames[slot] * rho.conjugators[first].inverse()
-        thetas = []
-        for pi, slot in atts:
-            frame = rho.base_reps[pi].frames[slot] if pi == first else F * rho.conjugators[pi]
-            thetas.append(foot_of(rho.base_reps[pi], slot, frame=frame).value.imag)
+        thetas = [
+            x.pants[pi].orientations[slot]
+            * foot_of(rho.base_reps[pi], slot, frame=frame).value.imag
+            for (pi, slot), frame in zip(x.attachments_of(c), rho.measure_frames[c])
+        ]
         if not _feet_separated(thetas, x.circles[c].d, p):
             return False
     return True

@@ -21,6 +21,11 @@ compared with +-math.pi / 2 computed in place.
 
 The Smith normal form's unimodular certificates are checked with the
 exact integer product and determinant here; the program needs neither.
+
+Complexes joined only across singular circles are built here, for the
+tests to develop and take the homology of: two copies of X_3 sharing a
+singular circle, and finite covers along singular roots (with no
+voltages), which the program does not build.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 
 import numpy as np
 
+from goodpants.complexes import Pants, PantsComplex, build_xp
 from goodpants.geom import (
     INFINITY,
     MoebiusMap,
@@ -238,3 +244,47 @@ def moebius_entries_by_phase(a, b, c, d, unit_det=False):
                 a, b, c, d = -a, -b, -c, -d
             break
     return a, b, c, d
+
+
+def two_chains(share_singular):
+    """Two copies of build_xp(1, 3), disjoint or sharing singular circle 0.
+
+    Shared, the complex is connected, but only across a singular circle.
+    """
+    one = build_xp(1, 3)
+    shared = 1 if share_singular else 0
+    shift = len(one.circles) - shared
+    other = tuple(
+        Pants(
+            slots=tuple(c if c < shared else c + shift for c in p.slots),
+            orientations=p.orientations,
+        )
+        for p in one.pants
+    )
+    circles = one.circles + one.circles[shared:]
+    return PantsComplex(pants=one.pants + other, circles=circles)
+
+
+def root_cover(x: PantsComplex, m: int, circles) -> PantsComplex:
+    """The m-fold cover of x whose roots of the named circles map to 1 in Z/m.
+
+    It is m copies of x.  Each named circle, whose degree d must be
+    divisible by m, is shared by all the copies at degree d/m, keeping its
+    id and k; every other circle gets its own copy in each copy of x,
+    copy 0 keeping the ids of x.
+    """
+    out = list(x.circles)
+    for c in circles:
+        circle = x.circles[c]
+        if circle.d % m:
+            raise ValueError(f"circle {c} has degree {circle.d}, not divisible by {m}")
+        out[c] = circle._replace(d=circle.d // m)
+    pants = list(x.pants)
+    for _ in range(1, m):
+        ids = {}
+        for c, circle in enumerate(x.circles):
+            if c not in circles:
+                ids[c] = len(out)
+                out.append(circle)
+        pants += [p._replace(slots=tuple(ids.get(c, c) for c in p.slots)) for p in x.pants]
+    return PantsComplex(pants=tuple(pants), circles=tuple(out))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import hashlib
 import importlib
 import io
@@ -21,8 +22,11 @@ from hypothesis import strategies as st
 import goodpants
 import goodpants.cli as cli
 from goodpants import holonomy, walks
+from goodpants.geom import _screw
 from goodpants.cli import main
 from goodpants.complexes import Circle, Pants, PantsComplex, build_xp, grow_until
+
+from oracles import root_cover, two_chains
 
 
 def run(capsys, argv):
@@ -324,6 +328,68 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["pass"] is False
         assert doc["checks"]["p_separated"]["pass"] is False
+
+
+@functools.cache
+def root_covers():
+    """3-fold covers along singular roots, which meet only across the roots."""
+    x3 = build_xp(1, 3)
+    x16 = grow_until(build_xp(1, 3), 16)
+    return {
+        "X3": root_cover(x3, 3, [0]),
+        "L16": root_cover(x16, 3, [x16.singular_circles()[0]]),
+        "X3-both": root_cover(x3, 3, [0, 1]),
+    }
+
+
+class TestRootCovers:
+    @pytest.mark.parametrize(
+        "name, h1",
+        [("X3", "Z^13 + Z/3 + Z/3"), ("L16", "Z^289 + Z/3 + Z/3"), ("X3-both", "Z^15")],
+    )
+    def test_homology(self, tmp_path, capsys, name, h1):
+        path = tmp_path / "cover.json"
+        path.write_text(root_covers()[name].to_json())
+        code, out, err = run(capsys, ["homology", "--complex", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["h1"]["describe"] == h1
+
+    @pytest.mark.parametrize("tau", ["0", "1"])
+    @pytest.mark.parametrize("name", ["X3", "L16", "X3-both"])
+    def test_verify_passes(self, tmp_path, capsys, name, tau):
+        # a lifted root has d = 1 and three attachments, so its feet are
+        # 2*pi/3 apart: p-separated at p = 3, with equality
+        path = tmp_path / "cover.json"
+        path.write_text(root_covers()[name].to_json())
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(path), "--seed", "0", "--words", "3",
+             "--samples", "300", "--tau", tau],
+        )
+        assert (code, err) == (0, "")
+        assert all(check["pass"] for check in json.loads(out)["checks"].values())
+
+    def test_rotated_foot_fails_p_separation(self, tmp_path, capsys, monkeypatch):
+        # turning one foot on the lifted root by 0.3 rad brings two feet
+        # closer than 2*pi/3
+        build_rho = holonomy.build_rho
+
+        def rotated(x, params):
+            rho = build_rho(x, params)
+            frames = list(rho.measure_frames[0])
+            frames[1] = _screw(0.3j) * frames[1]
+            return rho._replace(measure_frames={**rho.measure_frames, 0: tuple(frames)})
+
+        monkeypatch.setattr(holonomy, "build_rho", rotated)
+        path = tmp_path / "cover.json"
+        path.write_text(root_covers()["X3"].to_json())
+        code, out, err = run(
+            capsys,
+            ["verify", "--complex", str(path), "--seed", "0", "--words", "3", "--samples", "300"],
+        )
+        assert (code, err) == (4, "")
+        checks = json.loads(out)["checks"]
+        assert [name for name, check in checks.items() if not check["pass"]] == ["p_separated"]
 
 
 class TestHomology:
@@ -853,25 +919,6 @@ class TestSmallR:
         assert re.match(message, text), text
 
 
-def two_chains(share_singular):
-    """Two copies of build_xp(1, 3), disjoint or sharing singular circle 0.
-
-    Shared, the complex is connected, but only across a singular circle.
-    """
-    one = build_xp(1, 3)
-    shared = 1 if share_singular else 0
-    shift = len(one.circles) - shared
-    other = tuple(
-        Pants(
-            slots=tuple(c if c < shared else c + shift for c in p.slots),
-            orientations=p.orientations,
-        )
-        for p in one.pants
-    )
-    circles = one.circles + one.circles[shared:]
-    return PantsComplex(pants=one.pants + other, circles=circles)
-
-
 def error_of(err):
     """The one JSON error line on stderr, as (code, message)."""
     assert err.endswith("\n") and err.count("\n") == 1, err
@@ -1015,24 +1062,32 @@ class TestOneRuleForInput:
         assert json.loads(out)["h1"]["describe"] == "Z^9 + Z/3 + Z/3"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, runs",
         [
-            ["verify", "--complex", "{path}", "--seed", "1", "--words", "2", "--samples", "10"],
-            ["lemma", "angle-change", "--complex", "{path}", "--seed", "1", "--samples", "10"],
+            (
+                ["verify", "--complex", "{path}", "--seed", "1", "--words", "2", "--samples", "10"],
+                [(["--p", "3"], 4), (["--p", "6"], 0)],
+            ),
+            (
+                ["lemma", "angle-change", "--complex", "{path}", "--seed", "1", "--samples", "10"],
+                [([], 0)],
+            ),
         ],
         ids=["verify", "lemma"],
     )
-    def test_singular_join_cannot_be_developed(self, tmp_path, capsys, argv):
+    def test_singular_join_develops(self, tmp_path, capsys, argv, runs):
+        # the join is circle 0, of degree 3 with two attachments, so its
+        # D = 6 feet are 2*pi/6 apart: too close for p = 3, enough for p = 6.
+        # Each command gives its own verdict; none refuses the join
         path = tmp_path / "joined.json"
         path.write_text(two_chains(share_singular=True).to_json())
-        code, out, err = run(capsys, [a.format(path=path) for a in argv])
-        assert code == 3
-        assert out == ""
-        assert error_of(err) == (
-            "construction-failed",
-            "4 of 8 pants meet pants 0 only across singular circles,"
-            " so they cannot be placed",
-        )
+        for extra, want in runs:
+            code, out, err = run(capsys, [a.format(path=path) for a in argv] + extra)
+            report = json.loads(out)
+            assert (code, err, report["pass"]) == (want, "", want == 0)
+            if "checks" in report:
+                failed = [name for name, c in report["checks"].items() if not c["pass"]]
+                assert failed == ([] if want == 0 else ["p_separated"])
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -30,7 +30,32 @@ from goodpants.holonomy import (
     _scan_words,
     nontriviality_scan,
 )
-from oracles import maps_close
+from oracles import maps_close, root_cover, two_chains
+
+
+def placed_cuff(rho, i, slot):
+    """The cuff of pants i on slot, conjugated into its placed position."""
+    g = rho.conjugators[i]
+    return g * rho.base_reps[i].cuff(slot) * g.inverse()
+
+
+def orientation_error(rho, c):
+    """Largest relative gap from cuff_v = cuff_u^(o_u * o_v) on circle c.
+
+    u is c's first attachment and v each other one; maps are compared
+    modulo sign, relative to the largest entry of the wanted cuff.
+    """
+    x = rho.complex
+    (u, su), *others = x.attachments_of(c)
+    cuff_u = placed_cuff(rho, u, su)
+    worst = 0.0
+    for v, sv in others:
+        same = x.pants[u].orientations[su] == x.pants[v].orientations[sv]
+        want = np.array((cuff_u if same else cuff_u.inverse()).entries())
+        got = np.array(placed_cuff(rho, v, sv).entries())
+        gap = min(np.abs(got - want).max(), np.abs(got + want).max())
+        worst = max(worst, gap / np.abs(want).max())
+    return worst
 
 
 def round_trip_errors(x, params):
@@ -195,7 +220,7 @@ class TestBuildRho:
         with pytest.raises(ValueError):
             build_rho(x, RepParams.zero(x, R=10.0))
 
-    def test_singular_join_cannot_be_placed(self):
+    def test_singular_join_is_placed(self):
         from goodpants.complexes import Circle, Pants, PantsComplex, validate
 
         # connected, but only across the singular circle 0
@@ -204,11 +229,9 @@ class TestBuildRho:
             circles=(Circle(d=2), Circle(), Circle()),
         )
         assert validate(x) == []
-        with pytest.raises(
-            geom.DegenerateError,
-            match="^1 of 2 pants meet pants 0 only across singular circles",
-        ):
-            build_rho(x, RepParams.zero(x, R=10.0))
+        rho = build_rho(x, RepParams.zero(x, R=10.0))
+        assert None not in rho.conjugators
+        assert orientation_error(rho, 0) < 1e-12
 
 
 class TestPSeparated:
@@ -225,6 +248,49 @@ class TestPSeparated:
             # d-fold symmetric feet have gaps 2*pi/d, too narrow for the
             # half-turn separation demanded at p = 2
             assert not check_p_separated(rho, 2)
+
+    def test_wedge_fails_below_its_feet(self):
+        # two X_3 sharing circle 0, of degree 3 with two attachments: its
+        # D = 6 feet are 2*pi/6 apart
+        x = two_chains(share_singular=True)
+        rho = build_rho(x, RepParams.zero(x, R=20.0))
+        assert not check_p_separated(rho, 3)
+        assert check_p_separated(rho, 6)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["equal", "mixed"])
+    @pytest.mark.parametrize("base", ["wedge", "cover"])
+    def test_placement_is_a_representation(self, base, tau, sign):
+        # circle 0 of the wedge (D = 6) or of the 3-fold root cover of X_3
+        # (D = 3), with its second attachment's orientation times sign
+        if base == "wedge":
+            x = two_chains(share_singular=True)
+        else:
+            x = root_cover(build_xp(1, 3), 3, [0])
+        _, (v, sv), *_ = x.attachments_of(0)
+        orientations = list(x.pants[v].orientations)
+        orientations[sv] *= sign
+        changed = list(x.pants)
+        changed[v] = x.pants[v]._replace(orientations=tuple(orientations))
+        x = PantsComplex(pants=tuple(changed), circles=x.circles)
+        rho = build_rho(x, RepParams.random(x, R=20.0, tau=tau, seed=4))
+        assert orientation_error(rho, 0) < 1e-12
+        # a flipped foot is negated and read back times its orientation,
+        # so the D feet stay evenly spread
+        D = x.degree_sum(0)
+        assert check_p_separated(rho, D)
+        assert not check_p_separated(rho, D - 1)
+
+    def test_rotated_foot_fails(self):
+        # the 3-fold root cover of X_3: its lifted root has d = 1 and three
+        # feet 2*pi/3 apart; turning one by 0.3 rad brings two closer
+        x = root_cover(build_xp(1, 3), 3, [0])
+        rho = build_rho(x, RepParams.random(x, R=20.0, tau=1.0, seed=0))
+        assert check_p_separated(rho, 3)
+        frames = list(rho.measure_frames[0])
+        frames[1] = _screw(0.3j) * frames[1]
+        planted = rho._replace(measure_frames={**rho.measure_frames, 0: tuple(frames)})
+        assert not check_p_separated(planted, 3)
 
 
 def list_separated(thetas, d, p):

@@ -26,6 +26,7 @@ from goodpants.homology import (
     sigma,
     smith_normal_form,
 )
+from goodpants.holonomy import RepParams, build_rho, check_p_separated, development_residual
 from oracles import integer_determinant, integer_matmul, sigma_with_pages
 
 
@@ -107,6 +108,18 @@ def connected_complexes(draw):
     assume(_connected(x))
     assert not validate(x)
     return x
+
+
+class TestDevelopsEveryComplex:
+    @settings(max_examples=200, deadline=None)
+    @given(connected_complexes(), st.sampled_from([0.0, 1.0]))
+    def test_places_every_pants(self, x, tau):
+        # many drawn complexes meet only across singular circles, and their
+        # circles take several attachments of mixed orientations
+        rho = build_rho(x, RepParams.random(x, R=20.0, tau=tau, seed=len(x.pants)))
+        assert None not in rho.conjugators
+        assert development_residual(rho) < 1e-9
+        assert isinstance(check_p_separated(rho, 3), bool)
 
 
 def assert_snf_contract(m):
