@@ -7,7 +7,9 @@ sampling sweeps.  All reports are canonical JSON (sorted keys); sweep
 commands also write CSV.  Exit codes: 0 success; 2 refused input, usage
 errors, disconnected complexes and unwritable ``--out`` paths included; 3
 construction failure, such as numbers past double precision; 4 a failed
-check.  Exits 2 and 3 print one JSON error line on stderr.
+check.  Exits 2 and 3 print one JSON error line on stderr.  ``main``
+alone turns an exception into 2 or 3, by its class: an ``ArithmeticError``
+(``geom.DegenerateError`` included) exits 3, any other ``ValueError`` 2.
 
 A command accepts only the options its handler reads: each ``lemma``
 sweep is a subcommand with its own options, and ``homology`` takes
@@ -192,15 +194,12 @@ def cmd_build(args) -> int:
         raise ConfigError("--tau > 0 needs --seed to draw the perturbation")
     if args.L < 0:
         raise ConfigError("--L must be non-negative")
-    try:
-        x = build_xp(args.genus, args.p)
-        if args.L > 0:
-            x = grow_until(x, args.L)
-        length, neg_count = complexity(graph_of(x))
-        rho = build_rho(x, _params_for(x, args))
-        residual = development_residual(rho)
-    except ValueError as exc:
-        return _emit_error("construction-failed", str(exc))
+    x = build_xp(args.genus, args.p)
+    if args.L > 0:
+        x = grow_until(x, args.L)
+    length, neg_count = complexity(graph_of(x))
+    rho = build_rho(x, _params_for(x, args))
+    residual = development_residual(rho)
     if args.out is not None:
         _write(args.out, x.to_json())
     summary = _report_header(args, "build")
@@ -235,12 +234,9 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ConfigError("need at least one sample")
     x = _load_complex(args.complex)
-    try:
-        rho = build_rho(x, _params_for(x, args))
-        residual = development_residual(rho)
-        separated = check_p_separated(rho, args.p)
-    except ValueError as exc:
-        return _emit_error("construction-failed", str(exc))
+    rho = build_rho(x, _params_for(x, args))
+    residual = development_residual(rho)
+    separated = check_p_separated(rho, args.p)
     qi = certify_qi(R=args.R, p=args.p, samples=args.samples, seed=args.seed)
     scan = nontriviality_scan(rho, max_length=args.words)
     checks = {
@@ -331,15 +327,9 @@ def _parse_R_list(raw: str) -> list[float]:
 
 
 def cmd_lemma(args) -> int:
-    from .geom import DegenerateError
-
     if args.out is not None and not os.path.basename(args.out):
         raise ConfigError(f"--out needs a file name prefix, got {args.out!r}")
-    try:
-        report = _run_lemma(args)
-    except DegenerateError as exc:
-        # a development or a sweep that degenerates numerically
-        return _emit_error("construction-failed", str(exc))
+    report = _run_lemma(args)
     if args.out is None:
         _write(None, report.to_json())
     else:
@@ -446,7 +436,8 @@ def main(argv=None) -> int:
         # only --help and --version exit, with 0: usage errors raise
         return exc.code
     except ArithmeticError as exc:
-        # numbers out of double range, in whichever command
+        # numbers out of double range or a degenerate construction
+        # (DegenerateError), in whichever command
         return _emit_error("construction-failed", str(exc))
     except ValueError as exc:
         # ConfigError, or any other ValueError the input provokes

@@ -33,12 +33,16 @@ _PARABOLIC_TOL = 1e-10
 _HALF_PI = math.pi / 2
 
 
-class NotLoxodromicError(ValueError):
+class DegenerateError(ArithmeticError, ValueError):
+    """Raised when a hexagon or pants construction degenerates numerically.
+
+    As an ArithmeticError it fails the construction (the command line
+    exits 3); callers that catch ValueError catch it too.
+    """
+
+
+class NotLoxodromicError(DegenerateError):
     """Raised when a translation length is requested of a non-loxodromic map."""
-
-
-class DegenerateError(ValueError):
-    """Raised when a hexagon or pants construction degenerates numerically."""
 
 
 class _Infinity:
@@ -169,12 +173,13 @@ class Point(_Point):
         return tuple.__new__(cls, (horizontal, height))
 
 
-def _same_boundary_point(p: BoundaryPoint, q: BoundaryPoint, tol: float = 0.0) -> bool:
+def _same_boundary_point(p: BoundaryPoint, q: BoundaryPoint) -> bool:
     p_inf = isinstance(p, _Infinity)
     q_inf = isinstance(q, _Infinity)
     if p_inf or q_inf:
         return p_inf and q_inf
-    return abs(p - q) <= tol
+    # not p == q, which holds for two equal infinite complex numbers
+    return abs(p - q) == 0.0
 
 
 def mobius_apply(m: MoebiusMap, z: BoundaryPoint) -> BoundaryPoint:

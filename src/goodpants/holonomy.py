@@ -419,7 +419,7 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
         raise ValueError("need p >= 3 for admissible bends")
     if not 0.0 < R < math.inf:
         raise ValueError("need a finite R > 0")
-    from .streams import first_integers, spawned_words, unit_doubles
+    from .streams import first_integers, spawned_words, uniform_doubles, unit_doubles
 
     # bounds of the draws in path order: length, then bend and spin
     # before each further segment
@@ -440,9 +440,8 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
         unit[:, : 3 * _QI_MAX_SEG - 2] = unit_doubles(words[:, 1:])
         # a path of n segments reads 3n - 2 draws; the rest stay 0
         unit[np.arange(3 * _QI_MAX_SEG) >= 3 * n_seg[:, None] - 2] = 0.0
-        # Generator.uniform(low, high) is low + (high - low) * random(),
-        # a double at a time; scaled here for the whole slice at once
-        draws = low + (high - low) * unit
+        # Generator.uniform(low, high), scaled for the whole slice at once
+        draws = uniform_doubles(low, high, unit)
         try:
             chord, total = _path_chords(n_seg, draws)
         except (OverflowError, ZeroDivisionError) as exc:

@@ -32,8 +32,9 @@ from .geom import (
     apply_to_point,
     normalize_to_axis,
     _FLIP,
+    _screw,
 )
-from .streams import Stream
+from .streams import Stream, uniform_doubles
 from .sweeps import SweepReport, SweepRow, hexagon_asymptotics_check
 
 __all__ = [
@@ -274,12 +275,12 @@ def two_planes_angle_check(
     xi_max = 4.0 * eps / R * math.exp(-R / 4.0)
     # each sample draws uniform b, d, xi in turn, as rows of Generator.random
     low = np.array([math.exp(-R / 4.0), 1.0, -xi_max])
-    width = np.array([2.0, R, xi_max]) - low
+    high = np.array([2.0, R, xi_max])
     max_psi = 0.0
     max_disagreement = 0.0
     for done in range(0, samples, _SLICE):
         u = stream.random(3 * min(_SLICE, samples - done)).reshape(-1, 3)
-        b, d, xi = (low + width * u).T
+        b, d, xi = uniform_doubles(low, high, u).T
         try:
             _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
         except (OverflowError, ZeroDivisionError) as exc:
@@ -309,6 +310,33 @@ def two_planes_angle_check(
 
 
 _BASE_POINT = Point(0j, 1.0)
+
+
+def _axis_letters(rho, c: int) -> list:
+    """The letters of angle-change's words on circle c: gen1, gen2 of each side, then inverses.
+
+    They are the generators of the pants on both sides of the circle,
+    written in its left-oriented axis coordinates; words mixing the two
+    sides feel the bending of the deformed gluing.  A generator that is
+    the circle's own cuff (gen1 on slot 0, gen2 on slot 1) is built as
+    the exact screw along the axis, by twice the slot's half-length,
+    reversed on the right side: the conjugated product rounds off the
+    axis, and words in such letters would then leave it.
+    """
+    placed = []
+    for idx, (pi, slot) in enumerate(rho.complex.attachments_of(c)):
+        frame = rho.measure_frames[c][idx]
+        rep = rho.base_reps[pi]
+        for gen, g in enumerate((rep.gen1, rep.gen2)):
+            if gen == slot:
+                hl = rep.halflengths[slot]
+                placed.append(_screw(2.0 * hl if idx == 0 else -2.0 * hl))
+                continue
+            m = frame * g * frame.inverse()
+            if idx == 1:
+                m = _FLIP * m * _FLIP
+            placed.append(m)
+    return placed + [g.inverse() for g in placed]
 
 
 def _word_images(word_mats, word):
@@ -398,7 +426,10 @@ def angle_change_check(
     the angles are measured in the axis frame (_UP, _BINORMAL).  The theta
     shift and the phi defect from pi/2 are each bounded by 1/(4p), their
     maximum by 1/p.  Samples whose endpoints are closer than R/2 are
-    rejected and redrawn.  DegenerateError names a word whose holonomy
+    rejected and redrawn.  Words in the circle's own cuff letters alone
+    map the base point onto the axis (see _axis_letters), so their
+    segments run along it in both developments; they count as samples
+    and shift no angle.  DegenerateError names a word whose holonomy
     rounds to a singular matrix, as happens past double precision, and
     OverflowError names R when a word image lies too far out for the
     rejection test to measure (as at R = 130).
@@ -425,22 +456,7 @@ def angle_change_check(
     regular = rho0.complex.regular_circles()
     if not regular:
         raise ValueError("the complex has no regular circle to measure the angles along")
-    c = regular[0]
-    word_mats = []
-    for rho in (rho0, rho1):
-        # generators of the pants on both sides of the circle, written in
-        # the circle's left-oriented axis coordinates; words mixing the
-        # two sides feel the bending of the deformed gluing
-        placed = []
-        for idx, (pi, _) in enumerate(rho.complex.attachments_of(c)):
-            frame = rho.measure_frames[c][idx]
-            rep = rho.base_reps[pi]
-            for g in (rep.gen1, rep.gen2):
-                m = frame * g * frame.inverse()
-                if idx == 1:
-                    m = _FLIP * m * _FLIP
-                placed.append(m)
-        word_mats.append(placed + [g.inverse() for g in placed])
+    word_mats = [_axis_letters(rho, regular[0]) for rho in (rho0, rho1)]
     n_letters = len(word_mats[0])
 
     # per reduced word seen (at most 8 + 8 * 7 + 8 * 7^2 with eight

@@ -30,7 +30,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["Stream", "first_integers", "spawned_words", "unit_doubles"]
+__all__ = ["Stream", "first_integers", "spawned_words", "uniform_doubles", "unit_doubles"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -215,6 +215,15 @@ def unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+def uniform_doubles(lo, hi, units):
+    """``Generator.uniform(lo, hi)``'s draws from their unit doubles: lo + (hi - lo) * u.
+
+    lo and hi may be arrays that broadcast with ``units``, one bound per
+    column, as numpy's array bounds are read.
+    """
+    return lo + (hi - lo) * units
+
+
 def first_integers(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The first ``Generator.integers(lo, hi)`` of fresh streams, from their first words.
 
@@ -295,7 +304,7 @@ class Stream:
     def uniform(self, lo: float, hi: float, n: int | None = None):
         """``Generator.uniform(lo, hi, n)``: a float, or n of them as an array."""
         if n is not None:
-            return lo + (hi - lo) * self.random(n)
+            return uniform_doubles(lo, hi, self.random(n))
         pos, words = self._pos, self._list
         if pos < len(words):
             self._pos = pos + 1

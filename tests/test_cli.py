@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import goodpants
 import goodpants.cli as cli
 from goodpants import holonomy, walks
-from goodpants.geom import _screw
+from goodpants.geom import DegenerateError, _screw
 from goodpants.cli import main
 from goodpants.complexes import Circle, Pants, PantsComplex, build_xp, grow_until
 
@@ -150,7 +150,7 @@ class TestBuild:
 
     def test_construction_failure(self, capsys, monkeypatch):
         def boom(x, params):
-            raise ValueError("no viable development")
+            raise DegenerateError("no viable development")
 
         monkeypatch.setattr(holonomy, "build_rho", boom)
         code, out, err = run(capsys, ["build", "--L", "0"])
@@ -608,6 +608,31 @@ class TestLemma:
         assert json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize(
+        "shift, failing",
+        [(0.3j, ["phi-orthogonality"]), (0.3, ["theta-shift"])],
+        ids=["rotated", "slid"],
+    )
+    def test_planted_frame_fails_the_sweep(self, capsys, monkeypatch, shift, failing):
+        # the right side's frame of the deformed development, turned about
+        # the measured axis by 0.3 rad or slid along it by 0.3
+        build_rho = holonomy.build_rho
+
+        def planted(x, params):
+            rho = build_rho(x, params)
+            if params.tau == 0.0:
+                return rho
+            c = x.regular_circles()[0]
+            frames = list(rho.measure_frames[c])
+            frames[1] = _screw(shift) * frames[1]
+            return rho._replace(measure_frames={**rho.measure_frames, c: tuple(frames)})
+
+        monkeypatch.setattr(holonomy, "build_rho", planted)
+        code, out, err = run(capsys, ["lemma", "angle-change", "--samples", "2000", "--seed", "0"])
+        assert (code, err) == (4, "")
+        rows = json.loads(out)["rows"]
+        assert [row["params"]["check"] for row in rows if not row["pass"]] == failing
+
+    @pytest.mark.parametrize(
         "argv, seed, digest",
         [
             pytest.param(
@@ -628,27 +653,27 @@ class TestLemma:
             ),
             pytest.param(
                 ["angle-change", "--p", "3", "--R", "20", "--samples", "10000"], "0",
-                "4aab28f04a38b4560af9e050dbff3fdba4aaa036a784bde982d682dabb2ebe92", id="angle-change-0",
+                "940e3f32c16f116a2fd196e5ec3f8873bd7098ccafa4fd1de4dd069e5c58d1c2", id="angle-change-0",
             ),
             pytest.param(
                 ["angle-change", "--p", "3", "--R", "20", "--samples", "10000"], "1",
-                "2dbe8cf548644e1098fd586350ddc4efc044466198d520549bba21f03b70b080", id="angle-change-1",
+                "9cd8ec3464da9ed7ec3dfebd5a6129ccaca242c665103ac99bf0e7794d609a43", id="angle-change-1",
             ),
             pytest.param(
                 ["angle-change", "--p", "5", "--R", "30", "--samples", "10000"], "0",
-                "8d7996e831d2562d299b36aa69d605bc7b971056c2f5137de9762bdf0e7e1565", id="angle-change-p5-R30-0",
+                "e7a4c092f8e272f3acaa423e7e1e3f09485682561b81922caa2c353b7d3b0594", id="angle-change-p5-R30-0",
             ),
             pytest.param(
                 ["angle-change", "--p", "5", "--R", "30", "--samples", "10000"], "1",
-                "266512643621ab64d10b31f15726339beed86afa7c1c4c0b2158aaacfe72cb69", id="angle-change-p5-R30-1",
+                "86948c5bfd302ecbd0b839b8c1be83a5a8abea762dc264484c27362f65c31702", id="angle-change-p5-R30-1",
             ),
             pytest.param(
                 ["angle-change", "--complex", "{complex}", "--samples", "10000"], "1",
-                "c07199ddb32888958f6ab1d4f05bc26f681999431155a8e17c8ce3914ddc720b", id="angle-change-L16-1",
+                "fad515a154d58e1da6e98a97e5491f9a4957bd7857cf8f332683557c78c7b7ca", id="angle-change-L16-1",
             ),
             pytest.param(
                 ["angle-change", "--complex", "{complex}", "--samples", "5000"], "1",
-                "3a211de05b82310b5028e29eabade529cee192f38355b390e3c993523b30165d", id="angle-change-L16-5000-1",
+                "4967fbd79ed764183eeef6fbcb972b8d0d62152e8e90e496b0e882856f8fe157", id="angle-change-L16-5000-1",
             ),
             pytest.param(
                 ["two-planes", "--eps", "0.05", "--R", "80", "--samples", "10000"], "0",
@@ -676,17 +701,35 @@ class TestLemma:
     @pytest.mark.parametrize(
         "p, R, samples, digest",
         [
-            ("3", "20", "300", "e73bf01e973aa3d552801252f989830356b91467622461ffac8d76b1f4d573b6"),
-            ("3", "20", "2000", "dba5e835606a1a876e91c7abd66fdf8a0d25ddfa60c987580b8e169a9292a5bf"),
-            ("4", "30", "300", "387880fce4cefe440b2ea635088a3f526caf3e27ff1ee5e21952cfc61f28267a"),
-            ("4", "30", "2000", "2611559846310579e177b43ebaee6545c235c1a68c00a2089ef49313754e31a9"),
-            ("5", "24", "300", "06896fbb41ad9eb0ca89dd6c91f0b641f05faa2924a77d47a406ad4e55bfdf58"),
-            ("5", "24", "2000", "d29e804c6fbca7d622d4a15377f519ca4515f7b0cdd010956437cd93f5f35306"),
+            pytest.param(
+                "3", "20", "300", "7a091a92f1f41093eb002330bfacc3f9696a32309d5b62f019f9ff20989add17",
+                id="p3-R20-300",
+            ),
+            pytest.param(
+                "3", "20", "2000", "73b84a724fa3e7888caa15d1a17490147f7bafed5dd4dd1affa2def2188dde7d",
+                id="p3-R20-2000",
+            ),
+            pytest.param(
+                "4", "30", "300", "3497fcf401aed9ea6a950bfd0ecebbae19f2aa568d870ac1ff57b1615cc5ff25",
+                id="p4-R30-300",
+            ),
+            pytest.param(
+                "4", "30", "2000", "5ccd4e9f0abc7deb54a37334bd5ed262728fd92a98cda72c126f54fcac021d31",
+                id="p4-R30-2000",
+            ),
+            pytest.param(
+                "5", "24", "300", "84e77c6b2695eb9ce384edcd9c0a8077d8d0ed3c05a473df3d07550a197eabae",
+                id="p5-R24-300",
+            ),
+            pytest.param(
+                "5", "24", "2000", "3f4cbb401099a626f3eb208946ea8ff4cafcbc61c9335a48e3031a9a859cf2b7",
+                id="p5-R24-2000",
+            ),
         ],
     )
     def test_pinned_angle_change_seeds(self, capsys, p, R, samples, digest):
-        # digest of the reports of seeds 0-23, one after another, as the
-        # sweep that drew and tested one attempt at a time printed them
+        # digest of the reports of seeds 0-23, one after another, with the
+        # circle's own cuff letters built as exact screws; every seed passes
         outs = []
         for seed in range(24):
             code, out, err = run(
@@ -694,7 +737,7 @@ class TestLemma:
                 ["lemma", "angle-change", "--p", p, "--R", R, "--samples", samples,
                  "--seed", str(seed)],
             )
-            assert code in (0, 4) and err == ""
+            assert code == 0 and err == ""
             outs.append(out)
         assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
@@ -702,19 +745,22 @@ class TestLemma:
         "R, p, seed, samples, digest, message",
         [
             pytest.param(
-                "130", "3", "0", 805,
-                "db2e654a5fdd375ca5055486299b8b46835c6723358bb02e2ee060009cca5699",
+                "130", "3", "0", 77,
+                "84f6e7c4bf1d5b7397e6aa3722f76c1bc42357f9cf6c73c3bde80fa08d983588",
                 "a word image's distance from the base point overflows", id="overflow",
             ),
+            # named for the singular word that rounded cuff letters made;
+            # exact ones leave none, and the sweep passes
             pytest.param(
                 "90", "2", "0", 1134,
-                "87ea4c32dbe91ae6afc6136c7cd81d0ac150d49dbf0670b037708c46670894a6",
-                "the holonomy of word [6, 1, 4] rounds to a singular matrix", id="degenerate",
+                "6843ca94cf1ba17d3db192ad20932bee0d5b8e4d51ff54a5409fffaca9f142fd",
+                None, id="degenerate",
             ),
+            # named likewise; it now fails on overflow
             pytest.param(
-                "130", "3", "1", 24,
-                "8df80b24ddfb50d18e6459f97a06520543c6f38e90daf928296115ed1d228da1",
-                "the holonomy of word [1, 2] rounds to a singular matrix", id="degenerate-early",
+                "130", "3", "1", 43,
+                "ebd3ec2ff80a2fe6e5730bcbfce18e7f5aac1732a136c93a35259eebcddcfbe7",
+                "a word image's distance from the base point overflows", id="degenerate-early",
             ),
         ],
     )
@@ -729,9 +775,33 @@ class TestLemma:
         assert code in (0, 4) and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         code, out, err = run(capsys, argv + [str(samples + 1)])
+        if message is None:
+            assert code == 0 and err == ""
+            return
         assert code == 3 and out == ""
         assert error_of(err) == (
             "construction-failed", f"R = {R}.0 is too large for double precision: {message}"
+        )
+
+    def test_singular_word_fails_the_construction(self, capsys, monkeypatch):
+        # a word whose holonomy rounds to a singular matrix divides by zero
+        # when it moves the base point
+        from goodpants import lemmalab
+
+        word_images = lemmalab._word_images
+
+        def singular(word_mats, word):
+            if word == (1, 2):
+                raise ZeroDivisionError("complex division by zero")
+            return word_images(word_mats, word)
+
+        monkeypatch.setattr(lemmalab, "_word_images", singular)
+        code, out, err = run(capsys, ["lemma", "angle-change", "--samples", "2000", "--seed", "0"])
+        assert code == 3 and out == ""
+        assert error_of(err) == (
+            "construction-failed",
+            "R = 20.0 is too large for double precision: the holonomy of word [1, 2]"
+            " rounds to a singular matrix",
         )
 
     @pytest.mark.parametrize(
@@ -1205,17 +1275,14 @@ class TestOneRuleForInput:
 
     @pytest.mark.parametrize("p", ["2", "5"])
     def test_angle_change_past_double_precision(self, capsys, p):
+        # the rounded cuff letters made word [6, 1, 4] singular at R = 90;
+        # the exact ones keep every word's holonomy invertible there
         code, out, err = run(
             capsys,
             ["lemma", "angle-change", "--R", "90", "--p", p, "--samples", "2000", "--seed", "0"],
         )
-        assert code == 3
-        assert out == ""
-        assert error_of(err) == (
-            "construction-failed",
-            "R = 90.0 is too large for double precision: the holonomy of word"
-            " [6, 1, 4] rounds to a singular matrix",
-        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["pass"] is True
 
 
 # Option values for the contract test.  Every size is small, so that the
@@ -1335,6 +1402,40 @@ def invoke(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class TestFailureRule:
+    """main alone maps an exception to an exit code, by the exception's class."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--L", "0"],
+            ["verify", "--complex", "{complex}", "--seed", "0", "--words", "1", "--samples", "1"],
+            ["lemma", "angle-change", "--samples", "10", "--seed", "0"],
+        ],
+        ids=["build", "verify", "angle-change"],
+    )
+    @pytest.mark.parametrize(
+        "error, code, kind",
+        [(DegenerateError, 3, "construction-failed"), (ValueError, 2, "invalid-config")],
+        ids=["degenerate", "value"],
+    )
+    def test_the_class_decides(self, small_complex, capsys, monkeypatch, argv, error, code, kind):
+        def boom(x, params):
+            raise error("planted in the development")
+
+        monkeypatch.setattr(holonomy, "build_rho", boom)
+        code_, out, err = run(capsys, [a.format(complex=small_complex) for a in argv])
+        assert code_ == code and out == ""
+        assert error_of(err) == (kind, "planted in the development")
+
+    def test_handlers_catch_nothing(self):
+        # the exception reaches main, which alone turns it into 2 or 3
+        import inspect
+
+        for handler in (cli.cmd_build, cli.cmd_verify, cli.cmd_lemma):
+            assert "except" not in inspect.getsource(handler), handler.__name__
 
 
 class TestContract:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from goodpants.geom import (
     INFINITY,
+    DegenerateError,
     MoebiusMap,
     NotLoxodromicError,
     OrientedGeodesic,
@@ -126,6 +127,13 @@ class TestMoebiusMap:
         for _ in range(50):
             m = random_moebius(rng)
             assert maps_close(m * m.inverse(), MoebiusMap.identity(), 1e-9)
+
+
+def test_numeric_failures_are_arithmetic_errors():
+    # the command line exits 3 on an ArithmeticError; existing callers
+    # still catch DegenerateError as a ValueError
+    assert issubclass(DegenerateError, ArithmeticError) and issubclass(DegenerateError, ValueError)
+    assert issubclass(NotLoxodromicError, DegenerateError)
 
 
 class TestComplexTranslationLength:

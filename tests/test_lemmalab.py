@@ -7,6 +7,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -19,6 +20,7 @@ from goodpants.geom import (
     OrientedGeodesic,
     Point,
     apply_to_point,
+    hexagon_solve,
     hyperbolic_point_distance,
     normalize_to_axis,
     translate_along,
@@ -502,6 +504,37 @@ class TestTwoPlanesAngle:
             two_planes_angle_check(0.01, 5.0, samples=10, seed=0)
 
 
+def mp_screw(d):
+    half = mpmath.exp(mpmath.mpc(d) / 2)
+    return mpmath.matrix([[half, 0], [0, 1 / half]])
+
+
+def mp_cuff_in_frame(halflengths, slot):
+    """frames[slot] * cuff(slot) * frames[slot]^-1 of build_pants_rep, in mpmath.
+
+    The same screws and half-turns from the same half-lengths and seam,
+    with build_pants_rep's constant matrices exact at the working
+    precision.
+    """
+    if slot == 0:
+        # frames[0] is the identity and gen1 the screw by 2 hl1
+        return mp_screw(2 * halflengths[0])
+    i = mpmath.mpc(0, 1)
+    half_turn = mpmath.matrix([[i, 0], [0, -i]])
+    flip = mpmath.matrix([[0, i], [i, 0]])
+    # normalize_to_axis of the seam (-1, 1), and its inverse
+    from_eta3 = mpmath.matrix([[1, 1], [1, -1]]) / mpmath.sqrt(mpmath.mpc(-2))
+    to_eta3 = from_eta3**-1
+    sigma = hexagon_solve(*halflengths)
+    rho3 = to_eta3 * half_turn * from_eta3
+    along_eta3 = to_eta3 * mp_screw(sigma[2]) * from_eta3
+    back_eta3 = along_eta3**-1
+    along_cuff2 = along_eta3 * mp_screw(halflengths[1]) * back_eta3
+    gen2 = rho3 * (along_cuff2 * rho3 * along_cuff2**-1)
+    frame = mp_screw(halflengths[1]) * half_turn * flip * back_eta3
+    return frame * gen2 * frame**-1
+
+
 class TestAngleChange:
     def setup_method(self):
         self.x = build_xp(1, 3)
@@ -526,6 +559,39 @@ class TestAngleChange:
         assert by_check["theta-shift"].bound == pytest.approx(1.0 / 12.0)
         assert by_check["theta-shift"].measured > 0.0
         assert by_check["combined"].bound == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("R", [20.0, 40.0])
+    def test_cuff_letters_are_exactly_diagonal(self, R):
+        # build_pants_rep's products for a cuff in its own frame, redone
+        # in mpmath from the same half-lengths and seam with exact
+        # constant matrices, are diagonal to working precision; the
+        # sweep's cuff letters are those diagonals, rounded once
+        flip = mpmath.matrix([[0, 1j], [1j, 0]])
+        circle = self.x.regular_circles()[0]
+        for rho in (
+            build_rho(self.x, RepParams.zero(self.x, R=R, tau=0.0)),
+            build_rho(self.x, RepParams.random(self.x, R=R, tau=1.0, seed=0)),
+        ):
+            letters = lemmalab._axis_letters(rho, circle)
+            cuffs = 0
+            for idx, (pi, slot) in enumerate(self.x.attachments_of(circle)):
+                if slot == 2:
+                    continue
+                with mpmath.workdps(50):
+                    exact = mp_cuff_in_frame(rho.base_reps[pi].halflengths, slot)
+                    if idx == 1:
+                        exact = flip * exact * flip
+                a, b, c, d = exact[0, 0], exact[0, 1], exact[1, 0], exact[1, 1]
+                assert max(abs(b), abs(c)) < mpmath.mpf(10) ** -40 * abs(a)
+                got = letters[2 * idx + slot].entries()
+                # equal modulo the sign of PSL(2, C)
+                scale = max(abs(a), abs(d))
+                assert min(
+                    max(abs(g - sign * w) for g, w in zip(got, (a, b, c, d)))
+                    for sign in (1, -1)
+                ) < 1e-15 * scale
+                cuffs += 1
+            assert cuffs == 2
 
     def test_mismatched_complexes_rejected(self):
         y = build_xp(2, 3)
