@@ -31,8 +31,9 @@ bits of one-at-a-time evaluation, so reports never depend on its value.
 A command loads only the modules it runs: this module imports the
 standard library and the version at its top, and each handler imports
 what it calls inside its own body.  So ``homology``, ``lemma hexagon``,
-``--version``, ``--help`` and usage errors start without numpy, and only
-the sampled ``lemma`` sweeps load ``lemmalab``.
+``build`` at ``--tau 0`` (its default), ``--version``, ``--help`` and
+usage errors start without numpy, and only the sampled ``lemma`` sweeps
+load ``lemmalab``.
 """
 
 from __future__ import annotations

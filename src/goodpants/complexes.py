@@ -7,9 +7,10 @@ complex looks like a surface there); everything else is singular.  The
 graph of the complex has the pants as vertices and the regular circles
 as edges, and its complexity is (shortest essential path length, minus
 the number of such paths), measured between the singular-adjacent
-(marked) vertices.  The walks that count those paths run in numpy, in
-``walks``; this module imports it only where it walks a graph or grows
-a complex, so reading and checking complexes does not load numpy.
+(marked) vertices.  The walks that count those paths are a per-seed
+breadth-first search in plain Python, in ``walks``; this module imports
+it only where it walks a graph or grows a complex.  No part of reading,
+checking, walking or growing a complex loads numpy.
 """
 
 from __future__ import annotations
@@ -284,9 +285,10 @@ class PantsGraph(_Frozen):
     @cached_property
     def _walks(self) -> tuple[int, int, int, list[int]]:
         """_shortest_walks of the graph; it is immutable, so walked once."""
-        from .walks import _dart_arrays, _shortest_walks
+        from .walks import _dart_lists, _shortest_walks
 
-        return _shortest_walks(_dart_arrays(self))
+        _, mask, out, succ = _dart_lists(self)
+        return _shortest_walks(mask, out, succ)
 
 
 def graph_of(x: PantsComplex) -> PantsGraph:
@@ -302,10 +304,9 @@ def complexity(g: PantsGraph) -> tuple[int, int]:
     walks between marked vertices with unmarked interior, cyclically
     reduced when closed (a walk and its reverse count once).
 
-    The walks are counted in float64 and n is exact: every count is a
-    sum of non-negative terms, each at most the count, so a count below
-    2**53 is an exact integer, and when the number of ordered walks
-    reaches 2**53 they are counted again in Python integers.
+    The walks are counted by a breadth-first search from each dart that
+    leaves a marked vertex, to about half the shortest length, in Python
+    integers, so n is exact however large.
     """
     l, total, _, _ = g._walks
     return l, -(total // 2)

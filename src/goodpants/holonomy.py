@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .complexes import PantsComplex, graph_of
 from .geom import (
     DegenerateError,
@@ -347,7 +345,10 @@ def _path_chords(n_seg, draws):
     scalar evaluation.  Raises OverflowError or ZeroDivisionError where
     an entry leaves double range.
     """
-    # elementwise loads only where the QI sampler runs: build never does
+    # numpy and elementwise load only where the QI sampler and the word
+    # scan run: build never does
+    import numpy as np
+
     from . import elementwise as ew
 
     # ew.python_floats, entered afresh: one errstate object cannot be
@@ -381,6 +382,8 @@ def _path_chords(n_seg, draws):
 
 def _select(keep, new, old):
     """Entries of the 2x2 matrices new where keep holds, of old elsewhere."""
+    import numpy as np
+
     return tuple(
         (np.where(keep, n[0], o[0]), np.where(keep, n[1], o[1])) for n, o in zip(new, old)
     )
@@ -394,6 +397,8 @@ def _qi_margins(R: float, chord, total):
     (a chord of nan, which compares false to both, or of inf) decides
     nothing, so it counts as a violation too.
     """
+    import numpy as np
+
     margin = chord - (total / 2.0 - R / 4.0)
     return margin, (margin < 0) | (chord > total + 1e-9) | ~np.isfinite(margin)
 
@@ -415,6 +420,8 @@ def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiRepor
     (from R = 60 some are inf, which counts as a violation); where an
     entry overflows, OverflowError names R.
     """
+    import numpy as np
+
     if p < 3:
         raise ValueError("need p >= 3 for admissible bends")
     if not 0.0 < R < math.inf:
@@ -513,7 +520,7 @@ def _scan_alphabet(rho: ViableRep) -> list[MoebiusMap]:
 _SCAN_CHUNK = 4096
 
 
-def _near_identity(a, b, c, d, threshold: float) -> np.ndarray:
+def _near_identity(a, b, c, d, threshold: float):
     """Indices of the matrices [[a, b], [c, d]] within threshold of +/- I.
 
     The distance to +/- I is the largest entry of |m -/+ I|.  Both
@@ -523,6 +530,8 @@ def _near_identity(a, b, c, d, threshold: float) -> np.ndarray:
     threshold and np.maximum and np.minimum propagate it, so inf and nan
     entries are never flagged.
     """
+    import numpy as np
+
     idx = np.flatnonzero((np.abs(b) < threshold) & (np.abs(c) < threshold))
     a, d = a[idx], d[idx]
     err_plus = np.maximum(np.abs(a - 1), np.abs(d - 1))
@@ -540,6 +549,8 @@ def _scan_words(
     letters from left to right.  Returns the number of words and the
     flagged words, by length and then by the word read backwards.
     """
+    import numpy as np
+
     mats = np.asarray(letters, dtype=complex).reshape(-1, 2, 2)
     n_letters = len(mats)
     if max_length < 1:
@@ -623,6 +634,8 @@ def nontriviality_scan(rho: ViableRep, max_length: int = 6) -> ScanReport:
     this path, so the products may differ from a matmul in the last
     bits.
     """
+    import numpy as np
+
     gens = _scan_alphabet(rho)
     letters = []
     for g in gens:

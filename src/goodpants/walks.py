@@ -1,16 +1,16 @@
-"""Walk counts on the dart arrays of a pants graph, in numpy.
+"""Walk counts on the darts of a pants graph, in plain Python.
 
-The array half of ``complexes``: the dart arrays and predecessor table
-of a graph, the non-backtracking walk layers, the shortest essential
-level with its middle-dart counts, and the growth state that surgery
-edits in place.  ``complexes`` imports this module only where it walks
-a graph or grows a complex, so commands that only read complexes never
-load numpy.
+The walking half of ``complexes``: the dart lists of a graph and their
+non-backtracking successor table, the per-seed breadth-first search
+that finds the shortest essential length with its middle-dart counts,
+and the growth state that surgery edits in place.  Every count is a
+Python int, so every count is exact.  ``complexes`` imports this module
+only where it walks a graph or grows a complex.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import bisect
 
 from .complexes import (
     Circle,
@@ -24,87 +24,63 @@ from .complexes import (
 )
 
 
-def _dart_arrays(g: PantsGraph):
-    """(tail, marked mask) as arrays.
+def _dart_lists(g: PantsGraph):
+    """(tail, mask, out, succ) of a graph, as lists.
 
     Darts 2e and 2e+1 are the two directions of edge e, so the head of
-    dart d is tail[d ^ 1].
+    dart d is tail[d ^ 1].  mask[v] says whether v is marked, out[v]
+    lists the darts leaving v in dart order, and succ[d] the darts a walk
+    may take just after d (see _set_successors).
     """
-    tail = np.array([v for _, a, b in g.edges for v in (a, b)], dtype=np.intp)
-    marked = np.zeros(g.n_vertices, dtype=bool)
-    marked[list(g.marked)] = True
-    return tail, marked
+    tail = [v for _, a, b in g.edges for v in (a, b)]
+    mask = [False] * g.n_vertices
+    for v in g.marked:
+        mask[v] = True
+    out = [[] for _ in range(g.n_vertices)]
+    for d, v in enumerate(tail):
+        out[v].append(d)
+    succ = [None] * len(tail)
+    for v in range(g.n_vertices):
+        _set_successors(succ, out, mask, v)
+    return tail, mask, out, succ
 
 
-# float64 holds every integer below 2**53 exactly
-_EXACT = 2**53
+def _set_successors(succ, out, mask, v):
+    """Set succ[d] for every dart d into v (d ^ 1 leaves v): the darts a
+    walk may take just after d are those leaving v other than d ^ 1, or
+    none when v is marked (a walk may only continue past an unmarked
+    vertex)."""
+    leaving = out[v]
+    for o in leaving:
+        succ[o ^ 1] = [] if mask[v] else [p for p in leaving if p != o]
 
 
-def _predecessors(tail, marked, rows=1):
-    """Padded table of the darts a walk may take just before each dart.
+def _levels(seed, succ):
+    """The breadth-first search from one seed dart, level by level.
 
-    Column d lists the reverses of the other darts leaving tail[d] (the
-    darts into tail[d] other than d ^ 1), or nothing when tail[d] is
-    marked (a walk may only continue past an unmarked vertex).  Empty
-    places hold the sentinel n_darts, which names an extra row of the
-    walk counts; the table has a sentinel column of its own, so that row
-    stays zero from layer to layer.  It has at least `rows` rows.
+    Level t (t = 1, 2, ...) is a dict from each dart first reached by a
+    walk of t darts that starts with seed, never reverses a dart and
+    passes only unmarked vertices in between, to the number of such
+    walks of t darts ending with it.  Every walk of t darts to a dart
+    first reached at level t comes through a dart first reached at level
+    t - 1, so each level sums the previous one (shortest-path counting,
+    as in Brandes 2001).  Ends when no dart is left to reach.
     """
-    n_darts = len(tail)
-    order = np.argsort(tail, kind="stable")
-    first = np.searchsorted(tail[order], tail)
-    n_out = np.searchsorted(tail[order], tail, side="right") - first
-    width = int(n_out.max(initial=0))
-    table = np.full((max(width, rows), n_darts + 1), n_darts, dtype=np.intp)
-    for j in range(width):
-        out = order[np.minimum(first + j, n_darts - 1)]
-        live = (j < n_out) & (out != np.arange(n_darts)) & ~marked[tail]
-        table[j, :n_darts] = np.where(live, out ^ 1, n_darts)
-    # sentinels sort last; every column left out d itself, so at most
-    # width - 1 live entries remain
-    table.sort(axis=0)
-    return table[: max(width - 1, rows)]
+    seen = {seed}
+    level = {seed: 1}
+    while level:
+        yield level
+        nxt = {}
+        for d, count in level.items():
+            for e in succ[d]:
+                if e not in seen:
+                    nxt[e] = nxt.get(e, 0) + count
+        seen.update(nxt)
+        level = nxt
 
 
-def _walk_layers(tail, marked, dtype, pred=None):
-    """Non-backtracking walk counts, one layer per walk length.
-
-    Seeds are the darts leaving marked vertices, in dart order.  Layer t
-    (t = 1, 2, ...) has one row per seed: layer[i][d] is the number of
-    walks of t darts that start with seeds[i], end with dart d, never
-    reverse a dart, and pass only unmarked vertices in between; keeping
-    the first dart apart is what lets callers leave out the closed walks
-    that are not cyclically reduced.  Reversal maps the walks of t darts
-    that start with dart d and end with seeds[i] ^ 1 one to one onto
-    those counted in layer[i][d ^ 1], so one forward walk also gives
-    the backward counts.
-
-    The counts are stored dart-major and each layer is the sum of a few
-    row gathers of the previous one through the _predecessors table,
-    which is built here unless the caller keeps one (growth edits it in
-    place).  Every entry is a sum of non-negative terms, each at most the
-    entry, so in float64 an entry below 2**53 is exact whatever order the
-    table's columns list their darts in.
-    """
-    n_darts = len(tail)
-    seeds = np.flatnonzero(marked[tail])
-    if pred is None:
-        pred = _predecessors(tail, marked)
-    # one gather per row of the table, with the ndarray method, which
-    # skips np.take's Python wrapper
-    first, *rest = pred
-    cur = np.zeros((n_darts + 1, len(seeds)), dtype=dtype)
-    cur[seeds, np.arange(len(seeds))] = 1
-    while True:
-        yield cur[:n_darts].T
-        nxt = cur.take(first, axis=0)
-        for row in rest:
-            nxt += cur.take(row, axis=0)
-        cur = nxt
-
-
-def _shortest_level(darts, pred=None, dtype=np.float64):
-    """Walk forward to the shortest essential level.
+def _shortest_walks(mask, out, succ) -> tuple[int, int, int, list[int]]:
+    """(l, n, k, counts): the shortest essential walks, by middle dart.
 
     An essential walk is non-backtracking, its interior vertices are
     unmarked (a path *between* marked vertices visits them only at its
@@ -114,99 +90,75 @@ def _shortest_level(darts, pred=None, dtype=np.float64):
     representative is a loop missing the marked vertex entirely, so it
     does not count as a path between marked vertices.
 
-    Returns (l, n, layers): the shortest length l, the number n of
-    ordered essential walks of that length (a walk and its reverse are
-    both counted; no such walk is its own reverse), and the forward
-    layers t >= ceil(l/2), which hold both halves of a walk cut at its
-    middle dart.  n is a sum of layer entries that each count essential
-    walks, so each is at most n.
+    The seeds are the darts leaving marked vertices.  An essential walk
+    starts with a seed i and ends with the reverse of another seed j,
+    so, cut at its dart d, it is a walk from seed i to d glued to the
+    reverse of a walk from seed j to d ^ 1.  With dist_i the level at
+    which seed i's search (_levels) first reaches a dart, l is the least
+    dist_i(d) + dist_j(d ^ 1) - 1 over darts d and seeds i != j.  Every
+    walk of length at most 2t - 1 has a dart within t of both ends, so
+    it is met by level t; a pair of seeds that first meets at level t
+    has a walk of length at most 2t - 1, so the first level at which any
+    pair meets gives l.
+
+    n is the number of ordered essential walks of length l (a walk and
+    its reverse are both counted; no such walk is its own reverse),
+    k = ceil((l + 1)/2), and counts[d] the number of them whose k-th
+    dart is d.  Such a walk reaches d first at level k from seed i and
+    d ^ 1 first at level l - k + 1 from seed j, or a shorter one would
+    exist, so counts[d] = sum over i of the level-k count of d from i
+    times the sum over j != i of the level-(l - k + 1) count of d ^ 1
+    from j.
     """
-    tail, marked = darts
-    if not marked.any():
+    if not any(mask):
         raise NoEssentialPathError("no marked vertices")
-    starts = np.flatnonzero(marked[tail])
-    if len(starts):
-        # the essential (seed i, end dart e) pairs, seed-major, as flat
-        # indices e * n + i into a layer's dart-major storage layer.T:
-        # the ends are the darts into marked vertices, and a walk ending
-        # with the reverse of its first dart is closed at the start
-        # vertex and not cyclically reduced
-        ends = np.sort(starts ^ 1)
-        seed_rows = np.arange(len(starts))[:, None]
-        flat = (ends * len(starts) + seed_rows)[ends != starts[:, None] ^ 1]
-        bound = 2 * (len(marked) + len(tail) // 2) + 1
-        layers = {}
-        walks = _walk_layers(tail, marked, dtype, pred)
-        for length, cur in zip(range(1, bound + 1), walks):
-            layers[length] = cur
-            # l >= length, so layers below ceil(length/2) are done
-            layers.pop((length - 1) // 2, None)
-            # np.add.reduce is .sum() without its Python wrapper
-            total = np.add.reduce(cur.T.take(flat))
-            if total:
-                return length, total, layers
-    raise NoEssentialPathError("no essential marked path")
-
-
-def _shortest_walks(darts, pred=None):
-    """(l, n, k, counts): the shortest level and its middle-dart counts.
-
-    l and n are as in _shortest_level; k = ceil((l + 1)/2) and counts[d]
-    is the number of shortest essential walks whose k-th dart is d.  The
-    walk runs in float64 and again in Python integers when n reaches
-    2**53 (see complexity).
-    """
-    # entries that feed no count may overflow to inf
-    with np.errstate(over="ignore"):
-        l, total, layers = _shortest_level(darts, pred)
-        if total >= _EXACT:
-            l, total, layers = _shortest_level(darts, pred, object)
-        k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
-        # fwd[i][d]: length-k walks with first dart starts[i] and k-th
-        # dart d; back[j][d] = layers[l - k + 1][j][d ^ 1]: length-(l - k
-        # + 1) walks with first dart d and last dart starts[j] ^ 1 (the
-        # reversed walks).  Glued at position k, a pair i != j is a
-        # shortest essential walk, and i == j a closed non-reduced one.
-        fwd = layers[k]
-        back = layers[l - k + 1].T[np.arange(fwd.shape[1]) ^ 1].T
-        # counts = sum over i of fwd[i] * others[i], others[i] the sum of
-        # back[j] over j != i, from sums before and after row i (a few
-        # rows, one seed each, so a loop over them); where both factors
-        # are non-zero the product counts essential walks, so it is at
-        # most n, and elsewhere it is 0 (a factor may be inf)
-        others = np.zeros_like(back)
-        for i in range(1, len(back)):
-            others[i] = others[i - 1] + back[i - 1]
-        after = np.zeros_like(back[0])
-        for i in range(len(back) - 1, 0, -1):
-            after = after + back[i]
-            others[i - 1] += after
-        both = (fwd != 0) & (others != 0)
-        counts = np.multiply(fwd, others, out=np.zeros_like(fwd), where=both).sum(axis=0)
-    if total < _EXACT:  # so is every count, exactly
-        counts = counts.astype(np.int64)
-    return l, int(total), k, counts.tolist()
+    seeds = sorted(d for v, marked in enumerate(mask) if marked for d in out[v])
+    searches = [_levels(seed, succ) for seed in seeds]
+    levels = [[] for _ in seeds]  # levels[i][t - 1]: seed i's level t
+    flipped = [set() for _ in seeds]  # the reverses of the darts seed i reached
+    pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds)) if i != j]
+    while True:
+        for i, search in enumerate(searches):
+            levels[i].append(next(search, {}))
+            flipped[i].update([d ^ 1 for d in levels[i][-1]])
+        # seed i reached d at this level, and seed j had reached d ^ 1
+        if any(not flipped[j].isdisjoint(levels[i][-1]) for i, j in pairs):
+            break
+        if not any(level[-1] for level in levels):
+            raise NoEssentialPathError("no essential marked path")
+    t = len(levels[0])
+    l = min(
+        t + next(s for s, level in enumerate(levels[j], 1) if d ^ 1 in level) - 1
+        for i, j in pairs
+        for d in levels[i][-1].keys() & flipped[j]
+    )
+    k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
+    fwd = [level[k - 1] for level in levels]
+    back = [level[l - k] for level in levels]
+    counts = [0] * len(succ)
+    for i, ends in enumerate(fwd):
+        for d, count in ends.items():
+            others = sum(b.get(d ^ 1, 0) for j, b in enumerate(back) if j != i)
+            counts[d] += count * others
+    return l, sum(counts), k, counts
 
 
 class _Growth:
     """A complex under surgery, edited in place and frozen at the end.
 
-    It keeps what the walk needs: the pants and circles, the regular
-    circles' ids in edge order, the darts' tails (dart d's head is the
-    tail of d ^ 1), the marked mask and the _predecessors table.  One
-    surgery changes only the pants and circles it touches, so it edits
-    those rows instead of rebuilding, re-validating and re-searching the
-    whole complex.  The start complex and the donor pass validate
-    (through graph_of), and the donor is read once into a template that
-    each surgery shifts by the ids in use; cutting a regular edge of a
-    connected complex and pasting in a donor that circle 0 does not cut
-    apart keeps it valid and connected, which graph_of checks again when
-    the frozen result is first used.
+    It keeps what the walk needs, as lists: the pants and circles, the
+    regular circles' ids in edge order, the darts' tails (dart d's head
+    is the tail of d ^ 1), the marked mask, the darts leaving each
+    vertex and the successor table.  One surgery changes only the pants
+    and circles it touches, so it edits those entries instead of
+    rebuilding, re-validating and re-searching the whole complex.  The
+    start complex and the donor pass validate (through graph_of), and
+    the donor is read once into a template that each surgery shifts by
+    the ids in use; cutting a regular edge of a connected complex and
+    pasting in a donor that circle 0 does not cut apart keeps it valid
+    and connected, which graph_of checks again when the frozen result is
+    first used.
     """
-
-    # a pants has three slots, so at most three darts leave a vertex and
-    # a dart has at most two predecessors
-    _PRED_ROWS = 2
 
     def __init__(self, x: PantsComplex, donor: PantsComplex):
         g = graph_of(x)
@@ -222,21 +174,20 @@ class _Growth:
         self.donor_pants = donor.pants
         self.donor_circles = (Circle(), *donor.circles[1:])
         self.donor_ids = [j for j, _, _ in h.edges]
-        self.donor_tail, self.donor_mask = _dart_arrays(h)
+        self.donor_tail, self.donor_mask, _, _ = _dart_lists(h)
         self.pants = list(x.pants)
         self.circles = list(x.circles)
         self.circle_ids = [c for c, _, _ in g.edges]
-        self.tail, self.mask = _dart_arrays(g)
-        self.pred = _predecessors(self.tail, self.mask, self._PRED_ROWS)
+        self.tail, self.mask, self.out, self.succ = _dart_lists(g)
 
     def walks(self) -> tuple[int, int, int, list[int]]:
-        """_shortest_walks of the current graph."""
-        return _shortest_walks((self.tail, self.mask), self.pred)
+        """_shortest_walks of the current graph; the seeds are read afresh."""
+        return _shortest_walks(self.mask, self.out, self.succ)
 
     def surger(self, e: int) -> None:
         """Cut the regular circle of edge e and paste the donor in."""
         edge = self.circle_ids[e]
-        xb = int(self.tail[2 * e + 1])
+        xb = self.tail[2 * e + 1]
         # xb's attachment is the later one when the edge is a loop
         xb_slot = 2 - self.pants[xb].slots[::-1].index(edge)
         n_pants, n_circles, n_darts = len(self.pants), len(self.circles), len(self.tail)
@@ -258,25 +209,23 @@ class _Growth:
         # the cut circle's edge moves its second end in place, from xb to
         # pa = n_pants + da: dart 2e + 1 now leaves pa; the donor's edges
         # follow in circle-id order, the fresh circle's from xb, not pa
-        new_tail = self.donor_tail + n_pants
+        new_tail = [v + n_pants for v in self.donor_tail]
         self.tail[2 * e + 1], new_tail[0] = new_tail[0], xb
-        self.tail = np.concatenate([self.tail, new_tail])
+        self.tail += new_tail
         self.circle_ids += [n_circles + j for j in self.donor_ids]
-        self.mask = np.append(self.mask, self.donor_mask)
+        self.mask += self.donor_mask
+        self.out[xb].remove(2 * e + 1)
+        self.out += [[] for _ in self.donor_pants]
+        for d in range(n_darts, len(self.tail)):
+            self.out[self.tail[d]].append(d)
+        bisect.insort(self.out[self.tail[2 * e + 1]], 2 * e + 1)
 
-        # the sentinel names the row past the last dart, so it moves too
-        n_new = len(self.tail)
-        old = self.pred[:, :n_darts]
-        self.pred = np.full((self._PRED_ROWS, n_new + 1), n_new, dtype=np.intp)
-        self.pred[:, :n_darts] = np.where(old == n_darts, n_new, old)
-        # a column changes only when the darts leaving its dart's tail
-        # change: those are the darts leaving xb and the donor's pants
-        # (the edge's first end keeps dart 2e)
+        # succ[d] changes only when the darts leaving d's head change:
+        # those are the darts into xb and the donor's pants (the edge's
+        # first end keeps dart 2e)
+        self.succ += [None] * len(new_tail)
         for v in (xb, *range(n_pants, len(self.pants))):
-            out = np.flatnonzero(self.tail == v).tolist()
-            for d in out:
-                live = [] if self.mask[v] else [o ^ 1 for o in out if o != d]
-                self.pred[:, d] = live + [n_new] * (self._PRED_ROWS - len(live))
+            _set_successors(self.succ, self.out, self.mask, v)
 
     def freeze(self) -> PantsComplex:
         return PantsComplex(pants=tuple(self.pants), circles=tuple(self.circles))

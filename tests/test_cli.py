@@ -1612,10 +1612,10 @@ class TestExports:
                  NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
                  {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES),
-                # the QI sampler alone uses elementwise, and build draws
-                # from a stream only at tau > 0
+                # the QI sampler and the word scan alone use numpy and
+                # elementwise, and build draws from a stream only at tau > 0
                 (["build", "--L", "4"],
-                 NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | {"elementwise", "streams"}),
+                 NO_HOMOLOGY | NO_INSPECT | {"numpy", "elementwise", "streams"}),
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
                   "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES),
             ]

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from goodpants import complexes
 from goodpants.complexes import (
@@ -28,14 +29,8 @@ from goodpants.complexes import (
     surger,
     validate,
 )
-from goodpants.walks import (
-    _dart_arrays,
-    _Growth,
-    _predecessors,
-    _shortest_level,
-    _shortest_walks,
-    _walk_layers,
-)
+from goodpants.walks import _dart_lists, _Growth, _levels, _shortest_walks
+from test_homology import connected_complexes
 
 
 def brute_force_walks(g: PantsGraph):
@@ -181,11 +176,27 @@ def random_graph(rng):
     return PantsGraph(n_vertices=n, edges=edges, marked=marked)
 
 
-def scatter_walk_layers(tail, head, marked, dtype, n_vertices):
-    """Oracle for _walk_layers: each layer scattered onto the vertices.
+def dart_arrays(g: PantsGraph):
+    """(tail, marked mask) as numpy arrays, for the scatter oracle.
 
-    A walk continues past an unmarked head vertex into every dart
-    leaving it, minus the reverse of the dart it arrived by.
+    Darts 2e and 2e+1 are the two directions of edge e, so the head of
+    dart d is tail[d ^ 1].
+    """
+    tail = np.array([v for _, a, b in g.edges for v in (a, b)], dtype=np.intp)
+    marked = np.zeros(g.n_vertices, dtype=bool)
+    marked[list(g.marked)] = True
+    return tail, marked
+
+
+def scatter_walk_layers(tail, head, marked, dtype, n_vertices):
+    """Every non-backtracking walk counted, one layer per walk length.
+
+    Layer t has one row per seed (the darts leaving marked vertices, in
+    dart order): row i counts the walks of t darts from seeds[i] to each
+    dart that pass only unmarked vertices in between.  Each layer is
+    scattered onto the vertices: a walk continues past an unmarked head
+    vertex into every dart leaving it, minus the reverse of the dart it
+    arrived by.
     """
     n_darts = len(tail)
     seeds = np.flatnonzero(marked[tail])
@@ -202,15 +213,58 @@ def scatter_walk_layers(tail, head, marked, dtype, n_vertices):
         cur = by_vertex[:, tail] - ext[:, flip]
 
 
-def exact_walks(darts):
-    """_shortest_walks in Python integers, its middle-dart counts formed
-    by subtraction, which is exact there."""
-    l, total, layers = _shortest_level(darts, dtype=object)
+def exact_walks(g: PantsGraph):
+    """(l, n, k, counts) from the scatter oracle's layers in Python
+    integers, or None without essential walks.
+
+    l is the first layer with a walk from seed i to the reverse of seed
+    j != i; the middle-dart counts are formed by subtraction, which is
+    exact in integers.
+    """
+    tail, marked = dart_arrays(g)
+    flip = np.arange(len(tail)) ^ 1
+    starts = np.flatnonzero(marked[tail])
+    if not len(starts):
+        return None
+    others = ~np.eye(len(starts), dtype=bool)
+    layers = scatter_walk_layers(tail, tail[flip], marked, object, g.n_vertices)
+    bound = 2 * (g.n_vertices + len(g.edges)) + 1
+    seen = []
+    for layer in islice(layers, bound):
+        seen.append(layer)
+        total = layer[:, starts ^ 1][others].sum()
+        if total:
+            break
+    else:
+        return None
+    l = len(seen)
     k = (l + 2) // 2
-    fwd = layers[k]
-    back = layers[l - k + 1][:, np.arange(fwd.shape[1]) ^ 1]
+    fwd = seen[k - 1]
+    back = seen[l - k][:, flip]
     counts = fwd.sum(axis=0) * back.sum(axis=0) - (fwd * back).sum(axis=0)
     return l, total, k, counts.tolist()
+
+
+def brute_force_counts(g: PantsGraph):
+    """(l, n, k, counts) tallied from brute_force_walks, or None."""
+    l, tally = None, Counter()
+    for walk in brute_force_walks(g):
+        l = len(walk)
+        tally[walk[(l + 2) // 2 - 1]] += 1
+    if l is None:
+        return None
+    counts = [tally[d] for d in range(2 * len(g.edges))]
+    return l, sum(counts), (l + 2) // 2, counts
+
+
+def search(g: PantsGraph):
+    """_shortest_walks of a graph walked afresh, or None when it has no
+    essential walk."""
+    _, mask, out, succ = _dart_lists(g)
+    try:
+        return _shortest_walks(mask, out, succ)
+    except NoEssentialPathError:
+        return None
 
 
 def chain_complex(k):
@@ -447,115 +501,105 @@ class TestComplexity:
         checked = 0
         for _ in range(300):
             g = random_graph(rng)
-            if not g.marked:
-                continue
-            l, tally = None, Counter()
-            for walk in brute_force_walks(g):
-                l = len(walk)
-                tally[walk[(l + 2) // 2 - 1]] += 1
-            if l is None:
+            want = brute_force_counts(g)
+            if want is None:
                 with pytest.raises(NoEssentialPathError):
                     _middle_dart_counts(g)
                 continue
-            got = _middle_dart_counts(g)
-            assert got == (l, (l + 2) // 2, [tally[d] for d in range(2 * len(g.edges))])
+            assert g._walks == want
             checked += 1
         assert checked > 100
 
 
 class TestWalkKernel:
     @staticmethod
-    def assert_matches_scatter(g, n_layers):
-        """The float64 kernel against the Python-int scatter oracle, equal
-        wherever the exact entry is below 2**53; returns how many entries
-        were not."""
-        tail, marked = _dart_arrays(g)
-        flip = np.arange(len(tail)) ^ 1
-        head = tail[flip]
-        starts = np.flatnonzero(marked[tail])
-        ends = np.flatnonzero(marked[head])
-        # backward row j (last dart ends[j]) is forward row i with
-        # starts[i] = ends[j] ^ 1, read through the reversed darts
-        rows = np.searchsorted(starts, ends ^ 1)
-        assert np.array_equal(starts[rows], ends ^ 1)
-        walks = zip(
-            _walk_layers(tail, marked, np.float64),
-            scatter_walk_layers(tail, head, marked, object, g.n_vertices),
-            scatter_walk_layers(head, tail, marked, object, g.n_vertices),
-        )
-        large = 0
-        for fwd, want, back in islice(walks, n_layers):
-            assert fwd.dtype == np.float64
-            small = want < 2**53
-            assert np.array_equal(fwd[small], want[small].astype(np.float64))
-            assert np.array_equal(back, want[rows][:, flip])
-            large += np.count_nonzero(~small)
-        return large
+    def assert_levels_match_scatter(g, n_layers):
+        """Each seed's search levels against the Python-int scatter
+        oracle: level t holds the darts that layer t reaches first, with
+        the layer's counts."""
+        tail, marked = dart_arrays(g)
+        _, _, _, succ = _dart_lists(g)
+        seeds = np.flatnonzero(marked[tail])
+        layers = scatter_walk_layers(tail, tail[np.arange(len(tail)) ^ 1], marked, object, g.n_vertices)
+        per_seed = [_levels(int(seed), succ) for seed in seeds]
+        reached = np.zeros((len(seeds), len(tail)), dtype=bool)
+        for layer in islice(layers, n_layers):
+            for i, levels in enumerate(per_seed):
+                first = np.flatnonzero((layer[i] != 0) & ~reached[i])
+                level = next(levels, {})
+                assert level == {int(d): layer[i][d] for d in first}
+                reached[i, first] = True
 
     def test_matches_scatter_on_random_graphs(self):
         rng = random.Random(7)
         for _ in range(300):
             g = random_graph(rng)
-            self.assert_matches_scatter(g, 2 * (g.n_vertices + len(g.edges)) + 1)
+            self.assert_levels_match_scatter(g, 2 * (g.n_vertices + len(g.edges)) + 1)
 
     def test_matches_scatter_on_grown_graph(self):
-        # the layers a count can read, and as many again; past the
-        # shortest level some entries pass 2**53
+        # the levels a count reads, and as many again
         g = graph_of(grown(64))
         l, _ = complexity(g)
-        assert self.assert_matches_scatter(g, 2 * l) > 0
+        self.assert_levels_match_scatter(g, l + 2)
 
-    @pytest.mark.parametrize("threshold", [64, 128])
-    def test_float_counts_match_exact_integers(self, threshold):
-        g = graph_of(grown(threshold))
-        exact = exact_walks(_dart_arrays(g))
-        assert _shortest_walks(_dart_arrays(g)) == exact
+    # graphs too large for brute force
+    @pytest.mark.parametrize(
+        "genus, p, threshold", [(1, 3, 64), (1, 3, 128), (2, 5, 24), (3, 7, 40), (1, 2, 100)]
+    )
+    def test_counts_match_the_scatter_oracle(self, genus, p, threshold):
+        g = graph_of(grow_until(build_xp(genus, p), threshold))
+        exact = exact_walks(g)
+        assert search(g) == exact
         # the walk grow_until handed to the frozen complex's graph
         assert g._walks == exact
 
     def test_counts_stay_exact_past_2_53_at_l128(self):
-        # some layer entries a count skips pass 2**53 (about 2**119 at
-        # the start's own reversed seed); the counts match the exact ones
-        # in the test above
+        # the layered counts pass 2**53 before the level a count reads
+        # (about 2**119 at the start's own reversed seed); the search
+        # counts only the walks that reach a dart first, and its counts
+        # are the exact ones of the test above
         g = graph_of(grown(128))
-        tail, marked = _dart_arrays(g)
+        tail, marked = dart_arrays(g)
         l, k, counts = _middle_dart_counts(g)
-        layers = list(islice(_walk_layers(tail, marked, np.float64), l))
-        assert max(layer.max() for layer in layers) > 2**53
+        layers = scatter_walk_layers(tail, tail[np.arange(len(tail)) ^ 1], marked, object, g.n_vertices)
+        assert max(layer.max() for layer in islice(layers, l)) > 2**53
         assert max(counts) < 2**53
 
-    def test_entries_past_float_range_never_meet_a_zero(self):
+    def test_bouquet_counts_stay_exact(self):
         # marked 0 joins a bouquet of six loops at 1 and a path of m edges
-        # to marked m + 1: walks into the bouquet number about 11**t, past
-        # 1e308 before the middle layer, and only come back to 0 by
-        # reversing their first dart
+        # to marked m + 1: walks into the bouquet number about 11**t, but
+        # the search reaches each bouquet dart once, and only the walk out
+        # along the path and the walk back are shortest
         m = 700
         loops = [(0, 0, 1)] + [(e, 1, 1) for e in range(1, 7)]
         stops = [0, *range(2, m + 2)]
         path = [(7 + i, a, b) for i, (a, b) in enumerate(zip(stops, stops[1:]))]
         g = PantsGraph(n_vertices=m + 2, edges=tuple(loops + path), marked=frozenset({0, m + 1}))
-        tail, marked = _dart_arrays(g)
-        with np.errstate(over="ignore"):
-            layers = list(islice(_walk_layers(tail, marked, np.float64), m // 2))
-        assert np.isinf(layers[-1]).any()
+        _, _, _, succ = _dart_lists(g)
+        for seed in (0, 14, 2 * (7 + m - 1) + 1):
+            assert all(max(level.values()) < 2**6 for level in _levels(seed, succ))
         l, k, counts = _middle_dart_counts(g)
         assert complexity(g) == (m, -1)
-        # the walk out along the path and the walk back
         crossed = [d for d, c in enumerate(counts) if c]
         assert crossed == sorted([2 * (7 + k - 1), 2 * (7 + m - k) + 1])
         assert [counts[d] for d in crossed] == [1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_complexes())
+    def test_matches_brute_force_on_complexes(self, x):
+        g = graph_of(x)
+        assert search(g) == brute_force_counts(g)
 
 
 class TestChainCounts:
     @pytest.mark.parametrize("k", [40, 51, 52, 62, 63])
     def test_exact_complexity(self, k):
-        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
+        # 2**(k + 1) ordered walks, past 2**53 from k = 52 on: one search
+        # counts them in Python integers
+        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
             g = graph_of(chain_complex(k))
             assert complexity(g) == (2 * k + 1, -(2**k))
-        # 2**(k + 1) ordered walks: from k = 52 on float64 cannot hold
-        # them all, and the walk is counted again in Python integers
-        dtypes = [call.args[2] for call in walk.call_args_list]
-        assert dtypes == ([np.float64, object] if k >= 52 else [np.float64])
+        assert walk.call_count == 1
         l, _, counts = _middle_dart_counts(g)
         assert sum(counts) == 2 ** (k + 1)
 
@@ -571,7 +615,7 @@ class TestOneWalk:
         assert graph_of(x) is graph_of(x)
 
     def test_grow_walks_each_graph_once(self):
-        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
+        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
             x = grow_until(build_xp(1, 3), 64)
             complexity(graph_of(x))
         # 95 surgeries of 4 pants each: 96 graphs, one walk each; the
@@ -582,9 +626,15 @@ class TestOneWalk:
     def test_surger_reuses_the_counts(self):
         x = build_xp(1, 3)
         _middle_dart_counts(graph_of(x))
-        with mock.patch("goodpants.walks._walk_layers", wraps=_walk_layers) as walk:
+        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
             surger(x, 2, make_donor())
         assert walk.call_count == 0
+
+
+def most_walked(walks):
+    """The edge grow_until cuts: that of the first most-walked dart."""
+    counts = walks[3]
+    return counts.index(max(counts)) // 2
 
 
 class TestGrowthState:
@@ -597,20 +647,19 @@ class TestGrowthState:
         assert validate(x) == []
         g = graph_of(x)
         assert growth.circle_ids == [c for c, _, _ in g.edges]
-        tail, marked = _dart_arrays(g)
-        assert np.array_equal(growth.tail, tail)
-        assert np.array_equal(growth.mask, marked)
-        # each column as a multiset, sentinels included
-        pred = _predecessors(tail, marked, len(growth.pred))
-        assert np.array_equal(np.sort(growth.pred, axis=0), np.sort(pred, axis=0))
-        assert walks == _shortest_walks((tail, marked))
+        tail, mask, out, succ = _dart_lists(g)
+        assert growth.tail == tail
+        assert growth.mask == mask
+        assert growth.out == out
+        assert growth.succ == succ
+        assert walks == _shortest_walks(mask, out, succ)
         return walks
 
     def test_every_step_to_l64_matches_the_rebuilt_complex(self):
         growth = _Growth(build_xp(1, 3), make_donor())
         surgeries = 0
         while (walks := self.walk_and_compare(growth))[0] <= 64:
-            growth.surger(int(np.argmax(walks[3])) // 2)
+            growth.surger(most_walked(walks))
             surgeries += 1
         assert surgeries == 95
         assert growth.freeze().to_json() == grown(64).to_json()
@@ -624,11 +673,11 @@ class TestGrowthState:
         growth = _Growth(x, make_donor())
         walks = self.walk_and_compare(growth)
         assert walks[:2] == (1, 2) and growth.circle_ids == [1]
-        assert growth.tail.tolist() == [0, 0]
+        assert growth.tail == [0, 0]
         growth.surger(0)
         assert growth.pants[0].slots == (0, 1, 2)
         while (walks := self.walk_and_compare(growth))[0] <= 12:
-            growth.surger(int(np.argmax(walks[3])) // 2)
+            growth.surger(most_walked(walks))
 
     def test_singular_donor_circle_marks_its_pants(self):
         # the donor's handle circle 5 gets d = 2, so every surgery adds a
@@ -638,9 +687,9 @@ class TestGrowthState:
         growth = _Growth(build_xp(1, 3), donor)
         for _ in range(12):
             walks = self.walk_and_compare(growth)
-            growth.surger(int(np.argmax(walks[3])) // 2)
+            growth.surger(most_walked(walks))
         self.walk_and_compare(growth)
-        assert np.count_nonzero(growth.mask) == 2 + 12
+        assert sum(growth.mask) == 2 + 12
 
 
 class TestSurger:
