@@ -22,8 +22,8 @@ The ``GOODPANTS_THREADS`` environment variable is validated (an
 integer >= 1) but nothing runs in parallel.  Each sample of a sampler
 draws from its own seed, or from one stream in a fixed order.  Every
 stream comes from ``goodpants.streams``, which computes the raw words
-of numpy's SeedSequence/PCG64 streams as array code, and the draws
-numpy's Generator makes from them, so no command loads
+of numpy's SeedSequence/PCG64 streams as arrays or in Python ints, and
+the draws numpy's Generator makes from them, so no command loads
 ``numpy.random``.  The samplers that evaluate slices of samples as
 arrays (the QI sampler, the two-planes and angle-change sweeps) get the
 bits of one-at-a-time evaluation, so reports never depend on its value.
@@ -31,9 +31,9 @@ bits of one-at-a-time evaluation, so reports never depend on its value.
 A command loads only the modules it runs: this module imports the
 standard library and the version at its top, and each handler imports
 what it calls inside its own body.  So ``homology``, ``lemma hexagon``,
-``build`` at ``--tau 0`` (its default), ``--version``, ``--help`` and
-usage errors start without numpy, and only the sampled ``lemma`` sweeps
-load ``lemmalab``.
+``build`` at any ``--tau``, ``--version``, ``--help`` and usage errors
+start without numpy, and only the sampled ``lemma`` sweeps load
+``lemmalab``.
 """
 
 from __future__ import annotations

@@ -70,18 +70,14 @@ class RepParams(NamedTuple):
         The draws are numpy's ``Generator.uniform(-scale, scale, n)``
         twice on ``default_rng(SeedSequence(seed))``.
         """
-        # streams loads only where random parameters are drawn: build at
-        # tau = 0 never does
-        from .streams import Stream
+        # streams loads only where random parameters are drawn (build at
+        # tau = 0 never does), and its fresh-stream reader steps these
+        # 2n words in Python ints, so build loads no numpy at any tau
+        from .streams import fresh_uniform
 
-        stream = Stream(seed)
         n = len(x.circles)
-        return cls(
-            R=R,
-            tau=tau,
-            xi=tuple(stream.uniform(-scale, scale, n).tolist()),
-            eta=tuple(stream.uniform(-scale, scale, n).tolist()),
-        )
+        draws = fresh_uniform(seed, -scale, scale, 2 * n)
+        return cls(R=R, tau=tau, xi=tuple(draws[:n]), eta=tuple(draws[n:]))
 
 
 class ViableRep(NamedTuple):

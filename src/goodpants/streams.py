@@ -1,19 +1,24 @@
-"""numpy's seeded PCG64 streams, computed as array code.
+"""numpy's seeded PCG64 streams, computed without ``numpy.random``.
 
 Every sampler draws from the stream that ``numpy.random.PCG64(
 numpy.random.SeedSequence(entropy, spawn_key=...))`` would produce, and
-this module computes that stream's raw 64-bit words bit for bit without
-importing ``numpy.random``: SeedSequence's hash mixing on uint32 arrays,
-PCG64's seeding, and its output (XSL-RR: the two halves of the 128-bit
-state xored, rotated right by the state's top six bits).  A 128-bit
-number is a pair of uint64 arrays (high, low).
+this module computes that stream's raw 64-bit words bit for bit:
+SeedSequence's hash mixing, PCG64's seeding, and its output (XSL-RR: the
+two halves of the 128-bit state xored, rotated right by the state's top
+six bits).  A 128-bit number is a pair (high, low) of 64-bit values.
+The rules are written once, with explicit masks, so they run on Python
+ints and on uint64 arrays (one stream per row) alike.
 
 PCG64 steps its state by s -> a*s + inc mod 2^128, so m steps take s to
 A_m*s + G_m*inc with A_m = a^m and G_m = 1 + a + ... + a^(m-1).  Seeding
 sets the state to a*(seed + inc) + inc, so word j of a stream is the
 output of A_j*s_0 + G_j*inc, where s_0 = a*(seed + inc) + inc.  One
 table of (A_m, G_m) for m up to _CHUNK gives the next _CHUNK words of
-many streams at once (``spawned_words``) or of one (``Stream``).
+many streams at once (``spawned_words``) or of one (``Stream``), as
+numpy array code.  ``fresh_uniform`` instead steps one fresh stream in
+Python ints, without numpy: about 0.55 us a word against 0.05 us from
+the table, which pays for a short prefix read once (``RepParams.random``)
+and not for the samplers' tens of thousands of words.
 
 The rules by which numpy's Generator turns words into draws live here
 alone.  ``random`` is (w >> 11) * 2^-53 of a word w, and
@@ -22,18 +27,30 @@ on n <= 2^32 values is Lemire's multiply-and-reject (ACM TOMACS 2019)
 on 32-bit draws x: lo + (x * n >> 32), redrawn while x * n mod 2^32 <
 2^32 mod n.  A 32-bit draw is a new word's low half, then its high
 half, which is carried past whole-word draws (numpy's ``has_uint32``).
+
+numpy is imported only inside the code that makes arrays.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["Stream", "first_integers", "spawned_words", "uniform_doubles", "unit_doubles"]
+__all__ = [
+    "Stream",
+    "first_integers",
+    "fresh_uniform",
+    "spawned_words",
+    "uniform_doubles",
+    "unit_doubles",
+]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 # SeedSequence's pool size and hash constants
 _POOL_SIZE = 4
@@ -62,20 +79,26 @@ def _entropy_words(value) -> list[int]:
     return [w for v in value for w in _entropy_words(v)]
 
 
+# Python ints and uint64 arrays mix below: every Python int that meets an
+# array is below 2^64, and the masks take both to the same numbers.  On
+# arrays a 64-bit mask changes nothing, so it is applied in place, where
+# it allocates no array.
+
+
 def _hash(value, const: int, mult: int):
     """SeedSequence's hash of uint32 values, and its next constant."""
     after = const * mult & _MASK32
-    value = (value ^ np.uint32(const)) * np.uint32(after)
-    return value ^ (value >> np.uint32(16)), after
+    value = (value ^ const) * after & _MASK32
+    return value ^ (value >> 16), after
 
 
 def _mix(x, y):
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> np.uint32(16))
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ (result >> 16)
 
 
 def _pool(entropy):
-    """SeedSequence's mixed pool of each row of ``entropy`` (uint32, (n, m))."""
+    """SeedSequence's mixed pool of the uint32 words ``entropy``."""
     const = _INIT_A
 
     def hashmix(value):
@@ -83,11 +106,8 @@ def _pool(entropy):
         value, const = _hash(value, const, _MULT_A)
         return value
 
-    n, m = entropy.shape
-    pool = [
-        hashmix(entropy[:, i] if i < m else np.zeros(n, dtype=np.uint32))
-        for i in range(_POOL_SIZE)
-    ]
+    m = len(entropy)
+    pool = [hashmix(entropy[i] if i < m else 0) for i in range(_POOL_SIZE)]
     # every pool word into every other, then the entropy past the pool
     # into each pool word
     for src in range(_POOL_SIZE):
@@ -96,57 +116,77 @@ def _pool(entropy):
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for src in range(_POOL_SIZE, m):
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
     return pool
 
 
 def _seeded(entropy):
-    """PCG64's state after seeding, and its increment, for each row of ``entropy``.
+    """PCG64's state after seeding, and its increment, from SeedSequence's ``entropy``.
 
-    ``generate_state(4, uint64)`` reads the pool cyclically into eight
-    uint32 words, which pair up little-endian into four uint64 words:
-    the seed is the first two (high word first), and the increment is
-    the last two shifted left by one, with its low bit set.  Seeding
-    steps from 0, adds the seed and steps again, which leaves the state
-    a * (seed + inc) + inc.  Both are 128-bit pairs of columns (n, 1).
+    ``entropy`` lists uint32 words, each a Python int or a uint64 column
+    (n, 1) with one row per stream; the state and increment are 128-bit
+    pairs of the same kind.  ``generate_state(4, uint64)`` reads the pool
+    cyclically into eight uint32 words, which pair up little-endian into
+    four uint64 words: the seed is the first two (high word first), and
+    the increment is the last two shifted left by one, with its low bit
+    set.  Seeding steps from 0, adds the seed and steps again, which
+    leaves the state a * (seed + inc) + inc.
     """
     pool = _pool(entropy)
     const = _INIT_B
     state = []
     for i in range(8):
         value, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
-        state.append(value.astype(np.uint64)[:, None])
-    v = [state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)]
-    inc = ((v[2] << np.uint64(1)) | (v[3] >> np.uint64(63)), (v[3] << np.uint64(1)) | np.uint64(1))
+        state.append(value)
+    v = [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
+    inc = ((v[2] << 1 | v[3] >> 63) & _MASK64, (v[3] << 1 | 1) & _MASK64)
     return _add(_mul(_pair(_MULT), _add((v[0], v[1]), inc)), inc), inc
 
 
 def _mul64(x, y):
-    """The full 128-bit products of uint64 arrays, from their 32-bit halves."""
-    x0, x1 = x & np.uint64(_MASK32), x >> np.uint64(32)
-    y0, y1 = y & np.uint64(_MASK32), y >> np.uint64(32)
+    """The full 128-bit products of 64-bit values, from their 32-bit halves."""
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
     low, cross0, cross1 = x0 * y0, x0 * y1, x1 * y0
     # below 3 * 2^32, so it does not wrap
-    mid = (low >> np.uint64(32)) + (cross0 & np.uint64(_MASK32)) + (cross1 & np.uint64(_MASK32))
-    high = x1 * y1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return high, (mid << np.uint64(32)) | (low & np.uint64(_MASK32))
+    mid = (low >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    high = x1 * y1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    low = mid << 32 | low & _MASK32
+    low &= _MASK64
+    return high, low
 
 
 def _mul(x, y):
     """x * y mod 2^128 for 128-bit pairs."""
     high, low = _mul64(x[1], y[1])
-    return high + x[0] * y[1] + x[1] * y[0], low
+    high = high + x[0] * y[1] + x[1] * y[0]
+    high &= _MASK64
+    return high, low
 
 
 def _add(x, y):
     """x + y mod 2^128 for 128-bit pairs."""
     low = x[1] + y[1]
-    return x[0] + y[0] + (low < x[1]), low
+    low &= _MASK64
+    high = x[0] + y[0] + (low < x[1])
+    high &= _MASK64
+    return high, low
 
 
 def _pair(value: int):
-    """A 128-bit Python int as a pair of one-element uint64 arrays."""
-    return np.array([value >> 64], dtype=np.uint64), np.array([value & _MASK64], dtype=np.uint64)
+    """A 128-bit Python int as a pair of Python ints."""
+    return value >> 64, value & _MASK64
+
+
+def _output(high, low):
+    """PCG64's words from the 128-bit states (high, low): XSL-RR."""
+    x = high ^ low
+    rot = high >> 58
+    # a rotation by 0 shifts left by 64, which numpy takes to 0 and the
+    # mask drops
+    word = x >> rot | x << (64 - rot)
+    word &= _MASK64
+    return word
 
 
 @functools.cache
@@ -155,7 +195,9 @@ def _jumps():
 
     Built by doubling: A_(m+s) = A_s * A_m and G_(m+s) = G_s + A_s * G_m.
     """
-    a, g = _pair(_MULT), _pair(1)
+    import numpy as np
+
+    a, g = (tuple(np.array([h], dtype=np.uint64) for h in _pair(v)) for v in (_MULT, 1))
     while len(a[1]) < _CHUNK:
         a_s, g_s = (a[0][-1:], a[1][-1:]), (g[0][-1:], g[1][-1:])
         a_next, g_next = _mul(a_s, a), _add(g_s, _mul(a_s, g))
@@ -171,15 +213,14 @@ def _run(state, inc, k: int):
     come as one row of k per state.  Up to _CHUNK steps are jumped to at
     once, and the state after a chunk is its last column.
     """
+    import numpy as np
+
     a, g = _jumps()
     out = []
     for done in range(0, k, _CHUNK):
         m = min(_CHUNK, k - done)
         high, low = _add(_mul((a[0][:m], a[1][:m]), state), _mul((g[0][:m], g[1][:m]), inc))
-        x = high ^ low
-        rot = high >> np.uint64(58)
-        # numpy shifts by 64 to 0, so a rotation by 0 leaves x
-        out.append((x >> rot) | (x << (np.uint64(64) - rot)))
+        out.append(_output(high, low))
         state = high[:, -1:], low[:, -1:]
     return np.concatenate(out, axis=1), state
 
@@ -193,26 +234,43 @@ def spawned_words(entropy, keys, k: int) -> np.ndarray:
     the parent's, padded with zeros to the pool size, then its key's
     uint32 words, so keys from 2^32 on mix in one more word.
     """
+    import numpy as np
+
     run = _entropy_words(entropy)
     run += [0] * (_POOL_SIZE - len(run))
-    keys = np.asarray(keys, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)[:, None]
     out = np.empty((len(keys), k), dtype=np.uint64)
     # keys below 2^32 are one uint32 word, the others two
-    wide = keys > np.uint64(_MASK32)
-    for rows, key_words in (
-        (~wide, [keys]),
-        (wide, [keys & np.uint64(_MASK32), keys >> np.uint64(32)]),
-    ):
+    wide = keys[:, 0] > _MASK32
+    for rows, key_words in ((~wide, [keys]), (wide, [keys & _MASK32, keys >> 32])):
         if rows.any():
-            columns = [np.full(int(rows.sum()), w, dtype=np.uint32) for w in run]
-            columns += [w[rows].astype(np.uint32) for w in key_words]
-            out[rows] = _run(*_seeded(np.stack(columns, axis=1)), k)[0]
+            out[rows] = _run(*_seeded(run + [w[rows] for w in key_words]), k)[0]
     return out
 
 
-def unit_doubles(words: np.ndarray) -> np.ndarray:
-    """``Generator.random``'s doubles from uint64 words: (w >> 11) * 2^-53."""
-    return (words >> np.uint64(11)) * 2.0**-53
+def fresh_uniform(entropy, lo: float, hi: float, n: int) -> list[float]:
+    """The first n draws of ``Generator.uniform(lo, hi)``, as Python floats.
+
+    The generator is a fresh ``Generator(PCG64(SeedSequence(entropy)))``,
+    seeded and stepped here in Python ints, so no numpy loads.  n draws
+    read n words in stream order, so the first n and the next n are that
+    generator's two calls ``uniform(lo, hi, n)``.
+    """
+    (high, low), (inc_high, inc_low) = _seeded(_entropy_words(entropy))
+    state, inc = high << 64 | low, inc_high << 64 | inc_low
+    draws = []
+    for _ in range(n):
+        state = (_MULT * state + inc) & _MASK128
+        draws.append(uniform_doubles(lo, hi, unit_doubles(_output(state >> 64, state & _MASK64))))
+    return draws
+
+
+def unit_doubles(words):
+    """``Generator.random``'s doubles from words: (w >> 11) * 2^-53.
+
+    ``words`` is a uint64 array, or one word as a Python int.
+    """
+    return (words >> 11) * 2.0**-53
 
 
 def uniform_doubles(lo, hi, units):
@@ -230,11 +288,13 @@ def first_integers(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
     hi - lo must be a power of two up to 2^32, which Lemire's method
     never rejects, so the draw comes from the word's low half alone.
     """
+    import numpy as np
+
     n = hi - lo
     if n < 2 or n > 1 << 32 or n & (n - 1):
         raise ValueError("need hi - lo a power of two from 2 to 2^32")
-    x = words & np.uint64(_MASK32)
-    return lo + ((x * np.uint64(n)) >> np.uint64(32)).astype(np.int64)
+    x = words & _MASK32
+    return lo + ((x * n) >> 32).astype(np.int64)
 
 
 class Stream:
@@ -250,7 +310,13 @@ class Stream:
     """
 
     def __init__(self, entropy):
-        self._state, self._inc = _seeded(np.array([_entropy_words(entropy)], dtype=np.uint32))
+        import numpy as np
+
+        # seeded in Python ints, then held as columns (1, 1) for _run
+        self._state, self._inc = (
+            tuple(np.full((1, 1), h, dtype=np.uint64) for h in pair)
+            for pair in _seeded(_entropy_words(entropy))
+        )
         self._words = np.empty(0, dtype=np.uint64)
         self._units = np.empty(0)
         # the buffer as Python ints, or [] (see _scalar)
@@ -261,6 +327,8 @@ class Stream:
 
     def _fill(self, k: int) -> None:
         """Put at least k words past the position in the buffer, from its start."""
+        import numpy as np
+
         pieces = [self._words[self._pos :]]
         for _ in range(-((len(pieces[0]) - k) // _CHUNK)):
             words, self._state = _run(self._state, self._inc, _CHUNK)

@@ -1613,7 +1613,8 @@ class TestExports:
                 (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
                  {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 # the QI sampler and the word scan alone use numpy and
-                # elementwise, and build draws from a stream only at tau > 0
+                # elementwise, and build draws from a stream only at tau > 0,
+                # in Python ints
                 (["build", "--L", "4"],
                  NO_HOMOLOGY | NO_INSPECT | {"numpy", "elementwise", "streams"}),
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
@@ -1623,7 +1624,8 @@ class TestExports:
         + [
             pytest.param(
                 ["build", "--L", "4", "--tau", "1", "--seed", "0"],
-                NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | {"elementwise"}, 0,
+                NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | NO_INSPECT
+                | {"numpy", "elementwise"}, 0,
                 id="build --L --tau",
             ),
             pytest.param(["frob"], NO_NUMPY, 2, id="frob"),

@@ -231,15 +231,25 @@ def _spelled(node):
     return None
 
 
+# PCG64's multiplier and SeedSequence's hash and mix constants
+SEEDING_CONSTANTS = {
+    0x2360ED051FC65DA44385DF649FCCF645,
+    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715,
+}
+
+
 def test_only_streams_knows_numpy_draw_rules():
     # numpy's draw constants, the >> 11 and 2**-53 of a unit double and
-    # the 32-bit mask of Lemire's method, are written in streams alone
+    # the 32-bit mask of Lemire's method, and its seeding and output
+    # constants are written in streams alone, each seeding constant once
     package = Path(goodpants.__file__).resolve().parent
-    found = []
+    found, in_streams = [], []
     for path in sorted(package.glob("*.py")):
-        if path.name == "streams.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in SEEDING_CONSTANTS:
+                (in_streams if path.name == "streams.py" else found).append(node.value)
+            if path.name == "streams.py":
+                continue
             if isinstance(node, ast.BinOp) and (
                 (isinstance(node.op, ast.RShift) and _spelled(node.right) == 11)
                 or (isinstance(node.op, ast.Pow) and _spelled(node.right) == -53)
@@ -248,3 +258,4 @@ def test_only_streams_knows_numpy_draw_rules():
             elif isinstance(node, ast.Constant) and node.value == 0xFFFFFFFF:
                 found.append((path.name, node.lineno))
     assert found == []
+    assert sorted(in_streams) == sorted(SEEDING_CONSTANTS)

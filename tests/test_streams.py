@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goodpants import holonomy, streams
-from goodpants.complexes import build_xp
+from goodpants.complexes import build_xp, grow_until
 from goodpants.holonomy import RepParams
 
 ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
@@ -14,6 +14,16 @@ SWEEP_ENTROPIES = [(s, tag) for s in (0, 7, 2**32 + 5) for tag in (0x6C5, 0x2B1,
 KEYS = [0, 511, 512, 2**32 - 1, 2**32, 2**40]
 # one word, a QI sample's words, and either side of a chunk
 LENGTHS = [1, 14, 4095, 4096, 4097]
+# the fresh-stream reader's seeds: a 40-digit int takes five uint32 words,
+# one more than the pool, and the tuples are the sweeps' entropies
+FRESH_ENTROPIES = [
+    0, 3, 2**32, 2**40, 2**64 + 5, 1234567890123456789012345678901234567890,
+    (3001, 0x6C5), (2**40, 0x3A7),
+]
+
+
+# the L=16 complex: 145 circles, so 290 draws
+LARGE_COMPLEX = grow_until(build_xp(1, 3), 16)
 
 
 def numpy_words(entropy, k, key=None):
@@ -162,16 +172,28 @@ def test_integers_refuse_ranges_outside_2_to_2_32(lo, hi):
         streams.Stream(0).integers(lo, hi)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11, 2**40])
+@pytest.mark.parametrize("entropy", FRESH_ENTROPIES)
+@pytest.mark.parametrize("n", [1, 577, 5000])
+@pytest.mark.parametrize("lo, hi", [(-0.1, 0.1), (12.0, 20.0)])
+def test_fresh_uniform_matches_the_generator_and_stream(entropy, n, lo, hi):
+    # 577 is the L=64 complex's circles; 5000 runs past one chunk of Stream
+    got = streams.fresh_uniform(entropy, lo, hi, n)
+    generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    assert got == generator.uniform(lo, hi, n).tolist()
+    assert got == streams.Stream(entropy).uniform(lo, hi, n).tolist()
+    assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 2**40, 2**64 + 5])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 2.5])
 def test_rep_params_random_matches_the_generator(seed, scale):
-    x = build_xp(2, 3)
-    params = RepParams.random(x, R=20.0, tau=1.0, seed=seed, scale=scale)
-    generator = np.random.default_rng(np.random.SeedSequence(seed))
-    n = len(x.circles)
-    assert list(params.xi) == generator.uniform(-scale, scale, n).tolist()
-    assert list(params.eta) == generator.uniform(-scale, scale, n).tolist()
-    assert all(type(v) is float for v in params.xi + params.eta)
+    for x in (build_xp(2, 3), LARGE_COMPLEX):
+        params = RepParams.random(x, R=20.0, tau=1.0, seed=seed, scale=scale)
+        generator = np.random.default_rng(np.random.SeedSequence(seed))
+        n = len(x.circles)
+        assert list(params.xi) == generator.uniform(-scale, scale, n).tolist()
+        assert list(params.eta) == generator.uniform(-scale, scale, n).tolist()
+        assert all(type(v) is float for v in params.xi + params.eta)
 
 
 def test_qi_sampler_reads_numpy_children():
@@ -205,5 +227,8 @@ def test_first_integers_refuse_ranges_that_can_reject(lo, hi):
 
 
 def test_negative_entropy_is_refused():
-    with pytest.raises(ValueError):
-        streams.Stream(-1)
+    for entropy in (-1, (3, -1)):
+        with pytest.raises(ValueError):
+            streams.Stream(entropy)
+        with pytest.raises(ValueError):
+            streams.fresh_uniform(entropy, 0.0, 1.0, 1)
