@@ -54,43 +54,17 @@ class Pants(NamedTuple):
     orientations: tuple[int, int, int] = (1, 1, 1)
 
 
-class _Frozen:
-    """Equality, hash, repr and immutability from the fields in _fields.
+class _PantsComplex(NamedTuple):
+    pants: tuple[Pants, ...]
+    circles: tuple[Circle, ...]
 
-    The records of the package are NamedTuples; a complex and its graph
-    are not, because their cached properties need an instance dict.
-    cached_property writes that dict directly, so it is not refused.
+
+class PantsComplex(_PantsComplex):
+    """Pants glued along circles: the complex every command reads.
+
+    A NamedTuple with an instance dict (no __slots__): its cached tables
+    (_incidence, _graph) live in that dict, and the fields stay read-only.
     """
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(self.__dict__[f] for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class PantsComplex(_Frozen):
-    _fields = ("pants", "circles")
-
-    def __init__(self, pants: tuple[Pants, ...], circles: tuple[Circle, ...]):
-        self.__dict__.update(pants=pants, circles=circles)
 
     @cached_property
     def _incidence(self) -> dict[int, list[tuple[int, int]]]:
@@ -269,18 +243,14 @@ def build_xp(genus: int, p: int) -> PantsComplex:
     return PantsComplex(pants=tuple(pants), circles=tuple(circles))
 
 
-class PantsGraph(_Frozen):
+class _PantsGraph(NamedTuple):
+    n_vertices: int
+    edges: tuple[tuple[int, int, int], ...]  # (circle id, vertex, vertex)
+    marked: frozenset[int]
+
+
+class PantsGraph(_PantsGraph):
     """Pants as vertices, regular circles as (multi-)edges."""
-
-    _fields = ("n_vertices", "edges", "marked")
-
-    def __init__(
-        self,
-        n_vertices: int,
-        edges: tuple[tuple[int, int, int], ...],  # (circle id, vertex, vertex)
-        marked: frozenset[int],
-    ):
-        self.__dict__.update(n_vertices=n_vertices, edges=edges, marked=marked)
 
     @cached_property
     def _walks(self) -> tuple[int, int, int, list[int]]:

@@ -140,8 +140,9 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
     by k extra turns), so its d-th power is the cuff holonomy.
 
     graph_of refuses an invalid complex; DegenerateError refuses a
-    circle whose half-length is not positive and a pants that
-    build_pants_rep cannot build (naming R and the pants).
+    circle whose half-length is not positive, and a pants that
+    build_pants_rep cannot build re-raises its ArithmeticError, of the
+    same class, naming R and the pants.
     """
     graph_of(x)
     for c in range(len(x.circles)):
@@ -162,8 +163,8 @@ def build_rho(x: PantsComplex, params: RepParams) -> ViableRep:
         if hl not in built:
             try:
                 built[hl] = build_pants_rep(*hl)
-            except DegenerateError as exc:
-                raise DegenerateError(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
+            except ArithmeticError as exc:
+                raise type(exc)(f"at R = {params.R!r} pants {i} cannot be built: {exc}") from exc
         base.append(built[hl])
     conj: list[MoebiusMap | None] = [None] * len(x.pants)
     conj[0] = MoebiusMap.identity()

@@ -5,7 +5,11 @@ non-backtracking successor table, the per-seed breadth-first search
 that finds the shortest essential length with its middle-dart counts,
 and the growth state that surgery edits in place.  Every count is a
 Python int, so every count is exact.  ``complexes`` imports this module
-only where it walks a graph or grows a complex.
+only where it walks a graph or grows a complex.  It is not folded into
+``complexes`` because verify, homology and lemma angle-change read a
+complex but never walk one: a ``verify --words 5 --samples 2000`` child
+that also imports this module peaks 0.06 to 0.11 MB higher (medians of
+8 and of 12 alternating pairs).
 """
 
 from __future__ import annotations

@@ -989,6 +989,33 @@ class TestSmallR:
         assert re.match(message, text), text
 
 
+class TestLargeR:
+    """An R too large for double precision fails the construction and names R."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the hexagon solver refuses sides past double range
+            (["build", "--L", "0", "--R", "800"],
+             "at R = 800.0 pants 0 cannot be built: hexagon sides too long for double precision"),
+            # cmath.cosh of a side overflows before the solver checks it
+            (["build", "--L", "0", "--R", "1500"],
+             "at R = 1500.0 pants 0 cannot be built: math range error"),
+            (["verify", "--complex", "{complex}", "--R", "1500", "--seed", "0"],
+             "at R = 1500.0 pants 0 cannot be built: math range error"),
+            (["lemma", "angle-change", "--R", "1500", "--seed", "0"],
+             "at R = 1500.0 pants 0 cannot be built: math range error"),
+        ],
+        ids=["build-800", "build-1500", "verify-1500", "angle-change-1500"],
+    )
+    def test_names_R(self, capsys, small_complex, argv, message):
+        argv = [a.format(complex=small_complex) for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert error_of(err) == ("construction-failed", message)
+
+
 def error_of(err):
     """The one JSON error line on stderr, as (code, message)."""
     assert err.endswith("\n") and err.count("\n") == 1, err
@@ -1594,6 +1621,8 @@ class TestExports:
     NO_SAMPLING = {"numpy", "elementwise", "lemmalab"}
     # every stream comes from goodpants.streams, with numpy's bits
     NO_NUMPY_RANDOM = {"numpy.random"}
+    # a command that reads a complex but never walks or grows one
+    NO_WALKS = {"walks"}
 
     @pytest.mark.parametrize(
         "argv, unloaded, status",
@@ -1602,23 +1631,23 @@ class TestExports:
             for argv, unloaded in [
                 (["--version"], NO_NUMPY),
                 (["--help"], NO_NUMPY),
-                (["homology", "--complex", "{complex}"], NO_NUMPY),
+                (["homology", "--complex", "{complex}"], NO_NUMPY | NO_WALKS),
                 (["homology", "--book", "--g", "2", "--p", "4"], NO_NUMPY | {"complexes"}),
-                (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY),
+                (["homology", "--free-product", "{group}", "{complex}"], NO_NUMPY | NO_WALKS),
                 (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING | NO_INSPECT),
                 (["lemma", "delta", "--samples", "20", "--seed", "0"],
                  NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 (["lemma", "two-planes", "--samples", "20", "--seed", "0"],
                  NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
                 (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
-                 {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES),
+                 {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES | NO_WALKS),
                 # the QI sampler and the word scan alone use numpy and
                 # elementwise, and build draws from a stream only at tau > 0,
                 # in Python ints
                 (["build", "--L", "4"],
                  NO_HOMOLOGY | NO_INSPECT | {"numpy", "elementwise", "streams"}),
                 (["verify", "--complex", "{complex}", "--seed", "0", "--samples", "20",
-                  "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES),
+                  "--words", "2"], NO_HOMOLOGY | NO_NUMPY_RANDOM | NO_DATACLASSES | NO_WALKS),
             ]
         ]
         + [

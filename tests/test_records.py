@@ -1,9 +1,12 @@
 """The records of the package: construction, immutability, equality, repr.
 
-Every record is a typing.NamedTuple, or (PantsComplex and PantsGraph,
-which cache derived tables in an instance dict) a plain immutable class
-with the same behaviour; the validating records refuse bad values with
-the messages their callers match.
+Every record is a typing.NamedTuple, so equality, hash and repr come
+from the tuple and no class of the package writes them by hand.  A
+record that checks its fields subclasses a NamedTuple base; PantsComplex
+and PantsGraph subclass one without __slots__, so their cached tables
+live in an instance dict while the fields stay read-only.  The
+validating records refuse bad values with the messages their callers
+match.
 """
 
 import ast
@@ -139,6 +142,35 @@ def test_complex_caches_its_graph_in_the_instance():
     assert x._graph is g
     assert g._walks is g._walks
     assert x == build_xp(1, 3) and hash(x) == hash(build_xp(1, 3))
+
+
+def test_one_record_rule():
+    # every record is a tuple with _fields, and no class writes its own
+    # equality, hash or immutability
+    for record in FIELDS:
+        assert issubclass(record, tuple) and isinstance(record._fields, tuple), record
+    package = Path(goodpants.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (path.name, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in ("__eq__", "__hash__", "__setattr__", "__delattr__")
+                ]
+    assert found == []
+
+
+def test_cached_tables_leave_equality_hash_and_repr_alone():
+    x, fresh = build_xp(1, 3), build_xp(1, 3)
+    want = (hash(fresh), repr(fresh))
+    walks = x._graph._walks  # the graph validates x, which builds _incidence
+    assert set(vars(x)) == {"_incidence", "_graph"} and not vars(fresh)
+    assert vars(x._graph) == {"_walks": walks}
+    assert x == fresh and (hash(x), repr(x)) == want
+    assert x == (fresh.pants, fresh.circles)
 
 
 class TestValidation:
