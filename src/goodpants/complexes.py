@@ -254,11 +254,12 @@ class PantsGraph(_PantsGraph):
 
     @cached_property
     def _walks(self) -> tuple[int, int, int, list[int]]:
-        """_shortest_walks of the graph; it is immutable, so walked once."""
-        from .walks import _dart_lists, _shortest_walks
+        """The first walk of a search of the graph; it is immutable, so
+        walked once."""
+        from .walks import _dart_lists, _Search
 
         _, mask, out, succ = _dart_lists(self)
-        return _shortest_walks(mask, out, succ)
+        return _Search(mask, out, succ).walks()
 
 
 def graph_of(x: PantsComplex) -> PantsGraph:
@@ -377,9 +378,11 @@ def _connected(x: PantsComplex) -> bool:
 def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
     """Surger along shortest-path middle edges until l(G) > threshold.
 
-    Terminates because each step strictly increases (l, -n)
-    lexicographically and n is bounded for fixed l; a step that does not
-    raises ArithmeticError rather than looping.
+    One search lasts the whole growth: after each surgery the walk redoes
+    only the levels the surgery can reach (walks._Search).  Terminates
+    because each step strictly increases (l, -n) lexicographically and n
+    is bounded for fixed l; a step that does not raises ArithmeticError
+    rather than looping.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
@@ -400,6 +403,7 @@ def grow_until(x: PantsComplex, threshold: int) -> PantsComplex:
                 f" ({walks[0]}, {walks[1]}): (l, -n) did not rise, so growth would not end"
             )
     x = growth.freeze()
+    del growth  # drop the search before graph_of builds the result's graph
     # graph_of validates the result; its darts are the state's, so its
     # cached walk is this one and is not walked again
     graph_of(x).__dict__["_walks"] = walks

@@ -3,13 +3,14 @@
 The walking half of ``complexes``: the dart lists of a graph and their
 non-backtracking successor table, the per-seed breadth-first search
 that finds the shortest essential length with its middle-dart counts,
-and the growth state that surgery edits in place.  Every count is a
-Python int, so every count is exact.  ``complexes`` imports this module
-only where it walks a graph or grows a complex.  It is not folded into
-``complexes`` because verify, homology and lemma angle-change read a
-complex but never walk one: a ``verify --words 5 --samples 2000`` child
-that also imports this module peaks 0.06 to 0.11 MB higher (medians of
-8 and of 12 alternating pairs).
+and the growth state that surgery edits in place, search included: a
+surgery makes the next walk redo only the levels it can reach.  Every
+count is a Python int, so every count is exact.  ``complexes`` imports
+this module only where it walks a graph or grows a complex.  It is not
+folded into ``complexes`` because verify, homology and lemma
+angle-change read a complex but never walk one: a ``verify --words 5
+--samples 2000`` child that also imports this module peaks 0.06 to 0.11
+MB higher (medians of 8 and of 12 alternating pairs).
 """
 
 from __future__ import annotations
@@ -59,92 +60,105 @@ def _set_successors(succ, out, mask, v):
         succ[o ^ 1] = [] if mask[v] else [p for p in leaving if p != o]
 
 
-def _levels(seed, succ):
-    """The breadth-first search from one seed dart, level by level.
+class _Search:
+    """The breadth-first search from each seed dart, kept between walks.
 
-    Level t (t = 1, 2, ...) is a dict from each dart first reached by a
-    walk of t darts that starts with seed, never reverses a dart and
-    passes only unmarked vertices in between, to the number of such
-    walks of t darts ending with it.  Every walk of t darts to a dart
-    first reached at level t comes through a dart first reached at level
-    t - 1, so each level sums the previous one (shortest-path counting,
-    as in Brandes 2001).  Ends when no dart is left to reach.
+    The seeds are the darts leaving marked vertices.  levels[i][t - 1]
+    maps each dart first reached by walks of t darts from seed i (walks
+    that never reverse a dart and pass only unmarked vertices in between)
+    to the number of those walks, and dist[i] maps it to t.  Each such
+    walk comes through a dart first reached at level t - 1, so each level
+    sums the previous one (shortest-path counting, as in Brandes 2001).
+    A level depends only on the levels before it and on their darts'
+    successors, so when some darts' successors change, cut keeps each
+    seed's levels up to the first that holds one of them, and the next
+    walk extends them (incremental search, as in Ramalingam-Reps 1996).
     """
-    seen = {seed}
-    level = {seed: 1}
-    while level:
-        yield level
-        nxt = {}
-        for d, count in level.items():
-            for e in succ[d]:
-                if e not in seen:
-                    nxt[e] = nxt.get(e, 0) + count
-        seen.update(nxt)
-        level = nxt
 
+    def __init__(self, mask, out, succ):
+        if not any(mask):
+            raise NoEssentialPathError("no marked vertices")
+        self.succ = succ
+        self.seeds = sorted(d for v, marked in enumerate(mask) if marked for d in out[v])
+        self.levels = [[{seed: 1}] for seed in self.seeds]
+        self.dist = [{seed: 1} for seed in self.seeds]
+        self.apart = 0  # no two seeds meet at levels 1 .. apart
 
-def _shortest_walks(mask, out, succ) -> tuple[int, int, int, list[int]]:
-    """(l, n, k, counts): the shortest essential walks, by middle dart.
+    def level(self, i: int, t: int) -> dict[int, int]:
+        """Seed i's level t, searched from its last kept level on."""
+        levels, dist = self.levels[i], self.dist[i]
+        while len(levels) < t:
+            nxt = {}
+            for d, count in levels[-1].items():
+                for e in self.succ[d]:
+                    if e not in dist:
+                        nxt[e] = nxt.get(e, 0) + count
+            levels.append(nxt)
+            dist.update(dict.fromkeys(nxt, len(levels)))
+        return levels[t - 1]
 
-    An essential walk is non-backtracking, its interior vertices are
-    unmarked (a path *between* marked vertices visits them only at its
-    ends), and when closed it is also cyclically reduced (its last dart
-    is not the reverse of its first).  A closed walk failing the last
-    condition is an out-and-back excursion whose shortest homotopy
-    representative is a loop missing the marked vertex entirely, so it
-    does not count as a path between marked vertices.
+    def cut(self, darts) -> None:
+        """Forget the levels after the first that holds one of darts."""
+        for levels, dist in zip(self.levels, self.dist):
+            keep = min((dist[d] for d in darts if d in dist), default=len(levels))
+            for level in levels[keep:]:
+                for d in level:
+                    del dist[d]
+            del levels[keep:]
+            self.apart = min(self.apart, keep)
 
-    The seeds are the darts leaving marked vertices.  An essential walk
-    starts with a seed i and ends with the reverse of another seed j,
-    so, cut at its dart d, it is a walk from seed i to d glued to the
-    reverse of a walk from seed j to d ^ 1.  With dist_i the level at
-    which seed i's search (_levels) first reaches a dart, l is the least
-    dist_i(d) + dist_j(d ^ 1) - 1 over darts d and seeds i != j.  Every
-    walk of length at most 2t - 1 has a dart within t of both ends, so
-    it is met by level t; a pair of seeds that first meets at level t
-    has a walk of length at most 2t - 1, so the first level at which any
-    pair meets gives l.
+    def walks(self) -> tuple[int, int, int, list[int]]:
+        """(l, n, k, counts): the shortest essential walks, by middle dart.
 
-    n is the number of ordered essential walks of length l (a walk and
-    its reverse are both counted; no such walk is its own reverse),
-    k = ceil((l + 1)/2), and counts[d] the number of them whose k-th
-    dart is d.  Such a walk reaches d first at level k from seed i and
-    d ^ 1 first at level l - k + 1 from seed j, or a shorter one would
-    exist, so counts[d] = sum over i of the level-k count of d from i
-    times the sum over j != i of the level-(l - k + 1) count of d ^ 1
-    from j.
-    """
-    if not any(mask):
-        raise NoEssentialPathError("no marked vertices")
-    seeds = sorted(d for v, marked in enumerate(mask) if marked for d in out[v])
-    searches = [_levels(seed, succ) for seed in seeds]
-    levels = [[] for _ in seeds]  # levels[i][t - 1]: seed i's level t
-    flipped = [set() for _ in seeds]  # the reverses of the darts seed i reached
-    pairs = [(i, j) for i in range(len(seeds)) for j in range(len(seeds)) if i != j]
-    while True:
-        for i, search in enumerate(searches):
-            levels[i].append(next(search, {}))
-            flipped[i].update([d ^ 1 for d in levels[i][-1]])
-        # seed i reached d at this level, and seed j had reached d ^ 1
-        if any(not flipped[j].isdisjoint(levels[i][-1]) for i, j in pairs):
-            break
-        if not any(level[-1] for level in levels):
-            raise NoEssentialPathError("no essential marked path")
-    t = len(levels[0])
-    l = min(
-        t + next(s for s, level in enumerate(levels[j], 1) if d ^ 1 in level) - 1
-        for i, j in pairs
-        for d in levels[i][-1].keys() & flipped[j]
-    )
-    k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
-    fwd = [level[k - 1] for level in levels]
-    back = [level[l - k] for level in levels]
-    counts = [0] * len(succ)
-    for i, ends in enumerate(fwd):
-        for d, count in ends.items():
-            others = sum(b.get(d ^ 1, 0) for j, b in enumerate(back) if j != i)
-            counts[d] += count * others
-    return l, sum(counts), k, counts
+        An essential walk is non-backtracking, its interior vertices are
+        unmarked, and when closed it is also cyclically reduced (its last
+        dart is not the reverse of its first): a closed walk failing that
+        is an out-and-back excursion, homotopic to a loop missing the
+        marked vertex, so not a path between marked vertices.
+
+        An essential walk starts with a seed i and ends with the reverse
+        of another seed j, so, cut at its dart d, it is a walk from seed
+        i to d glued to the reverse of a walk from seed j to d ^ 1.  l is
+        the least dist_i(d) + dist_j(d ^ 1) - 1 over darts d and seeds
+        i != j.  Every walk of length at most 2t - 1 has a dart within t
+        of both ends, so it is met by level t; a pair of seeds that first
+        meets at level t has a walk of length at most 2t - 1, so the
+        first level at which any pair meets gives l.
+
+        n is the number of ordered essential walks of length l (a walk
+        and its reverse are both counted; no such walk is its own
+        reverse), k = ceil((l + 1)/2), and counts[d] the number of them
+        whose k-th dart is d.  Such a walk reaches d first at level k
+        from seed i and d ^ 1 first at level l - k + 1 from seed j, or a
+        shorter one would exist, so counts[d] = sum over i of the level-k
+        count of d from i times the sum over j != i of the
+        level-(l - k + 1) count of d ^ 1 from j.
+        """
+        while True:
+            t = self.apart + 1
+            fronts = [self.level(i, t) for i in range(len(self.seeds))]
+            # seed i reached d at this level, and seed j had reached d ^ 1
+            meets = []
+            for i, front in enumerate(fronts):
+                flipped = [d ^ 1 for d in front]
+                for j, dist in enumerate(self.dist):
+                    if j != i and not dist.keys().isdisjoint(flipped):
+                        meets += [t + s - 1 for d in flipped if (s := dist.get(d, t + 1)) <= t]
+            if meets:
+                break
+            if not any(fronts):
+                raise NoEssentialPathError("no essential marked path")
+            self.apart = t
+        l = min(meets)
+        k = (l + 1 + 1) // 2  # ceil((l + 1)/2), 1-based position
+        fwd = [levels[k - 1] for levels in self.levels]
+        back = [levels[l - k] for levels in self.levels]
+        counts = [0] * len(self.succ)
+        for i, ends in enumerate(fwd):
+            for d, count in ends.items():
+                others = sum(b.get(d ^ 1, 0) for j, b in enumerate(back) if j != i)
+                counts[d] += count * others
+        return l, sum(counts), k, counts
 
 
 class _Growth:
@@ -153,15 +167,15 @@ class _Growth:
     It keeps what the walk needs, as lists: the pants and circles, the
     regular circles' ids in edge order, the darts' tails (dart d's head
     is the tail of d ^ 1), the marked mask, the darts leaving each
-    vertex and the successor table.  One surgery changes only the pants
-    and circles it touches, so it edits those entries instead of
-    rebuilding, re-validating and re-searching the whole complex.  The
-    start complex and the donor pass validate (through graph_of), and
-    the donor is read once into a template that each surgery shifts by
-    the ids in use; cutting a regular edge of a connected complex and
-    pasting in a donor that circle 0 does not cut apart keeps it valid
-    and connected, which graph_of checks again when the frozen result is
-    first used.
+    vertex, the successor table and the search.  One surgery changes
+    only the pants and circles it touches, so it edits those entries and
+    cuts the search (afresh when the seeds change) instead of rebuilding,
+    re-validating and re-searching the whole complex.  The start complex
+    and the donor pass validate (through graph_of), and the donor is read
+    once into a template that each surgery shifts by the ids in use;
+    cutting a regular edge of a connected complex and pasting in a donor
+    that circle 0 does not cut apart keeps it valid and connected, which
+    graph_of checks again when the frozen result is first used.
     """
 
     def __init__(self, x: PantsComplex, donor: PantsComplex):
@@ -183,15 +197,25 @@ class _Growth:
         self.circles = list(x.circles)
         self.circle_ids = [c for c, _, _ in g.edges]
         self.tail, self.mask, self.out, self.succ = _dart_lists(g)
+        self.search = None
 
     def walks(self) -> tuple[int, int, int, list[int]]:
-        """_shortest_walks of the current graph; the seeds are read afresh."""
-        return _shortest_walks(self.mask, self.out, self.succ)
+        """The search's walks of the current graph, resumed from the last."""
+        if self.search is None:
+            self.search = _Search(self.mask, self.out, self.succ)
+        return self.search.walks()
 
     def surger(self, e: int) -> None:
         """Cut the regular circle of edge e and paste the donor in."""
         edge = self.circle_ids[e]
         xb = self.tail[2 * e + 1]
+        # the successors change only of the darts into xb (dart 2e among
+        # them) and the donor's, which no level holds; the seeds change
+        # when xb or a donor pants is marked
+        if self.mask[xb] or any(self.donor_mask):
+            self.search = None
+        elif self.search:
+            self.search.cut([o ^ 1 for o in self.out[xb]])
         # xb's attachment is the later one when the edge is a loop
         xb_slot = 2 - self.pants[xb].slots[::-1].index(edge)
         n_pants, n_circles, n_darts = len(self.pants), len(self.circles), len(self.tail)

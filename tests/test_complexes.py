@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodpants import complexes
 from goodpants.complexes import (
@@ -29,7 +30,7 @@ from goodpants.complexes import (
     surger,
     validate,
 )
-from goodpants.walks import _dart_lists, _Growth, _levels, _shortest_walks
+from goodpants.walks import _dart_lists, _Growth, _Search
 from test_homology import connected_complexes
 
 
@@ -258,11 +259,11 @@ def brute_force_counts(g: PantsGraph):
 
 
 def search(g: PantsGraph):
-    """_shortest_walks of a graph walked afresh, or None when it has no
+    """The walks of a fresh search of a graph, or None when it has no
     essential walk."""
     _, mask, out, succ = _dart_lists(g)
     try:
-        return _shortest_walks(mask, out, succ)
+        return _Search(mask, out, succ).walks()
     except NoEssentialPathError:
         return None
 
@@ -516,19 +517,23 @@ class TestWalkKernel:
     def assert_levels_match_scatter(g, n_layers):
         """Each seed's search levels against the Python-int scatter
         oracle: level t holds the darts that layer t reaches first, with
-        the layer's counts."""
+        the layer's counts, and dist maps each of them to t."""
+        if not g.marked:
+            return
         tail, marked = dart_arrays(g)
-        _, _, _, succ = _dart_lists(g)
+        _, mask, out, succ = _dart_lists(g)
         seeds = np.flatnonzero(marked[tail])
         layers = scatter_walk_layers(tail, tail[np.arange(len(tail)) ^ 1], marked, object, g.n_vertices)
-        per_seed = [_levels(int(seed), succ) for seed in seeds]
+        search = _Search(mask, out, succ)
+        assert search.seeds == seeds.tolist()
         reached = np.zeros((len(seeds), len(tail)), dtype=bool)
-        for layer in islice(layers, n_layers):
-            for i, levels in enumerate(per_seed):
+        for t, layer in enumerate(islice(layers, n_layers), 1):
+            for i in range(len(seeds)):
                 first = np.flatnonzero((layer[i] != 0) & ~reached[i])
-                level = next(levels, {})
-                assert level == {int(d): layer[i][d] for d in first}
+                assert search.level(i, t) == {int(d): layer[i][d] for d in first}
                 reached[i, first] = True
+        for dist, levels in zip(search.dist, search.levels):
+            assert dist == {d: t for t, level in enumerate(levels, 1) for d in level}
 
     def test_matches_scatter_on_random_graphs(self):
         rng = random.Random(7)
@@ -575,9 +580,14 @@ class TestWalkKernel:
         stops = [0, *range(2, m + 2)]
         path = [(7 + i, a, b) for i, (a, b) in enumerate(zip(stops, stops[1:]))]
         g = PantsGraph(n_vertices=m + 2, edges=tuple(loops + path), marked=frozenset({0, m + 1}))
-        _, _, _, succ = _dart_lists(g)
-        for seed in (0, 14, 2 * (7 + m - 1) + 1):
-            assert all(max(level.values()) < 2**6 for level in _levels(seed, succ))
+        search = _Search(*_dart_lists(g)[1:])
+        assert search.seeds == [0, 14, 2 * (7 + m - 1) + 1]
+        for i in range(3):
+            # the whole search, to its first empty level
+            t = 1
+            while level := search.level(i, t):
+                assert max(level.values()) < 2**6
+                t += 1
         l, k, counts = _middle_dart_counts(g)
         assert complexity(g) == (m, -1)
         crossed = [d for d, c in enumerate(counts) if c]
@@ -591,12 +601,17 @@ class TestWalkKernel:
         assert search(g) == brute_force_counts(g)
 
 
+def counted_walks():
+    """Patch _Search.walks to count its calls, each one walk of a graph."""
+    return mock.patch.object(_Search, "walks", autospec=True, side_effect=_Search.walks)
+
+
 class TestChainCounts:
     @pytest.mark.parametrize("k", [40, 51, 52, 62, 63])
     def test_exact_complexity(self, k):
         # 2**(k + 1) ordered walks, past 2**53 from k = 52 on: one search
         # counts them in Python integers
-        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
+        with counted_walks() as walk:
             g = graph_of(chain_complex(k))
             assert complexity(g) == (2 * k + 1, -(2**k))
         assert walk.call_count == 1
@@ -615,7 +630,7 @@ class TestOneWalk:
         assert graph_of(x) is graph_of(x)
 
     def test_grow_walks_each_graph_once(self):
-        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
+        with counted_walks() as walk:
             x = grow_until(build_xp(1, 3), 64)
             complexity(graph_of(x))
         # 95 surgeries of 4 pants each: 96 graphs, one walk each; the
@@ -626,7 +641,7 @@ class TestOneWalk:
     def test_surger_reuses_the_counts(self):
         x = build_xp(1, 3)
         _middle_dart_counts(graph_of(x))
-        with mock.patch("goodpants.walks._shortest_walks", wraps=_shortest_walks) as walk:
+        with counted_walks() as walk:
             surger(x, 2, make_donor())
         assert walk.call_count == 0
 
@@ -635,6 +650,32 @@ def most_walked(walks):
     """The edge grow_until cuts: that of the first most-walked dart."""
     counts = walks[3]
     return counts.index(max(counts)) // 2
+
+
+def loop_complex():
+    """One marked pants with a loop, the shortest essential path."""
+    return PantsComplex(
+        pants=(Pants(slots=(0, 1, 1), orientations=(1, 1, -1)),),
+        circles=(Circle(d=3), Circle()),
+    )
+
+
+def singular_donor():
+    """make_donor with d = 2 on its handle circle 5, so every surgery adds
+    a marked pants and with it new seeds."""
+    donor = make_donor()
+    return PantsComplex(pants=donor.pants, circles=donor.circles[:5] + (Circle(d=2),))
+
+
+class Reads(list):
+    """A successor table that counts its reads: a search reads succ[d]
+    once for each dart d it visits."""
+
+    reads = 0
+
+    def __getitem__(self, d):
+        self.reads += 1
+        return super().__getitem__(d)
 
 
 class TestGrowthState:
@@ -652,7 +693,7 @@ class TestGrowthState:
         assert growth.mask == mask
         assert growth.out == out
         assert growth.succ == succ
-        assert walks == _shortest_walks(mask, out, succ)
+        assert walks == _Search(mask, out, succ).walks()
         return walks
 
     def test_every_step_to_l64_matches_the_rebuilt_complex(self):
@@ -665,12 +706,7 @@ class TestGrowthState:
         assert growth.freeze().to_json() == grown(64).to_json()
 
     def test_cut_loop_reroutes_its_later_slot(self):
-        # a loop at the one marked pants is the shortest essential path
-        x = PantsComplex(
-            pants=(Pants(slots=(0, 1, 1), orientations=(1, 1, -1)),),
-            circles=(Circle(d=3), Circle()),
-        )
-        growth = _Growth(x, make_donor())
+        growth = _Growth(loop_complex(), make_donor())
         walks = self.walk_and_compare(growth)
         assert walks[:2] == (1, 2) and growth.circle_ids == [1]
         assert growth.tail == [0, 0]
@@ -680,16 +716,50 @@ class TestGrowthState:
             growth.surger(most_walked(walks))
 
     def test_singular_donor_circle_marks_its_pants(self):
-        # the donor's handle circle 5 gets d = 2, so every surgery adds a
-        # marked pants
-        donor = make_donor()
-        donor = PantsComplex(pants=donor.pants, circles=donor.circles[:5] + (Circle(d=2),))
-        growth = _Growth(build_xp(1, 3), donor)
+        growth = _Growth(build_xp(1, 3), singular_donor())
         for _ in range(12):
             walks = self.walk_and_compare(growth)
             growth.surger(most_walked(walks))
         self.walk_and_compare(growth)
         assert sum(growth.mask) == 2 + 12
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(g, p) for g in (1, 2) for p in (2, 3, 5, 7)] + ["loop"]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_resumed_search_matches_a_fresh_one(self, start, singular, rng):
+        # random admissible cuts, as criterion 7 makes them, each followed
+        # by a comparison with a fresh search of the rebuilt complex; the
+        # singular donor changes the seeds at every step, and the loop
+        # start cuts a loop at its marked pants
+        x = loop_complex() if start == "loop" else build_xp(*start)
+        growth = _Growth(x, singular_donor() if singular else make_donor())
+        for _ in range(24):
+            walks = self.walk_and_compare(growth)
+            if walks[0] > 16:
+                break
+            admissible = [d for d, c in enumerate(walks[3]) if c]
+            growth.surger(rng.choice(admissible) // 2)
+
+    def test_resumed_search_visits_few_darts(self):
+        # a return to one whole-graph search per step visits 20 times as
+        # many darts as the resumed search
+        growth = _Growth(build_xp(1, 3), make_donor())
+        growth.succ = Reads(growth.succ)
+        fresh = 0
+        while True:
+            search = _Search(growth.mask, growth.out, Reads(growth.succ))
+            assert search.walks() == (walks := growth.walks())
+            fresh += search.succ.reads
+            if walks[0] > 256:
+                break
+            growth.surger(most_walked(walks))
+        assert len(growth.pants) == 1536
+        assert fresh > 800_000
+        assert growth.succ.reads < 0.05 * fresh
 
 
 class TestSurger:
