@@ -24,16 +24,16 @@ draws from its own seed, or from one stream in a fixed order.  Every
 stream comes from ``goodpants.streams``, which computes the raw words
 of numpy's SeedSequence/PCG64 streams as arrays or in Python ints, and
 the draws numpy's Generator makes from them, so no command loads
-``numpy.random``.  The samplers that evaluate slices of samples as
-arrays (the QI sampler, the two-planes and angle-change sweeps) get the
-bits of one-at-a-time evaluation, so reports never depend on its value.
+``numpy.random``.  The QI sampler evaluates slices of samples as arrays
+with the bits of one-at-a-time evaluation, so reports never depend on
+its value.
 
 A command loads only the modules it runs: this module imports the
 standard library and the version at its top, and each handler imports
-what it calls inside its own body.  So ``homology``, ``lemma hexagon``,
-``build`` at any ``--tau``, ``--version``, ``--help`` and usage errors
-start without numpy, and only the sampled ``lemma`` sweeps load
-``lemmalab``.
+what it calls inside its own body.  So ``homology``, every ``lemma``
+sweep but ``delta``, ``build`` at any ``--tau``, ``--version``,
+``--help`` and usage errors start without numpy, and only the sampled
+``lemma`` sweeps load ``lemmalab``.
 """
 
 from __future__ import annotations
@@ -341,7 +341,8 @@ def cmd_lemma(args) -> int:
 
 def _run_lemma(args):
     # only lemma runs the sweeps, so only lemma imports them; the hexagon
-    # sweep needs no numpy, and the sampled ones load it with lemmalab
+    # sweep needs no lemmalab, and of the sampled ones only delta loads
+    # numpy, where it runs
     if args.name == "hexagon":
         from .sweeps import hexagon_asymptotics_check
 

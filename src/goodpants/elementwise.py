@@ -11,8 +11,8 @@ and hypot are the C library's, as in CPython's complex abs and
 cmath.sqrt.  ``modulus``, ``square`` and ``exp`` raise OverflowError
 where abs, ``**`` and cmath.exp do, and so do the kernels built on
 them (``apply_to_point``, ``point_distance``, ``screw``).  Points are
-(horizontal pair, height) and tangent vectors (horizontal pair,
-vertical), as separate arguments or tuples.
+(horizontal pair, height), as separate arguments.  The QI sampler and
+the word scan are built from these kernels.
 """
 
 from __future__ import annotations
@@ -24,20 +24,16 @@ import numpy as np
 
 __all__ = [
     "add",
-    "angle_between",
     "apply_to_point",
-    "direction",
     "div",
     "exp",
     "floats",
     "matmul",
     "modulus",
     "mul",
-    "norm",
     "normalize",
     "pairs",
     "point_distance",
-    "python_floats",
     "quot",
     "scale",
     "screw",
@@ -52,12 +48,6 @@ def floats(f, *columns):
     columns = np.broadcast_arrays(*columns)
     flat = map(f, *(np.ravel(c).tolist() for c in columns))
     return np.fromiter(flat, float, count=columns[0].size).reshape(columns[0].shape)
-
-
-# Python floats overflow to inf and turn inf - inf into nan silently;
-# kernels built from these functions run under this errstate, so that
-# they neither warn nor stop there either
-python_floats = np.errstate(over="ignore", invalid="ignore")
 
 
 def square(x):
@@ -244,53 +234,3 @@ def point_distance(z1, t1, z2, t2):
     """geom.hyperbolic_point_distance elementwise."""
     dz2 = square(modulus(sub(z1, z2))) + square(t1 - t2)
     return floats(math.acosh, 1.0 + dz2 / (2.0 * t1 * t2))
-
-
-def direction(p, pt, q, qt):
-    """Unit tangent at p of the geodesic through p and q, pointing to q.
-
-    When q lies straight above or below p (horizontal offset under
-    1e-14) the geodesic is vertical.  Otherwise it is the semicircle
-    over the line from p's foot toward q's, and the tangent is taken
-    toward its forward endpoint; an endpoint that rounds onto p's own
-    foot gives the downward ray.  Returns (horizontal pair, vertical).
-    """
-    dz = (q[0] - p[0], q[1] - p[1])
-    d = np.hypot(*dz)
-    vertical = d < 1e-14
-    if np.any(vertical & (np.abs(qt - pt) < 1e-300)):
-        raise ValueError("coincident points span no geodesic")
-    up = vertical & (qt > pt)
-    d = np.where(vertical, 1.0, d)
-    u = div(dz, d)
-    x = (d * d + square(qt) - square(pt)) / (2.0 * d)
-    r = floats(math.hypot, x, pt)
-    forward = add(p, scale(u, x + r))
-    v = (forward[0] - p[0], forward[1] - p[1])
-    dv = np.hypot(*v)
-    down = vertical | (dv < 1e-300)
-    dv = np.where(down, 1.0, dv)
-    rv = (dv * dv + pt * pt) / (2.0 * dv)
-    h = scale(div(v, dv), pt / rv)
-    return (
-        (np.where(down, 0.0, h[0]), np.where(down, 0.0, h[1])),
-        np.where(up, 1.0, np.where(down, -1.0, (dv - rv) / rv)),
-    )
-
-
-def norm(v):
-    """Euclidean length of tangent vectors (horizontal pair, vertical)."""
-    return floats(math.hypot, np.hypot(*v[0]), v[1])
-
-
-def angle_between(v, w):
-    """Angle between tangent vectors (horizontal pair, vertical) at one point.
-
-    The model metric is conformal to the Euclidean one, so this is the
-    Euclidean angle.
-    """
-    dot = mul(v[0], (w[0][0], -w[0][1]))[0] + v[1] * w[1]
-    dot = dot / (norm(v) * norm(w))
-    # max(-1.0, min(1.0, dot)), which keeps 1.0 for a nan
-    clipped = np.where(dot < 1.0, dot, 1.0)
-    return floats(math.acos, np.where(clipped > -1.0, clipped, -1.0))

@@ -71,12 +71,13 @@ class RepParams(NamedTuple):
         twice on ``default_rng(SeedSequence(seed))``.
         """
         # streams loads only where random parameters are drawn (build at
-        # tau = 0 never does), and its fresh-stream reader steps these
-        # 2n words in Python ints, so build loads no numpy at any tau
-        from .streams import fresh_uniform
+        # tau = 0 never does), and scalar reads step these 2n words in
+        # Python ints, so build loads no numpy at any tau
+        from .streams import Stream
 
         n = len(x.circles)
-        draws = fresh_uniform(seed, -scale, scale, 2 * n)
+        uniform = Stream(seed).uniform
+        draws = [uniform(-scale, scale) for _ in range(2 * n)]
         return cls(R=R, tau=tau, xi=tuple(draws[:n]), eta=tuple(draws[n:]))
 
 
@@ -348,8 +349,9 @@ def _path_chords(n_seg, draws):
 
     from . import elementwise as ew
 
-    # ew.python_floats, entered afresh: one errstate object cannot be
-    # entered twice, and a caller may already be inside it
+    # Python floats overflow to inf and turn inf - inf into nan silently;
+    # under this errstate the elementwise kernels neither warn nor stop
+    # there either
     with np.errstate(over="ignore", invalid="ignore"):
         ones, zeros = np.ones(len(n_seg)), np.zeros(len(n_seg))
         frame = ((ones, zeros), (zeros, zeros), (zeros, zeros), (ones, zeros))

@@ -9,22 +9,22 @@ The records and the hexagon sweep, which needs no numpy, live in
 ``sweeps`` and are re-exported here, so this module offers all four
 sweeps.
 
-The sampled sweeps evaluate their samples in slices of at most
-``_SLICE`` as numpy arrays, so their memory does not grow with the
-sample count.  Their kernels are built from ``elementwise``, which
-repeats the scalar geometry of ``geom`` bit for bit, so a sweep's
-report is the same as when it measured one sample at a time.
 Each sampled sweep reads one ``streams.Stream``: numpy's SeedSequence/PCG64
-words, with the draws numpy's Generator makes from them.
+words, with the draws numpy's Generator makes from them.  The two-planes
+and angle-change sweeps measure one sample at a time in Python floats
+and complex numbers, repeating the scalar geometry of ``geom``
+operation for operation, and read their stream a draw at a time, so
+they load no numpy and their memory does not grow with the sample
+count.  The delta sweep builds each path as numpy arrays, and imports
+numpy where it runs.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import elementwise as ew
 from .geom import (
     DegenerateError,
     OrientedGeodesic,
@@ -34,8 +34,11 @@ from .geom import (
     _FLIP,
     _screw,
 )
-from .streams import Stream, uniform_doubles
+from .streams import Stream
 from .sweeps import SweepReport, SweepRow, hexagon_asymptotics_check
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SweepReport",
@@ -47,27 +50,77 @@ __all__ = [
 ]
 
 
-# samples evaluated together as arrays in each sampled sweep
-_SLICE = 4096
+# Neither per-sample sweep can meet a nan in its maxima: every angle it
+# compares is an acos of a cosine clipped to [-1, 1], an asin of a sine
+# clipped to at most 1, or an atan2 of finite values, and min(1.0, nan)
+# and max(-1.0, nan) give the clip's bound.  So the running max(), which
+# would drop a nan, is the maximum over every sample.
 
 
-# the geodesic (-1, 1), which crosses the axis (0, infinity) orthogonally
-# at height 1; and the axis frame that angle-change measures in: the
-# upward unit vector and the binormal i, both parallel along the axis
-_NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
-_UP = ((0.0, 0.0), 1.0)
-_BINORMAL = ((0.0, 1.0), 0.0)
+def _direction(p: complex, pt: float, q: complex, qt: float) -> tuple[complex, float]:
+    """Unit tangent at the point (p, pt) of the geodesic through it and (q, qt), toward q.
+
+    When q lies straight above or below p (horizontal offset under
+    1e-14) the geodesic is vertical.  Otherwise it is the semicircle
+    over the line from p's foot toward q's, and the tangent is taken
+    toward its forward endpoint; an endpoint that rounds onto p's own
+    foot gives the downward ray.  Returns (horizontal, vertical).
+    """
+    dz = q - p
+    d = abs(dz)
+    if d < 1e-14:
+        if abs(qt - pt) < 1e-300:
+            raise ValueError("coincident points span no geodesic")
+        return 0j, 1.0 if qt > pt else -1.0
+    u = dz / d
+    x = (d * d + qt**2 - pt**2) / (2.0 * d)
+    r = math.hypot(x, pt)
+    forward = p + (x + r) * u
+    v = forward - p
+    dv = abs(v)
+    if dv < 1e-300:
+        return 0j, -1.0
+    v = v / dv
+    rv = (dv * dv + pt * pt) / (2.0 * dv)
+    return (pt / rv) * v, (dv - rv) / rv
 
 
-@ew.python_floats
-def _segment_angles(xt, y, yt):
-    """theta and phi of segments from (0, xt) on the axis to the points (y, yt)."""
-    e = ew.direction((0.0, 0.0), xt, y, yt)
-    return ew.angle_between(e, _UP), ew.angle_between(e, _BINORMAL)
+def _angle_between(v: complex, vv: float, w: complex, wv: float) -> float:
+    """Angle between tangent vectors (v, vv) and (w, wv) at one point.
+
+    The model metric is conformal to the Euclidean one, so this is the
+    Euclidean angle.
+    """
+    dot = (v * w.conjugate()).real + vv * wv
+    dot /= math.hypot(abs(v), vv) * math.hypot(abs(w), wv)
+    return math.acos(max(-1.0, min(1.0, dot)))
+
+
+# the conjugates of the axis frame's horizontal parts: the upward unit
+# vector (0, 1) and the binormal (i, 0), both parallel along the axis
+_UP_CONJ = (0j).conjugate()
+_BINORMAL_CONJ = (1j).conjugate()
+
+
+def _segment_angles(xt: float, y: complex, yt: float) -> tuple[float, float]:
+    """theta and phi of the segment from (0, xt) on the axis to the point (y, yt).
+
+    They are _angle_between its tangent and the upward unit vector, then
+    the binormal.  Both have length hypot(1.0, 0.0) = 1.0 exactly, so the
+    tangent's length alone divides each dot product, with the same bits,
+    and it is taken once.
+    """
+    e, ev = _direction(0j, xt, y, yt)
+    norm = math.hypot(abs(e), ev)
+    up = ((e * _UP_CONJ).real + ev * 1.0) / norm
+    binormal = ((e * _BINORMAL_CONJ).real + ev * 0.0) / norm
+    return math.acos(max(-1.0, min(1.0, up))), math.acos(max(-1.0, min(1.0, binormal)))
 
 
 def _pair_distances(z: np.ndarray, t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Hyperbolic distances between the points (z, t) at index pairs (i, j)."""
+    import numpy as np
+
     sq = np.abs(z[i] - z[j]) ** 2 + (t[i] - t[j]) ** 2
     coshd = 1.0 + sq / (2.0 * (t[i] * t[j]))
     return np.arccosh(np.maximum(coshd, 1.0))
@@ -105,6 +158,8 @@ def _is_quasigeodesic(z: np.ndarray, t: np.ndarray, delta: float) -> bool:
     |ln t[0]| <= 200.  When the bound cannot decide (nan included), the
     full net of pairs is measured and decides.
     """
+    import numpy as np
+
     k = np.arange(len(t) - 1)
     walk = np.concatenate(([0.0], np.cumsum(_pair_distances(z, t, k, k + 1))))
     f = np.log(t) - walk / (1.0 + delta)
@@ -151,6 +206,10 @@ def quasigeodesic_stability_check(
     rounding, whenever an unscaled path passes the pre-check), not a
     consequence of the quasigeodesic inequality.
     """
+    # numpy loads here, where paths are built as arrays: the other sweeps
+    # start without it
+    import numpy as np
+
     if not 0.0 < delta <= 1e-2:
         raise ValueError("delta must lie in (0, 1e-2]")
     if samples < 1:
@@ -204,47 +263,66 @@ def quasigeodesic_stability_check(
     )
 
 
-@ew.python_floats
-def _two_planes_angles(b, d, xi):
-    """beta and the two psi routes of the two-planes samples (b, d, xi).
+# the geodesic (-1, 1), which crosses the axis (0, infinity) orthogonally
+# at height 1, and the maps that carry it to the axis and back
+_NORMAL = OrientedGeodesic(-1.0 + 0j, 1.0 + 0j)
+_TO_AXIS = normalize_to_axis(_NORMAL).entries()
+_FROM_AXIS = normalize_to_axis(_NORMAL).inverse().entries()
+
+
+def _matmul(m, n):
+    """MoebiusMap.__mul__ on entry tuples, without its sign convention.
+
+    The convention negates a product or not; negation is exact, and no
+    point image depends on the sign of the matrix.
+    """
+    a, b, c, d = m
+    p, q, r, s = n
+    return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+
+
+def _two_planes_angles(b: float, d: float, xi: float) -> tuple[float, float, float]:
+    """beta and the two psi routes of the two-planes sample (b, d, xi).
 
     The right triangle has its corner at (0, 1), the leg b along
     _NORMAL to B and the leg d up the axis to C = (0, e^d).
     """
-    # B = apply_to_point(translate_along(_NORMAL, b), corner), where
-    # translate_along is m^-1 * _screw(b) * m
-    m = normalize_to_axis(_NORMAL)
-    push = ew.matmul(ew.matmul(ew.pairs(m.inverse()), ew.screw((b, 0.0))), ew.pairs(m))
-    corner = (0.0, 0.0)
-    B, Bt = ew.apply_to_point(push, corner, 1.0)
-    Ct = ew.floats(math.exp, d)
-    hyp = ew.point_distance(B, Bt, corner, Ct)
-    toward_corner = ew.direction(B, Bt, corner, 1.0)
-    toward_far = ew.direction(B, Bt, corner, Ct)
-    beta = ew.angle_between(toward_corner, toward_far)
+    # B = apply_to_point(translate_along(_NORMAL, b), corner): the screw
+    # _screw(b), normalized as MoebiusMap does but for its sign
+    # convention, carried to _NORMAL.  On entry tuples this takes about
+    # 2 us a sample, through MoebiusMap and Point about 7 us
+    half = cmath.exp(complex(b) / 2.0)
+    inv = 1.0 / half
+    s = cmath.sqrt(half * inv - 0j * 0j)
+    screw = (half / s, 0j / s, 0j / s, inv / s)
+    m11, m12, m21, m22 = _matmul(_matmul(_FROM_AXIS, screw), _TO_AXIS)
+    # the corner (0, 1) moved by apply_to_point
+    w = m21 * 0j + m22
+    denom = abs(w) ** 2 + abs(m21) ** 2 * 1.0 * 1.0
+    B = ((m11 * 0j + m12) * w.conjugate() + m11 * m21.conjugate() * 1.0 * 1.0) / denom
+    Bt = 1.0 / denom
+    Ct = math.exp(d)
+    # hyperbolic_point_distance(B, C)
+    hyp = math.acosh(1.0 + (abs(B - 0j) ** 2 + (Bt - Ct) ** 2) / (2.0 * Bt * Ct))
+    beta = _angle_between(*_direction(B, Bt, 0j, 1.0), *_direction(B, Bt, 0j, Ct))
 
-    sin_beta = ew.floats(math.sinh, d) / ew.floats(math.sinh, hyp)
-    sin_xi = ew.floats(math.sin, xi)
-    cos_xi = ew.floats(math.cos, xi)
-    denominator = 1.0 - sin_beta * sin_beta * ew.square(cos_xi)
-    if np.any(denominator == 0.0):
-        # sin beta and cos xi both round to 1, as on legs b < 1e-8
-        raise ZeroDivisionError("float division by zero")
-    s2 = sin_xi * sin_xi / denominator
-    root = ew.floats(math.sqrt, s2)
-    psi_formula = ew.floats(math.asin, np.where(root < 1.0, root, 1.0))
+    sin_beta = math.sinh(d) / math.sinh(hyp)
+    sin_xi = math.sin(xi)
+    # a zero denominator raises ZeroDivisionError: sin beta and cos xi
+    # both round to 1, as on legs b < 1e-8
+    s2 = sin_xi * sin_xi / (1.0 - sin_beta * sin_beta * math.cos(xi) ** 2)
+    psi_formula = math.asin(min(1.0, math.sqrt(s2)))
 
     # direct route on the unit tangent sphere, with the measured beta:
     # rotate the vertical normal by xi about the leg direction, then
     # follow the tilted plane's great circle for the turn at B
-    turn = ew.floats(math.atan2, sin_xi * ew.floats(math.sin, beta), ew.floats(math.cos, beta))
-    cos_turn = ew.floats(math.cos, turn)
+    turn = math.atan2(sin_xi * math.sin(beta), math.cos(beta))
+    cos_turn = math.cos(turn)
     # the angle whose cosine is cos(xi) cos(turn), read off through
     # its sine to stay accurate when both factors are close to 1
-    psi_direct = ew.floats(
-        math.atan2,
-        ew.floats(math.hypot, sin_xi * cos_turn, ew.floats(math.sin, turn)),
-        cos_xi * cos_turn,
+    psi_direct = math.atan2(
+        math.hypot(sin_xi * cos_turn, math.sin(turn)),
+        math.cos(xi) * cos_turn,
     )
     return beta, psi_formula, psi_direct
 
@@ -271,16 +349,16 @@ def two_planes_angle_check(
         raise ValueError("R must be at least 10")
     if samples < 1:
         raise ValueError("need at least one sample")
-    stream = Stream((seed, 0x2B1))
+    uniform = Stream((seed, 0x2B1)).uniform
     xi_max = 4.0 * eps / R * math.exp(-R / 4.0)
-    # each sample draws uniform b, d, xi in turn, as rows of Generator.random
-    low = np.array([math.exp(-R / 4.0), 1.0, -xi_max])
-    high = np.array([2.0, R, xi_max])
+    b_min = math.exp(-R / 4.0)
     max_psi = 0.0
     max_disagreement = 0.0
-    for done in range(0, samples, _SLICE):
-        u = stream.random(3 * min(_SLICE, samples - done)).reshape(-1, 3)
-        b, d, xi = uniform_doubles(low, high, u).T
+    for _ in range(samples):
+        # each sample draws uniform b, d, xi in turn
+        b = uniform(b_min, 2.0)
+        d = uniform(1.0, R)
+        xi = uniform(-xi_max, xi_max)
         try:
             _, psi_formula, psi_direct = _two_planes_angles(b, d, xi)
         except (OverflowError, ZeroDivisionError) as exc:
@@ -288,10 +366,8 @@ def two_planes_angle_check(
                 f"R = {R!r} is too large for double precision: a two-planes"
                 " triangle overflows or rounds to a degenerate one"
             ) from exc
-        max_psi = max(max_psi, float(psi_formula.max()))
-        max_disagreement = max(
-            max_disagreement, float(np.abs(psi_direct - psi_formula).max())
-        )
+        max_psi = max(max_psi, psi_formula)
+        max_disagreement = max(max_disagreement, abs(psi_direct - psi_formula))
     rows = (
         SweepRow(
             params=(("eps", eps), ("R", R), ("check", "dihedral-bound")),
@@ -339,78 +415,44 @@ def _axis_letters(rho, c: int) -> list:
     return placed + [g.inverse() for g in placed]
 
 
-def _word_images(word_mats, word):
-    """The base point's image under the word, for each representation.
-
-    A row of ``ends``: (real, imag, height) of each image in turn.
-    """
-    row = []
+def _word_images(word_mats, word) -> tuple[Point, ...]:
+    """The base point's image under the word, for each representation."""
+    images = []
     for mats in word_mats:
         m = mats[word[0]]
         for letter in word[1:]:
             m = m * mats[letter]
-        y = apply_to_point(m, _BASE_POINT)
-        row += [y.horizontal.real, y.horizontal.imag, y.height]
-    return row
+        images.append(apply_to_point(m, _BASE_POINT))
+    return tuple(images)
 
 
-def _draw_attempts(stream, k, cutoff, R, n_letters):
-    """The next k attempts' axis heights and reduced words.
+def _draw_attempt(stream, cutoff, R, n_letters) -> tuple[float, tuple[int, ...]]:
+    """The next attempt's axis height and reduced word.
 
     An attempt draws t in (cutoff, R) and a sign, for the axis point at
     height e^(sign t); then a length from 1 to 3 and that many letters,
     each drawn again while it would cancel the letter before it.
     """
     uniform, integers = stream.uniform, stream.integers
-    heights = []
-    words = []
-    for _ in range(k):
-        t = uniform(cutoff, R)
-        sign = 1.0 if uniform(0.0, 1.0) < 0.5 else -1.0
-        heights.append(math.exp(sign * t))
-        word = []
-        for _ in range(integers(1, 4)):
+    t = uniform(cutoff, R)
+    sign = 1.0 if uniform(0.0, 1.0) < 0.5 else -1.0
+    word = []
+    for _ in range(integers(1, 4)):
+        letter = integers(0, n_letters)
+        while word and letter == (word[-1] + n_letters // 2) % n_letters:
             letter = integers(0, n_letters)
-            while word and letter == (word[-1] + n_letters // 2) % n_letters:
-                letter = integers(0, n_letters)
-            word.append(letter)
-        words.append(tuple(word))
-    return heights, words
+        word.append(letter)
+    return math.exp(sign * t), tuple(word)
 
 
-def _distances(xt, end):
-    """Distances from the axis points (0, xt) to ends (real, imag, height)."""
-    return ew.point_distance((0.0, 0.0), xt, (end[:, 0], end[:, 1]), end[:, 2])
+def _distance(xt: float, end: Point) -> float:
+    """hyperbolic_point_distance from the axis point (0, xt) to ``end``.
 
-
-@ew.python_floats
-def _near(xt, ends, R):
-    """Whether the axis point (0, xt[k]) lies within R/2 of either end.
-
-    Decided as any() decides it: the second end is measured only where
-    the first is not near, so only there can its distance overflow.
+    Its operations on the height alone, so that no Point is built per
+    attempt (about 6% of the sweep's time).
     """
-    near = _distances(xt, ends[:, :3]) < R / 2.0
-    far = ~near
-    near[far] = _distances(xt[far], ends[far, 3:]) < R / 2.0
-    return near
-
-
-@ew.python_floats
-def _angle_shifts(xt, ends):
-    """Largest theta shift, phi defect and combined shift over a slice.
-
-    Segment k runs from (0, xt[k]) to each representation's base-point
-    image; ends[k] holds the two images, each as (real, imag, height).
-    """
-    theta0, phi0 = _segment_angles(xt, (ends[:, 0], ends[:, 1]), ends[:, 2])
-    theta1, phi1 = _segment_angles(xt, (ends[:, 3], ends[:, 4]), ends[:, 5])
-    d_theta = np.abs(theta0 - theta1)
-    return (
-        float(d_theta.max()),
-        float(np.abs(phi1 - math.pi / 2.0).max()),
-        float(np.maximum(d_theta, np.abs(phi0 - phi1)).max()),
-    )
+    dz2 = abs(0j - end.horizontal) ** 2 + (xt - end.height) ** 2
+    return math.acosh(1.0 + dz2 / (2.0 * xt * end.height))
 
 
 def angle_change_check(
@@ -423,24 +465,22 @@ def angle_change_check(
     images of the base point under matched holonomy words.  The circle,
     the complex's first regular circle (ValueError when it has none),
     sits on the axis (0, infinity) in its left-oriented coordinates, so
-    the angles are measured in the axis frame (_UP, _BINORMAL).  The theta
-    shift and the phi defect from pi/2 are each bounded by 1/(4p), their
-    maximum by 1/p.  Samples whose endpoints are closer than R/2 are
-    rejected and redrawn.  Words in the circle's own cuff letters alone
-    map the base point onto the axis (see _axis_letters), so their
+    the angles are measured in the axis frame (see _segment_angles).  The
+    theta shift and the phi defect from pi/2 are each bounded by 1/(4p),
+    their maximum by 1/p.  Samples whose endpoints are closer than R/2
+    are rejected and redrawn.  Words in the circle's own cuff letters
+    alone map the base point onto the axis (see _axis_letters), so their
     segments run along it in both developments; they count as samples
-    and shift no angle.  DegenerateError names a word whose holonomy
-    rounds to a singular matrix, as happens past double precision, and
-    OverflowError names R when a word image lies too far out for the
-    rejection test to measure (as at R = 130).
+    and shift no angle.
 
-    The attempts come from one stream.  Each slice of up to _SLICE
-    accepted samples is filled in rounds that draw as many attempts as
-    the slice still lacks and test them as arrays, so no attempt is
-    drawn past the one that completes the sample count, and an error is
-    raised at the attempt where testing one attempt at a time raises it:
-    a new word's images first, then that attempt's rejection test, then
-    RuntimeError after 50 * samples attempts.
+    The attempts come from one stream and are tested one at a time,
+    until `samples` are accepted; none is drawn past the one that
+    completes the count.  An attempt fails on a new word's images, where
+    DegenerateError names a word whose holonomy rounds to a singular
+    matrix, as happens past double precision; then on its rejection
+    test, where OverflowError names R when a word image lies too far out
+    to measure (as at R = 130).  RuntimeError ends the sweep after
+    50 * samples attempts.
     """
     rho0, rho1 = rep_pair
     if rho0.complex != rho1.complex:
@@ -459,65 +499,48 @@ def angle_change_check(
     word_mats = [_axis_letters(rho, regular[0]) for rho in (rho0, rho1)]
     n_letters = len(word_mats[0])
 
-    # per reduced word seen (at most 8 + 8 * 7 + 8 * 7^2 with eight
-    # letters): its row of `ends`, the base point's images under both
-    # representations as (real, imag, height) * 2
-    words = {}
-    ends = []
+    # the base point's images under both representations, per reduced
+    # word seen: at most 8 + 8 * 7 + 8 * 7^2 with eight letters
+    images = {}
+    reach = R / 2.0
     stream = Stream((seed, 0x3A7))
-    maxima = (0.0, 0.0, 0.0)
+    max_theta = max_phi = max_combined = 0.0
     accepted = 0
     rejected = 0
-    budget = 50 * samples
-    while accepted < samples:
-        size = min(_SLICE, samples - accepted)
-        heights = np.empty(0)
-        word_rows = np.empty(0, dtype=np.intp)
-        while len(heights) < size:
-            # each round draws only attempts that this slice still needs,
-            # so none lies past the attempt that completes the sample count
-            k = min(size - len(heights), budget)
-            if k == 0:
-                raise RuntimeError("could not draw enough admissible samples")
-            budget -= k
-            xt, drawn = _draw_attempts(stream, k, cutoff, R, n_letters)
-            # rows of the attempts' words, up to a new word whose images
-            # fail; the attempts before it are still tested, in order
-            rows = []
-            failed = None
-            for word in drawn:
-                if word not in words:
-                    try:
-                        ends.append(_word_images(word_mats, word))
-                    except (ArithmeticError, ValueError) as exc:
-                        failed = (word, exc)
-                        break
-                    words[word] = len(ends) - 1
-                rows.append(words[word])
-            xt = np.array(xt[: len(rows)])
-            rows = np.array(rows, dtype=np.intp)
+    for _ in range(50 * samples):
+        xt, word = _draw_attempt(stream, cutoff, R, n_letters)
+        ends = images.get(word)
+        if ends is None:
             try:
-                near = _near(xt, np.array(ends).reshape(-1, 6)[rows], R)
-            except OverflowError as exc:
-                raise OverflowError(
-                    f"R = {R!r} is too large for double precision: a word image's"
-                    " distance from the base point overflows"
-                ) from exc
-            if failed is not None:
-                word, exc = failed
-                if isinstance(exc, ZeroDivisionError):
-                    raise DegenerateError(
-                        f"R = {R!r} is too large for double precision: the holonomy"
-                        f" of word {list(word)} rounds to a singular matrix"
-                    ) from None
-                raise exc
-            rejected += int(near.sum())
-            heights = np.concatenate((heights, xt[~near]))
-            word_rows = np.concatenate((word_rows, rows[~near]))
-        shifts = _angle_shifts(heights, np.array(ends)[word_rows])
-        maxima = tuple(map(max, maxima, shifts))
-        accepted += size
-    max_theta, max_phi, max_combined = maxima
+                ends = images[word] = _word_images(word_mats, word)
+            except ZeroDivisionError:
+                raise DegenerateError(
+                    f"R = {R!r} is too large for double precision: the holonomy"
+                    f" of word {list(word)} rounds to a singular matrix"
+                ) from None
+        end0, end1 = ends
+        try:
+            # the second end is measured only where the first is not near
+            near = _distance(xt, end0) < reach or _distance(xt, end1) < reach
+        except OverflowError as exc:
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: a word image's"
+                " distance from the base point overflows"
+            ) from exc
+        if near:
+            rejected += 1
+            continue
+        theta0, phi0 = _segment_angles(xt, *end0)
+        theta1, phi1 = _segment_angles(xt, *end1)
+        d_theta = abs(theta0 - theta1)
+        max_theta = max(max_theta, d_theta)
+        max_phi = max(max_phi, abs(phi1 - math.pi / 2.0))
+        max_combined = max(max_combined, d_theta, abs(phi0 - phi1))
+        accepted += 1
+        if accepted == samples:
+            break
+    else:
+        raise RuntimeError("could not draw enough admissible samples")
     rows = (
         SweepRow(
             params=(("p", p), ("R", R), ("check", "theta-shift")),

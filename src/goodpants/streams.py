@@ -14,11 +14,13 @@ A_m*s + G_m*inc with A_m = a^m and G_m = 1 + a + ... + a^(m-1).  Seeding
 sets the state to a*(seed + inc) + inc, so word j of a stream is the
 output of A_j*s_0 + G_j*inc, where s_0 = a*(seed + inc) + inc.  One
 table of (A_m, G_m) for m up to _CHUNK gives the next _CHUNK words of
-many streams at once (``spawned_words``) or of one (``Stream``), as
-numpy array code.  ``fresh_uniform`` instead steps one fresh stream in
-Python ints, without numpy: about 0.55 us a word against 0.05 us from
-the table, which pays for a short prefix read once (``RepParams.random``)
-and not for the samplers' tens of thousands of words.
+many streams at once (``spawned_words``) or of one (``Stream``'s array
+reads), as numpy array code.  ``Stream``'s scalar reads instead step its
+state in Python ints: about 0.55 us a word against 0.05 us from the
+table, which a reader of a few tens of thousands of words repays by not
+importing numpy (about 85 ms): ``RepParams.random`` and the two-planes
+and angle-change sweeps read that way, and the delta sweep and the QI
+sampler read arrays.
 
 The rules by which numpy's Generator turns words into draws live here
 alone.  ``random`` is (w >> 11) * 2^-53 of a word w, and
@@ -42,7 +44,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Stream",
     "first_integers",
-    "fresh_uniform",
     "spawned_words",
     "uniform_doubles",
     "unit_doubles",
@@ -248,23 +249,6 @@ def spawned_words(entropy, keys, k: int) -> np.ndarray:
     return out
 
 
-def fresh_uniform(entropy, lo: float, hi: float, n: int) -> list[float]:
-    """The first n draws of ``Generator.uniform(lo, hi)``, as Python floats.
-
-    The generator is a fresh ``Generator(PCG64(SeedSequence(entropy)))``,
-    seeded and stepped here in Python ints, so no numpy loads.  n draws
-    read n words in stream order, so the first n and the next n are that
-    generator's two calls ``uniform(lo, hi, n)``.
-    """
-    (high, low), (inc_high, inc_low) = _seeded(_entropy_words(entropy))
-    state, inc = high << 64 | low, inc_high << 64 | inc_low
-    draws = []
-    for _ in range(n):
-        state = (_MULT * state + inc) & _MASK128
-        draws.append(uniform_doubles(lo, hi, unit_doubles(_output(state >> 64, state & _MASK64))))
-    return draws
-
-
 def unit_doubles(words):
     """``Generator.random``'s doubles from words: (w >> 11) * 2^-53.
 
@@ -300,27 +284,23 @@ def first_integers(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
 class Stream:
     """``Generator(PCG64(SeedSequence(entropy)))``'s draws, in stream order.
 
-    Words are computed _CHUNK at a time from the state that the chunk
-    starts at, together with their unit doubles.  Every read takes the
-    next words from one position, so ``words``, ``random``, ``uniform``
-    and ``integers`` mix in stream order, as calls on one numpy Generator
-    do.  Scalar reads index a chunk that they filled as a list of Python
-    ints in place, with no call per word: a sampler may make tens of
-    thousands.
+    The state is a Python int.  Scalar reads (``uniform`` without n,
+    ``integers``) step it a word at a time, at about 0.5 us a word, and
+    load no numpy.  Array reads (``words``, ``random``, ``uniform`` with
+    n) jump ahead _CHUNK words at a time through the table, as numpy
+    array code, and buffer the words they compute past their own, with
+    their unit doubles; the state is then the one after the buffer.
+    Every read takes buffered words first, so all four mix in stream
+    order, as calls on one numpy Generator do.
     """
 
     def __init__(self, entropy):
-        import numpy as np
-
-        # seeded in Python ints, then held as columns (1, 1) for _run
-        self._state, self._inc = (
-            tuple(np.full((1, 1), h, dtype=np.uint64) for h in pair)
-            for pair in _seeded(_entropy_words(entropy))
-        )
-        self._words = np.empty(0, dtype=np.uint64)
-        self._units = np.empty(0)
-        # the buffer as Python ints, or [] (see _scalar)
-        self._list = []
+        (high, low), (inc_high, inc_low) = _seeded(_entropy_words(entropy))
+        self._state = high << 64 | low
+        self._inc = inc_high << 64 | inc_low
+        # words computed and not yet read lie in _words from _pos on: a
+        # uint64 array once an array read has filled it
+        self._words = ()
         self._pos = 0
         # the high half that the last 32-bit draw left, if any
         self._half = None
@@ -329,35 +309,35 @@ class Stream:
         """Put at least k words past the position in the buffer, from its start."""
         import numpy as np
 
-        pieces = [self._words[self._pos :]]
-        for _ in range(-((len(pieces[0]) - k) // _CHUNK)):
-            words, self._state = _run(self._state, self._inc, _CHUNK)
-            pieces.append(words[0])
-        self._words = np.concatenate(pieces)
+        rest = np.asarray(self._words[self._pos :], dtype=np.uint64)
+        state, inc = (
+            tuple(np.full((1, 1), h, dtype=np.uint64) for h in _pair(v))
+            for v in (self._state, self._inc)
+        )
+        chunks = max(1, -((len(rest) - k) // _CHUNK))
+        words, (high, low) = _run(state, inc, chunks * _CHUNK)
+        self._state = int(high[0, 0]) << 64 | int(low[0, 0])
+        self._words = np.concatenate((rest, words[0]))
         self._units = unit_doubles(self._words)
-        self._list = []
         self._pos = 0
 
     def _next(self, k: int) -> slice:
         """Where the next k words lie in the buffer, past which the stream moves."""
-        if self._pos + k > len(self._words):
+        # the first array read makes the buffer an array, even of 0 words
+        if self._pos + k > len(self._words) or not len(self._words):
             self._fill(k)
         start = self._pos
         self._pos = start + k
         return slice(start, self._pos)
 
-    def _scalar(self) -> int:
-        """The next word, for a scalar read past the end of the list.
-
-        A buffer that a scalar read fills is listed for the scalar reads
-        after it.  One that an array read filled is read a word at a
-        time, so a few scalar reads among array reads list no chunk.
-        """
-        if self._pos == len(self._words):
-            self._fill(1)
-            self._list = self._words.tolist()
-        self._pos += 1
-        return self._words.item(self._pos - 1)
+    def _word(self) -> int:
+        """The next word, as a Python int."""
+        pos = self._pos
+        if pos < len(self._words):
+            self._pos = pos + 1
+            return self._words.item(pos)
+        self._state = state = (_MULT * self._state + self._inc) & _MASK128
+        return _output(state >> 64, state & _MASK64)
 
     def words(self, k: int) -> np.ndarray:
         """The next k raw words, as uint64."""
@@ -373,13 +353,7 @@ class Stream:
         """``Generator.uniform(lo, hi, n)``: a float, or n of them as an array."""
         if n is not None:
             return uniform_doubles(lo, hi, self.random(n))
-        pos, words = self._pos, self._list
-        if pos < len(words):
-            self._pos = pos + 1
-            word = words[pos]
-        else:
-            word = self._scalar()
-        return lo + (hi - lo) * ((word >> 11) * 2.0**-53)
+        return lo + (hi - lo) * ((self._word() >> 11) * 2.0**-53)
 
     def integers(self, lo: int, hi: int) -> int:
         """``Generator.integers(lo, hi)``, for 2 <= hi - lo <= 2^32."""
@@ -387,12 +361,7 @@ class Stream:
         while True:
             half = self._half
             if half is None:
-                pos, words = self._pos, self._list
-                if pos < len(words):
-                    self._pos = pos + 1
-                    word = words[pos]
-                else:
-                    word = self._scalar()
+                word = self._word()
                 self._half = word >> 32
                 m = (word & 0xFFFFFFFF) * n
             else:

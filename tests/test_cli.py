@@ -1637,10 +1637,12 @@ class TestExports:
                 (["lemma", "hexagon", "--R", "10,20"], NO_COMPLEXES | NO_SAMPLING | NO_INSPECT),
                 (["lemma", "delta", "--samples", "20", "--seed", "0"],
                  NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
+                # two-planes and angle-change measure a sample at a time
+                # in Python floats: only the delta sweep loads numpy
                 (["lemma", "two-planes", "--samples", "20", "--seed", "0"],
-                 NO_COMPLEXES | NO_NUMPY_RANDOM | NO_DATACLASSES),
+                 NO_COMPLEXES | NO_NUMPY_RANDOM | NO_INSPECT | {"numpy", "elementwise"}),
                 (["lemma", "angle-change", "--samples", "20", "--seed", "0"],
-                 {"homology"} | NO_NUMPY_RANDOM | NO_DATACLASSES | NO_WALKS),
+                 {"homology"} | NO_NUMPY_RANDOM | NO_INSPECT | NO_WALKS | {"numpy", "elementwise"}),
                 # the QI sampler and the word scan alone use numpy and
                 # elementwise, and build draws from a stream only at tau > 0,
                 # in Python ints

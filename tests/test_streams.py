@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import goodpants
 from goodpants import holonomy, streams
 from goodpants.complexes import build_xp, grow_until
 from goodpants.holonomy import RepParams
@@ -14,8 +21,9 @@ SWEEP_ENTROPIES = [(s, tag) for s in (0, 7, 2**32 + 5) for tag in (0x6C5, 0x2B1,
 KEYS = [0, 511, 512, 2**32 - 1, 2**32, 2**40]
 # one word, a QI sample's words, and either side of a chunk
 LENGTHS = [1, 14, 4095, 4096, 4097]
-# the fresh-stream reader's seeds: a 40-digit int takes five uint32 words,
-# one more than the pool, and the tuples are the sweeps' entropies
+# seeds of fresh streams read a scalar at a time: a 40-digit int takes
+# five uint32 words, one more than the pool, and the tuples are the
+# sweeps' entropies
 FRESH_ENTROPIES = [
     0, 3, 2**32, 2**40, 2**64 + 5, 1234567890123456789012345678901234567890,
     (3001, 0x6C5), (2**40, 0x3A7),
@@ -176,8 +184,11 @@ def test_integers_refuse_ranges_outside_2_to_2_32(lo, hi):
 @pytest.mark.parametrize("n", [1, 577, 5000])
 @pytest.mark.parametrize("lo, hi", [(-0.1, 0.1), (12.0, 20.0)])
 def test_fresh_uniform_matches_the_generator_and_stream(entropy, n, lo, hi):
-    # 577 is the L=64 complex's circles; 5000 runs past one chunk of Stream
-    got = streams.fresh_uniform(entropy, lo, hi, n)
+    # scalar reads of a fresh Stream, stepped in Python ints, against
+    # one array read; 577 is the L=64 complex's circles, and 5000 runs
+    # past one chunk of the array read
+    stream = streams.Stream(entropy)
+    got = [stream.uniform(lo, hi) for _ in range(n)]
     generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     assert got == generator.uniform(lo, hi, n).tolist()
     assert got == streams.Stream(entropy).uniform(lo, hi, n).tolist()
@@ -231,4 +242,59 @@ def test_negative_entropy_is_refused():
         with pytest.raises(ValueError):
             streams.Stream(entropy)
         with pytest.raises(ValueError):
-            streams.fresh_uniform(entropy, 0.0, 1.0, 1)
+            RepParams.random(build_xp(2, 3), R=20.0, tau=1.0, seed=entropy)
+
+
+# one read of each kind: scalar uniform, integers on a range that
+# rejects about 30% of its 32-bit draws, and the three array reads
+READS = st.one_of(
+    st.tuples(st.just("uniform"), st.just(None)),
+    st.tuples(st.just("integers"), st.sampled_from([(1, 4), (0, 8), (0, 3_000_000_000)])),
+    st.tuples(st.sampled_from(["random", "uniform_n", "words"]), st.integers(0, 5000)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=st.sampled_from(ENTROPIES + SWEEP_ENTROPIES),
+    scalars=st.lists(st.sampled_from(["uniform", "integers"]), min_size=1, max_size=20),
+    reads=st.lists(READS, max_size=30),
+)
+def test_interleaved_reads_match_the_generator(entropy, scalars, reads):
+    # scalar reads first, in Python ints; then any mix, so that scalar
+    # reads take the words an array read buffered, across chunk ends
+    stream, generator = streams.Stream(entropy), np.random.default_rng(np.random.SeedSequence(entropy))
+    raw = generator.bit_generator.random_raw
+    reads = [(name, None if name == "uniform" else (0, 8)) for name in scalars] + reads
+    for name, arg in reads:
+        if name == "uniform":
+            got, want = stream.uniform(-0.3, 0.3), generator.uniform(-0.3, 0.3)
+            assert type(got) is float
+        elif name == "integers":
+            got, want = stream.integers(*arg), generator.integers(*arg)
+            assert type(got) is int
+        elif name == "random":
+            got, want = stream.random(arg).tolist(), generator.random(arg).tolist()
+        elif name == "uniform_n":
+            got, want = stream.uniform(2.0, 5.0, arg).tolist(), generator.uniform(2.0, 5.0, arg).tolist()
+        else:
+            got, want = stream.words(arg).tolist(), raw(arg).tolist()
+        assert got == want, (name, arg)
+
+
+def test_scalar_reads_load_no_numpy():
+    src = str(Path(goodpants.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = (
+        "import sys\n"
+        "from goodpants.streams import Stream\n"
+        "stream = Stream((3, 0x2B1))\n"
+        "for _ in range(5000):\n"
+        "    stream.uniform(0.0, 1.0)\n"
+        "    stream.integers(0, 8)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
