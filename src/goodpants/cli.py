@@ -226,8 +226,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .holonomy import build_rho, certify_qi, check_p_separated, development_residual
-    from .holonomy import nontriviality_scan
+    from .holonomy import build_rho, check_p_separated, development_residual
 
     _development_options(args)
     if args.words < 1:
@@ -238,6 +237,8 @@ def cmd_verify(args) -> int:
     rho = build_rho(x, _params_for(x, args))
     residual = development_residual(rho)
     separated = check_p_separated(rho, args.p)
+    from .elementwise import certify_qi, nontriviality_scan
+
     qi = certify_qi(R=args.R, p=args.p, samples=args.samples, seed=args.seed)
     scan = nontriviality_scan(rho, max_length=args.words)
     checks = {

@@ -1,7 +1,9 @@
-"""Elementwise counterparts of ``geom``'s scalar primitives on numpy arrays.
+"""verify's array checks, and the elementwise kernels they are built from.
 
-Each function repeats the operations of its scalar counterpart one for
-one and gives the same bits on every element.  Complex numbers are
+The QI sampler (``certify_qi``) and the word scan (``nontriviality_scan``)
+run on numpy arrays; ``holonomy`` develops the complex they read.  Each
+kernel repeats the operations of its scalar counterpart in ``geom`` one
+for one and gives the same bits on every element.  Complex numbers are
 (real, imaginary) pairs of float arrays, multiplied and divided as
 CPython's complex type does it; every transcendental function is
 ``math``'s, mapped over the array through Python floats (``floats``).
@@ -11,26 +13,36 @@ and hypot are the C library's, as in CPython's complex abs and
 cmath.sqrt.  ``modulus``, ``square`` and ``exp`` raise OverflowError
 where abs, ``**`` and cmath.exp do, and so do the kernels built on
 them (``apply_to_point``, ``point_distance``, ``screw``).  Points are
-(horizontal pair, height), as separate arguments.  The QI sampler and
-the word scan are built from these kernels.
+(horizontal pair, height), as separate arguments.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .geom import MoebiusMap
+from .streams import first_integers, spawned_words, uniform_doubles, unit_doubles
+
+if TYPE_CHECKING:
+    from .holonomy import ViableRep
+
 __all__ = [
+    "QiReport",
+    "ScanReport",
     "add",
     "apply_to_point",
+    "certify_qi",
     "div",
     "exp",
     "floats",
     "matmul",
     "modulus",
     "mul",
+    "nontriviality_scan",
     "normalize",
     "pairs",
     "point_distance",
@@ -234,3 +246,337 @@ def point_distance(z1, t1, z2, t2):
     """geom.hyperbolic_point_distance elementwise."""
     dz2 = square(modulus(sub(z1, z2))) + square(t1 - t2)
     return floats(math.acosh, 1.0 + dz2 / (2.0 * t1 * t2))
+
+
+class QiReport(NamedTuple):
+    """Outcome of the broken-path chord-length certification."""
+
+    R: float
+    p: int
+    samples: int
+    violations: int
+    min_margin: float
+    min_ratio: float
+    max_ratio: float
+    seed: int
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
+
+# Samples evaluated together as arrays by certify_qi.  A path has at most
+# five segments.  The peak is set by the 128-bit products of the slice's
+# streams, uint64 arrays of 512 x 14: about 680 KB for one slice and
+# 900 KB with the previous slice's draws still held (tracemalloc),
+# whatever the number of samples.
+_QI_SLICE = 512
+
+# most segments of a sampled path: n_seg = Generator.integers(2, 6)
+_QI_MAX_SEG = 5
+
+# tilt(alpha), the rotation by alpha about the horizontal axis through
+# the base point, is to_horizontal^-1 * Screw(i alpha) * to_horizontal
+_SQRT_HALF = 1 / math.sqrt(2.0)
+_TO_HORIZONTAL = MoebiusMap(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
+
+
+def _path_chords(n_seg, draws):
+    """Chord and length of broken paths from the base point (0, 1).
+
+    Row i is a path of n_seg[i] segments; draws[i, 3 j] is the length of
+    its segment j, and draws[i, 3 j + 1] and draws[i, 3 j + 2] the bend
+    and spin after it, for each j + 1 < n_seg[i]; entries past those do
+    not count (a path that has ended keeps its frame).  The path leaves
+    the base point up the axis (0, infinity); at each vertex it spins by
+    its spin about the incoming segment and turns by pi - bend, so a
+    bend of pi goes straight on and a bend of 0 backtracks.  The products
+    are the scalar ones (frame * Screw(length), then * Screw(i spin) *
+    tilt(pi - bend)) made elementwise, so each chord has the bits of the
+    scalar evaluation.  Raises OverflowError or ZeroDivisionError where
+    an entry leaves double range.
+    """
+    # Python floats overflow to inf and turn inf - inf into nan silently;
+    # under this errstate the elementwise kernels neither warn nor stop
+    # there either
+    with np.errstate(over="ignore", invalid="ignore"):
+        ones, zeros = np.ones(len(n_seg)), np.zeros(len(n_seg))
+        frame = ((ones, zeros), (zeros, zeros), (zeros, zeros), (ones, zeros))
+        total = np.zeros(len(n_seg))
+        to_horizontal = pairs(_TO_HORIZONTAL)
+        from_horizontal = pairs(_TO_HORIZONTAL.inverse())
+        for j in range(int(np.max(n_seg))):
+            active = j < n_seg
+            length = draws[:, 3 * j]
+            total += np.where(active, length, 0.0)
+            step = matmul(frame, screw((length, 0.0)))
+            if j + 1 < _QI_MAX_SEG:
+                bend, spin = draws[:, 3 * j + 1], draws[:, 3 * j + 2]
+                tilt = matmul(
+                    matmul(from_horizontal, screw(scale((0.0, 1.0), math.pi - bend))),
+                    to_horizontal,
+                )
+                turned = matmul(matmul(step, screw(scale((0.0, 1.0), spin))), tilt)
+                step = _select(j + 1 < n_seg, turned, step)
+            frame = _select(active, step, frame)
+        z, t = apply_to_point(frame, (0.0, 0.0), 1.0)
+        if not np.all(t > 0.0):
+            # Point refuses the height: the frame's entries left double range
+            raise OverflowError("interior points need positive height")
+        return point_distance((0.0, 0.0), 1.0, z, t), total
+
+
+def _select(keep, new, old):
+    """Entries of the 2x2 matrices new where keep holds, of old elsewhere."""
+    return tuple(
+        (np.where(keep, n[0], o[0]), np.where(keep, n[1], o[1])) for n, o in zip(new, old)
+    )
+
+
+def _qi_margins(R: float, chord, total):
+    """Margins chord - (total / 2 - R / 4), and which paths violate a bound.
+
+    A path violates the bounds when its margin is negative or its chord
+    exceeds its length by more than 1e-9.  A margin that is not finite
+    (a chord of nan, which compares false to both, or of inf) decides
+    nothing, so it counts as a violation too.
+    """
+    margin = chord - (total / 2.0 - R / 4.0)
+    return margin, (margin < 0) | (chord > total + 1e-9) | ~np.isfinite(margin)
+
+
+def certify_qi(R: float, p: int, samples: int = 10000, seed: int = 0) -> QiReport:
+    """Sample admissible broken geodesic paths and check their chords.
+
+    A path has 2 to 5 segments of length in [R/2, 3R] meeting at angles
+    in [2*pi/p, pi]; its chord must be at least half its length minus
+    R/4 and at most its length.
+
+    Sample i draws from its own stream, numpy's PCG64 on child i of
+    SeedSequence(seed): its segment count, then its lengths, bends and
+    spins in path order, as numpy's Generator draws them.  The samples
+    are evaluated in slices of at most _QI_SLICE as arrays: one
+    ``streams.spawned_words`` call gives a slice's streams, and
+    _path_chords its chords, with the bits of one-at-a-time
+    evaluation.  The chords of long paths leave double range at large R
+    (from R = 60 some are inf, which counts as a violation); where an
+    entry overflows, OverflowError names R.
+    """
+    if p < 3:
+        raise ValueError("need p >= 3 for admissible bends")
+    if not 0.0 < R < math.inf:
+        raise ValueError("need a finite R > 0")
+    # bounds of the draws in path order: length, then bend and spin
+    # before each further segment
+    low = np.tile([R / 2.0, 2.0 * math.pi / p, 0.0], _QI_MAX_SEG)
+    high = np.tile([3.0 * R, math.pi, 2.0 * math.pi], _QI_MAX_SEG)
+    violations = 0
+    min_margin = math.inf
+    min_ratio = math.inf
+    max_ratio = -math.inf
+    for start in range(0, samples, _QI_SLICE):
+        count = min(_QI_SLICE, samples - start)
+        # words 1..14 of child start + row of SeedSequence(seed), for
+        # each row: numpy's integers(2, 6) takes word 1, and the unit
+        # draws take words 2..
+        words = spawned_words(seed, range(start, start + count), 3 * _QI_MAX_SEG - 1)
+        n_seg = first_integers(words[:, 0], 2, _QI_MAX_SEG + 1)
+        unit = np.zeros((count, 3 * _QI_MAX_SEG))
+        unit[:, : 3 * _QI_MAX_SEG - 2] = unit_doubles(words[:, 1:])
+        # a path of n segments reads 3n - 2 draws; the rest stay 0
+        unit[np.arange(3 * _QI_MAX_SEG) >= 3 * n_seg[:, None] - 2] = 0.0
+        # Generator.uniform(low, high), scaled for the whole slice at once
+        draws = uniform_doubles(low, high, unit)
+        try:
+            chord, total = _path_chords(n_seg, draws)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise OverflowError(
+                f"R = {R!r} is too large for double precision: the QI sampler's"
+                " path products leave double range"
+            ) from exc
+        margin, violated = _qi_margins(R, chord, total)
+        ratio = chord / total
+        # np.fmin and np.fmax skip nan, as min and max of floats did
+        min_margin = float(np.fmin.reduce(margin, initial=min_margin))
+        min_ratio = float(np.fmin.reduce(ratio, initial=min_ratio))
+        max_ratio = float(np.fmax.reduce(ratio, initial=max_ratio))
+        violations += int(np.count_nonzero(violated))
+    return QiReport(
+        R=R,
+        p=p,
+        samples=samples,
+        violations=violations,
+        min_margin=min_margin,
+        min_ratio=min_ratio,
+        max_ratio=max_ratio,
+        seed=seed,
+    )
+
+
+class ScanReport(NamedTuple):
+    """Outcome of the near-identity word scan."""
+
+    max_length: int
+    n_generators: int
+    total_words: int
+    violations: tuple[tuple[int, ...], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def _scan_alphabet(rho: ViableRep) -> list[MoebiusMap]:
+    """Generators of up to four pairwise non-adjacent pants.
+
+    Non-adjacent pants share no circle, so no two alphabet letters
+    satisfy a short gluing relation; reduced words over the alphabet are
+    nontrivial in the fundamental group.
+    """
+    x = rho.complex
+    chosen = []
+    used_circles = set()
+    for i, p in enumerate(x.pants):
+        if used_circles.intersection(p.slots):
+            continue
+        chosen.append(i)
+        used_circles.update(p.slots)
+        if len(chosen) == 4:
+            break
+    gens = []
+    for i in chosen:
+        g, g_inv = rho.conjugators[i], rho.conjugators[i].inverse()
+        gens.append(g * rho.base_reps[i].gen1 * g_inv)
+        gens.append(g * rho.base_reps[i].gen2 * g_inv)
+    return gens
+
+
+# Words per slice of the depth-first scan.  A slice's children are
+# visited whenever _SCAN_CHUNK of them are waiting, so each level on the
+# stack holds fewer than 2 * _SCAN_CHUNK words, whatever the alphabet
+# size; per-letter temporaries stay at 64 KiB.
+_SCAN_CHUNK = 4096
+
+
+def _near_identity(a, b, c, d, threshold: float):
+    """Indices of the matrices [[a, b], [c, d]] within threshold of +/- I.
+
+    The distance to +/- I is the largest entry of |m -/+ I|.  Both
+    distances share the off-diagonal entries, so |b| and |c| below the
+    threshold is the first, cheap part of the rule, and the diagonal is
+    read only on the few matrices that pass it.  nan is never below the
+    threshold and np.maximum and np.minimum propagate it, so inf and nan
+    entries are never flagged.
+    """
+    idx = np.flatnonzero((np.abs(b) < threshold) & (np.abs(c) < threshold))
+    a, d = a[idx], d[idx]
+    err_plus = np.maximum(np.abs(a - 1), np.abs(d - 1))
+    err_minus = np.maximum(np.abs(a + 1), np.abs(d + 1))
+    return idx[np.minimum(err_plus, err_minus) < threshold]
+
+
+def _scan_words(
+    letters, max_length: int, threshold: float
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Count the reduced words up to max_length; flag those near +/- I.
+
+    letters is a sequence of 2x2 complex matrices in which letter l^1 is
+    the inverse of letter l.  A word's matrix is the product of its
+    letters from left to right.  Returns the number of words and the
+    flagged words, by length and then by the word read backwards.
+    """
+    mats = np.asarray(letters, dtype=complex).reshape(-1, 2, 2)
+    n_letters = len(mats)
+    if max_length < 1:
+        return 0, ()
+    la, lb, lc, ld = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    inverse = np.arange(n_letters) ^ 1
+    violations = [(int(i),) for i in _near_identity(la, lb, lc, ld, threshold)]
+    total = n_letters
+
+    def extend(words, a, b, c, d):
+        # words (m, k) of one length k < max_length with their matrices:
+        # classify every reduced one-letter extension and, below the last
+        # length, gather them letter by letter and visit them whenever
+        # _SCAN_CHUNK are waiting and after the last letter
+        nonlocal total
+        last = words[:, -1]
+        leaf = words.shape[1] + 1 == max_length
+        children, waiting = [], 0
+        for l in range(n_letters):
+            keep = last != inverse[l]
+            total += int(np.count_nonzero(keep))
+            # long words overflow float range at large R; inf and nan
+            # stay in their row and are never flagged
+            with np.errstate(over="ignore", invalid="ignore"):
+                if leaf:
+                    # a word that is not extended further needs its other
+                    # entries only if the new b already passes the filter
+                    keep &= np.abs(a * lb[l] + b * ld[l]) < threshold
+                rows = np.flatnonzero(keep)
+                if leaf and not rows.size:
+                    continue
+                ar, br, cr, dr = a[rows], b[rows], c[rows], d[rows]
+                a2 = ar * la[l] + br * lc[l]
+                b2 = ar * lb[l] + br * ld[l]
+                c2 = cr * la[l] + dr * lc[l]
+                d2 = cr * lb[l] + dr * ld[l]
+            for i in _near_identity(a2, b2, c2, d2, threshold):
+                violations.append((*words[rows[i]].tolist(), l))
+            if leaf:
+                continue
+            child = np.empty((len(rows), words.shape[1] + 1), dtype=words.dtype)
+            child[:, :-1] = words[rows]
+            child[:, -1] = l
+            children.append((child, a2, b2, c2, d2))
+            waiting += len(rows)
+            if waiting >= _SCAN_CHUNK or l == n_letters - 1:
+                batch = [np.concatenate(parts) for parts in zip(*children)]
+                children, waiting = [], 0
+                # hold only the batch while its words are extended
+                del ar, br, cr, dr, a2, b2, c2, d2, child
+                visit(*batch)
+
+    def visit(words, a, b, c, d):
+        for s in range(0, len(words), _SCAN_CHUNK):
+            part = slice(s, s + _SCAN_CHUNK)
+            extend(words[part], a[part], b[part], c[part], d[part])
+
+    if max_length > 1:
+        words = np.arange(n_letters, dtype=np.int16).reshape(-1, 1)
+        visit(words, la, lb, lc, ld)
+    violations.sort(key=lambda w: (len(w), w[::-1]))
+    return total, tuple(violations)
+
+
+def nontriviality_scan(rho: ViableRep, max_length: int = 6) -> ScanReport:
+    """Check that no short reduced word has holonomy near the identity.
+
+    Enumerates all freely reduced words up to the given length over the
+    bounded alphabet and flags any whose matrix is within 1e-6 of +/-
+    identity.  Words are reported as tuples of letter indices
+    (letter 2i is generator i, letter 2i+1 its inverse), ordered by
+    length and then by the word read backwards.
+
+    The words are enumerated depth-first: a slice of at most _SCAN_CHUNK
+    words is extended letter by letter, and the scan recurses on the
+    children whenever _SCAN_CHUNK of them are waiting and after the last
+    letter.  Live memory is bounded by about 2 x max_length x _SCAN_CHUNK
+    words, not by the number of words or of letters.  Each
+    product is kept as four complex arrays and multiplied by a letter
+    on the right with elementwise arithmetic; no BLAS call is made on
+    this path, so the products may differ from a matmul in the last
+    bits.
+    """
+    gens = _scan_alphabet(rho)
+    letters = []
+    for g in gens:
+        letters.append(np.array(g.entries(), dtype=complex).reshape(2, 2))
+        letters.append(np.array(g.inverse().entries(), dtype=complex).reshape(2, 2))
+    total, violations = _scan_words(letters, max_length, 1e-6)
+    return ScanReport(
+        max_length=max_length,
+        n_generators=len(gens),
+        total_words=total,
+        violations=violations,
+    )

@@ -197,11 +197,14 @@ def mobius_apply(m: MoebiusMap, z: BoundaryPoint) -> BoundaryPoint:
 
 def apply_to_point(m: MoebiusMap, p: Point) -> Point:
     """Apply a Moebius map to an interior point (quaternionic action)."""
-    z, t = p.horizontal, p.height
-    w = m.c * z + m.d
-    denom = abs(w) ** 2 + abs(m.c) ** 2 * t * t
-    z_new = ((m.a * z + m.b) * w.conjugate() + m.a * m.c.conjugate() * t * t) / denom
-    return Point(z_new, t / denom)
+    return Point(*_point_image(m.a, m.b, m.c, m.d, p.horizontal, p.height))
+
+
+def _point_image(a: complex, b: complex, c: complex, d: complex, z: complex, t: float):
+    """apply_to_point on plain values: the image (z, t) of (z, t) under [[a, b], [c, d]]."""
+    w = c * z + d
+    denom = abs(w) ** 2 + abs(c) ** 2 * t * t
+    return ((a * z + b) * w.conjugate() + a * c.conjugate() * t * t) / denom, t / denom
 
 
 def normalize_to_axis(g: OrientedGeodesic) -> MoebiusMap:
@@ -300,8 +303,13 @@ def translate_along(g: OrientedGeodesic, d: complex) -> MoebiusMap:
 
 def hyperbolic_point_distance(x: Point, y: Point) -> float:
     """Distance between interior points: cosh d = 1 + (|dz|^2 + dh^2) / (2 h1 h2)."""
-    dz2 = abs(x.horizontal - y.horizontal) ** 2 + (x.height - y.height) ** 2
-    return math.acosh(1.0 + dz2 / (2.0 * x.height * y.height))
+    return _point_distance(x.horizontal, x.height, y.horizontal, y.height)
+
+
+def _point_distance(z1: complex, t1: float, z2: complex, t2: float) -> float:
+    """hyperbolic_point_distance on plain values: from (z1, t1) to (z2, t2)."""
+    dz2 = abs(z1 - z2) ** 2 + (t1 - t2) ** 2
+    return math.acosh(1.0 + dz2 / (2.0 * t1 * t2))
 
 
 def point_to_geodesic_distance(p: Point, g: OrientedGeodesic) -> float:

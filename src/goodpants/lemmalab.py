@@ -32,6 +32,8 @@ from .geom import (
     apply_to_point,
     normalize_to_axis,
     _FLIP,
+    _point_distance,
+    _point_image,
     _screw,
 )
 from .streams import Stream
@@ -296,14 +298,9 @@ def _two_planes_angles(b: float, d: float, xi: float) -> tuple[float, float, flo
     s = cmath.sqrt(half * inv - 0j * 0j)
     screw = (half / s, 0j / s, 0j / s, inv / s)
     m11, m12, m21, m22 = _matmul(_matmul(_FROM_AXIS, screw), _TO_AXIS)
-    # the corner (0, 1) moved by apply_to_point
-    w = m21 * 0j + m22
-    denom = abs(w) ** 2 + abs(m21) ** 2 * 1.0 * 1.0
-    B = ((m11 * 0j + m12) * w.conjugate() + m11 * m21.conjugate() * 1.0 * 1.0) / denom
-    Bt = 1.0 / denom
+    B, Bt = _point_image(m11, m12, m21, m22, 0j, 1.0)
     Ct = math.exp(d)
-    # hyperbolic_point_distance(B, C)
-    hyp = math.acosh(1.0 + (abs(B - 0j) ** 2 + (Bt - Ct) ** 2) / (2.0 * Bt * Ct))
+    hyp = _point_distance(B, Bt, 0j, Ct)
     beta = _angle_between(*_direction(B, Bt, 0j, 1.0), *_direction(B, Bt, 0j, Ct))
 
     sin_beta = math.sinh(d) / math.sinh(hyp)
@@ -445,16 +442,6 @@ def _draw_attempt(stream, cutoff, R, n_letters) -> tuple[float, tuple[int, ...]]
     return math.exp(sign * t), tuple(word)
 
 
-def _distance(xt: float, end: Point) -> float:
-    """hyperbolic_point_distance from the axis point (0, xt) to ``end``.
-
-    Its operations on the height alone, so that no Point is built per
-    attempt (about 6% of the sweep's time).
-    """
-    dz2 = abs(0j - end.horizontal) ** 2 + (xt - end.height) ** 2
-    return math.acosh(1.0 + dz2 / (2.0 * xt * end.height))
-
-
 def angle_change_check(
     rep_pair, p: int, samples: int = 1000, seed: int = 0
 ) -> SweepReport:
@@ -521,7 +508,10 @@ def angle_change_check(
         end0, end1 = ends
         try:
             # the second end is measured only where the first is not near
-            near = _distance(xt, end0) < reach or _distance(xt, end1) < reach
+            near = (
+                _point_distance(0j, xt, end0.horizontal, end0.height) < reach
+                or _point_distance(0j, xt, end1.horizontal, end1.height) < reach
+            )
         except OverflowError as exc:
             raise OverflowError(
                 f"R = {R!r} is too large for double precision: a word image's"

@@ -1,8 +1,12 @@
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goodpants import cli, geom, holonomy, pants
+import goodpants
+from goodpants import cli, elementwise, geom, holonomy, pants
 from goodpants.complexes import PantsComplex, build_xp, graph_of, grow_until
 from goodpants.complexes import Circle
+from goodpants.elementwise import _scan_words, certify_qi, nontriviality_scan
 from goodpants.geom import (
     MoebiusMap,
     Point,
@@ -23,12 +29,9 @@ from goodpants.geom import (
 from goodpants.holonomy import (
     RepParams,
     build_rho,
-    certify_qi,
     check_p_separated,
     development_residual,
     measured_shear,
-    _scan_words,
-    nontriviality_scan,
 )
 from oracles import maps_close, root_cover, two_chains
 
@@ -389,7 +392,7 @@ def scalar_certify_qi(R, p, samples, seed):
         max_ratio = max(max_ratio, ratio)
         if margin < 0 or chord > total + 1e-9 or not math.isfinite(margin):
             violations += 1
-    return holonomy.QiReport(
+    return elementwise.QiReport(
         R=R,
         p=p,
         samples=samples,
@@ -403,7 +406,7 @@ def scalar_certify_qi(R, p, samples, seed):
 
 def path(lengths, bends, spins):
     """One broken path as a row of _path_chords' draws."""
-    row = np.zeros(3 * holonomy._QI_MAX_SEG)
+    row = np.zeros(3 * elementwise._QI_MAX_SEG)
     row[0 : 3 * len(lengths) : 3] = lengths
     row[1 : 3 * len(bends) : 3] = bends
     row[2 : 3 * len(spins) : 3] = spins
@@ -414,7 +417,7 @@ class TestCertifyQi:
     @pytest.mark.parametrize("R", [12.0, 20.0, 30.0, 40.0, 60.0, 70.0])
     @pytest.mark.parametrize("p", [3, 4, 5])
     def test_matches_scalar_oracle(self, R, p):
-        slice_ = holonomy._QI_SLICE
+        slice_ = elementwise._QI_SLICE
         seed = int(R) + p
         for samples in (1, slice_ - 1, slice_, slice_ + 1, 3 * slice_ + 7):
             want = scalar_certify_qi(R, p, samples, seed)
@@ -439,8 +442,8 @@ class TestCertifyQi:
     def test_backtracking_path_is_a_violation(self):
         R = 20.0
         # bend 0: the second segment runs back along the first
-        chord, total = holonomy._path_chords(np.array([2]), path([R, R], [0.0], [1.3])[None])
-        margin, violated = holonomy._qi_margins(R, chord, total)
+        chord, total = elementwise._path_chords(np.array([2]), path([R, R], [0.0], [1.3])[None])
+        margin, violated = elementwise._qi_margins(R, chord, total)
         assert chord[0] < 1e-6 and total[0] == 2 * R
         assert margin[0] < 0 and violated.tolist() == [True]
 
@@ -451,8 +454,8 @@ class TestCertifyQi:
         R = 20.0
         chord = R - R / 4.0 - gap
         bend = math.acos((math.cosh(R) ** 2 - math.cosh(chord)) / math.sinh(R) ** 2)
-        got, total = holonomy._path_chords(np.array([2]), path([R, R], [bend], [2.0])[None])
-        margin, violations = holonomy._qi_margins(R, got, total)
+        got, total = elementwise._path_chords(np.array([2]), path([R, R], [bend], [2.0])[None])
+        margin, violations = elementwise._qi_margins(R, got, total)
         assert got[0] == pytest.approx(chord, abs=1e-4)
         assert margin[0] == pytest.approx(-gap, abs=1e-4)
         assert violations.tolist() == [violated]
@@ -462,8 +465,8 @@ class TestCertifyQi:
         R = 20.0
         lengths = [R / 2.0 + 7.0 * j for j in range(n_seg)]
         draws = path(lengths, [math.pi] * (n_seg - 1), [0.4 + j for j in range(n_seg - 1)])
-        chord, total = holonomy._path_chords(np.array([n_seg]), draws[None])
-        margin, violated = holonomy._qi_margins(R, chord, total)
+        chord, total = elementwise._path_chords(np.array([n_seg]), draws[None])
+        margin, violated = elementwise._qi_margins(R, chord, total)
         assert abs(chord[0] - total[0]) < 1e-9
         assert violated.tolist() == [False]
 
@@ -497,7 +500,7 @@ class TestCertifyQi:
     def test_pinned_reports(self, seed, min_margin, min_ratio, max_ratio):
         # read from the implementation that spawned every child seed
         # sequence up front; the lazily made children draw the same
-        assert certify_qi(R=20.0, p=3, samples=300, seed=seed) == holonomy.QiReport(
+        assert certify_qi(R=20.0, p=3, samples=300, seed=seed) == elementwise.QiReport(
             R=20.0,
             p=3,
             samples=300,
@@ -686,10 +689,10 @@ class TestScanWords:
     @given(
         case=planted_alphabets(),
         max_length=st.integers(1, 5),
-        chunk=st.sampled_from([1, 3, 5, 64, holonomy._SCAN_CHUNK]),
+        chunk=st.sampled_from([1, 3, 5, 64, elementwise._SCAN_CHUNK]),
     )
     @example(case=_every_plant(1), max_length=3, chunk=3)
-    @example(case=_every_plant(2), max_length=4, chunk=holonomy._SCAN_CHUNK)
+    @example(case=_every_plant(2), max_length=4, chunk=elementwise._SCAN_CHUNK)
     # one-word slices: the word of the second-last letter has no child by
     # the last letter, so that letter keeps no rows with nothing waiting
     @example(case=_every_plant(3), max_length=3, chunk=1)
@@ -697,10 +700,10 @@ class TestScanWords:
     # a slice of words that all end in the second-last letter: the last
     # letter keeps no rows while the other letters' children wait
     @example(case=_eight_generators(5), max_length=4, chunk=64)
-    @example(case=_eight_generators(6), max_length=4, chunk=holonomy._SCAN_CHUNK)
+    @example(case=_eight_generators(6), max_length=4, chunk=elementwise._SCAN_CHUNK)
     def test_matches_breadth_first_oracle(self, case, max_length, chunk):
         letters, planted = case
-        with mock.patch.object(holonomy, "_SCAN_CHUNK", chunk):
+        with mock.patch.object(elementwise, "_SCAN_CHUNK", chunk):
             total, violations = _scan_words(letters, max_length, 1e-6)
         assert (total, violations) == bfs_scan(letters, max_length)
         for word in planted:
@@ -727,3 +730,36 @@ class TestScanWords:
     def test_no_words(self):
         assert _scan_words([np.eye(2, dtype=complex)] * 2, 0, 1e-6) == (0, ())
         assert _scan_words([], 3, 1e-6) == (0, ())
+
+
+class TestArrayChecksLiveInElementwise:
+    def test_holonomy_loads_neither_numpy_nor_the_checks(self):
+        # build and angle-change import holonomy and never run verify's
+        # array checks; the forwarder hands out elementwise's own functions
+        src = str(Path(goodpants.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = (
+            "import sys\n"
+            "from goodpants import holonomy\n"
+            "print(sorted({'numpy', 'goodpants.elementwise'} & set(sys.modules)))\n"
+            "from goodpants import elementwise\n"
+            "print(holonomy.certify_qi is elementwise.certify_qi,"
+            " holonomy.nontriviality_scan is elementwise.nontriviality_scan)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == ["[]", "True True"]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["QiReport", "ScanReport", "_QI_MAX_SEG", "_QI_SLICE", "_SCAN_CHUNK", "_path_chords",
+         "_qi_margins", "_scan_words", "_near_identity", "_scan_alphabet", "_select"],
+    )
+    def test_patching_a_moved_name_on_holonomy_fails(self, name):
+        # the forwarder names the two checks alone, so a patch meant for
+        # elementwise raises instead of patching a name nothing reads
+        assert hasattr(elementwise, name)
+        with pytest.raises(AttributeError, match=name):
+            with mock.patch.object(holonomy, name, None):
+                pass

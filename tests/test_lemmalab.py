@@ -1,18 +1,14 @@
 import json
 import math
-import os
 import random
-import subprocess
-import sys
+import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
 
-import goodpants
 from goodpants import lemmalab
 from goodpants.complexes import build_xp
 from goodpants.geom import (
@@ -704,32 +700,24 @@ class TestAngleChangeSlices:
 
         monkeypatch.setattr(lemmalab, "_draw_attempt", counting)
         # every end lies at distance 0, so every attempt is rejected
-        monkeypatch.setattr(lemmalab, "_distance", lambda xt, end: 0.0)
+        monkeypatch.setattr(lemmalab, "_point_distance", lambda z1, t1, z2, t2: 0.0)
         with pytest.raises(RuntimeError, match="could not draw enough admissible samples"):
             angle_change_check(self.pair, p=3, samples=3, seed=0)
         assert len(drawn) == 150
 
 
-def _peak_rss_kb(argv):
-    """ru_maxrss of a fresh interpreter that runs the CLI on argv."""
-    code = (
-        "import resource, sys\n"
-        "from goodpants.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, code)\n"
-    )
-    src = str(Path(goodpants.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    rss, code = out.splitlines()[-1].split()
-    assert code == "0"
-    return int(rss)
-
-
 def test_two_planes_memory_does_not_grow_with_samples():
-    argv = ["lemma", "two-planes", "--eps", "0.01", "--R", "20", "--seed", "1", "--samples"]
-    small = _peak_rss_kb(argv + ["10000"])
-    large = _peak_rss_kb(argv + ["2000000"])
-    assert large - small <= 2048
+    # a sample keeps nothing: 10000 more samples leave the traced peak
+    # unmoved, where a list that kept one float a sample (32 B) would
+    # raise it by 320 KB, five times the bound.  A child's ru_maxrss
+    # cannot show that: it starts at its parent's peak, the test
+    # process's, and grows only past it
+    peaks = []
+    for samples in (1000, 11000):
+        tracemalloc.start()
+        try:
+            two_planes_angle_check(0.01, 20.0, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024

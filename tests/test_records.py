@@ -17,8 +17,9 @@ import pytest
 
 import goodpants
 from goodpants.complexes import Circle, Pants, PantsComplex, PantsGraph, build_xp
+from goodpants.elementwise import QiReport, ScanReport
 from goodpants.geom import INFINITY, MoebiusMap, OrientedGeodesic, Point
-from goodpants.holonomy import QiReport, RepParams, ScanReport, ViableRep
+from goodpants.holonomy import RepParams, ViableRep
 from goodpants.homology import AbelianGroup, IntegerMatrix
 from goodpants.pants import HalfNormalCoordinate, PantsRep
 from goodpants.sweeps import SweepReport, SweepRow
@@ -233,9 +234,8 @@ class TestValidation:
         assert IntegerMatrix(()).cols == 0
 
 
-def test_no_module_imports_dataclasses():
-    # a dataclass import costs every command about 7 ms of start-up
-    # (dataclasses pulls in inspect); the records are NamedTuples
+def _importers(module):
+    """The package's modules that import ``module`` anywhere: at the top or in a body."""
     package = Path(goodpants.__file__).resolve().parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -246,9 +246,22 @@ def test_no_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 importers.append(path.name)
-    assert importers == []
+    return sorted(set(importers))
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass import costs every command about 7 ms of start-up
+    # (dataclasses pulls in inspect); the records are NamedTuples
+    assert _importers("dataclasses") == []
+
+
+def test_only_the_array_modules_import_numpy():
+    # holonomy develops in Python complex numbers, and verify's array
+    # checks live in elementwise, so build and angle-change compile none
+    # of the array code they never run
+    assert _importers("numpy") == ["elementwise.py", "lemmalab.py", "streams.py"]
 
 
 def _spelled(node):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goodpants
-from goodpants import holonomy, streams
+from goodpants import elementwise, streams
 from goodpants.complexes import build_xp, grow_until
 from goodpants.holonomy import RepParams
 
@@ -211,8 +211,8 @@ def test_qi_sampler_reads_numpy_children():
     # certify_qi's sample i: numpy's integers(2, 6), then 3n - 2 doubles,
     # on the generator of child i
     keys = [0, 1, 511, 512, 4096]
-    words = streams.spawned_words(4, keys, 3 * holonomy._QI_MAX_SEG - 1)
-    n_seg = streams.first_integers(words[:, 0], 2, holonomy._QI_MAX_SEG + 1)
+    words = streams.spawned_words(4, keys, 3 * elementwise._QI_MAX_SEG - 1)
+    n_seg = streams.first_integers(words[:, 0], 2, elementwise._QI_MAX_SEG + 1)
     assert n_seg.dtype == np.int64
     for i, row, n in zip(keys, words, n_seg.tolist()):
         generator = np.random.default_rng(np.random.SeedSequence(4, spawn_key=(i,)))
